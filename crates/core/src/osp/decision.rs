@@ -1,15 +1,15 @@
 //! The decision model `M_decision` (§IV-C): a frozen scene backbone plus a
 //! small MLP head predicting per-model suitability.
 
-use anole_data::{DrivingDataset, FrameRef};
-use anole_detect::{threshold_probs, ConfusionMatrix, DetectionCounts};
+use anole_data::{DrivingDataset, Frame, FrameRef};
+use anole_detect::ConfusionMatrix;
 use anole_nn::{
-    softmax, Activation, Dense, Mlp, ModelProfile, Precision, QuantizedMlp, ReferenceModel,
-    Trainer, Workspace,
+    softmax, Activation, Mlp, ModelProfile, Precision, QuantizedMlp, ReferenceModel, Trainer,
+    Workspace,
 };
 use anole_tensor::{argmax, split_seed, Matrix, Seed};
 
-use crate::osp::{ModelRepository, SceneModel, SuitabilitySets};
+use crate::osp::{f1_table, ModelRepository, SceneModel, SuitabilitySets};
 use crate::{AnoleError, DecisionConfig};
 
 /// The trained decision model.
@@ -85,6 +85,12 @@ impl DecisionModel {
     /// so that repository expansion can retrain the head with an extended
     /// target width after a new specialist is added online.
     ///
+    /// The frozen backbone runs once over the training rows, in fixed-size
+    /// row blocks; the head then trains alone on those embeddings.
+    /// The weights equal those of training the joined network with the
+    /// backbone frozen: each embedding row is the one a mini-batch forward
+    /// would compute, and frozen layers never take an update.
+    ///
     /// # Errors
     ///
     /// Surfaces training errors from the network.
@@ -99,40 +105,33 @@ impl DecisionModel {
         let t0 = anole_obs::now();
         let n_models = targets.cols();
         // Backbone: every scene-model layer except its classification head.
-        let backbone: Vec<Dense> = scene_model.network().layers()
-            [..scene_model.network().layers().len() - 1]
-            .to_vec();
-        let frozen = backbone.len();
-        let emb_dim = scene_model.embedding_dim();
-
-        let head = Mlp::builder(emb_dim)
+        let scene_layers = scene_model.network().layers();
+        let backbone = Mlp::from_layers(scene_layers[..scene_layers.len() - 1].to_vec());
+        let mut head = Mlp::builder(scene_model.embedding_dim())
             .hidden(config.head_hidden, Activation::Relu)
             .output(n_models)
             .build(split_seed(seed, 0));
-        let mut layers = backbone;
-        layers.extend(head.layers().iter().cloned());
-        let mut net = Mlp::from_layers(layers);
-        net.set_frozen_prefix(frozen);
 
-        let (x, targets) = if config.augment_noise_std > 0.0 {
+        let jittered;
+        let tiled;
+        let (inputs, targets): (Vec<&Matrix>, &Matrix) = if config.augment_noise_std > 0.0 {
             // Feature-space jitter: unseen scenes land between the seen
             // ones in embedding space, so training the head on perturbed
             // inputs smooths its decision boundaries toward interpolation.
             let mut rng = anole_tensor::rng_from_seed(split_seed(seed, 7));
             let noise = Matrix::random_normal(x.rows(), x.cols(), config.augment_noise_std, &mut rng);
-            let jittered = x + &noise;
-            (
-                Matrix::vstack(&[x, &jittered]).expect("same widths"),
-                tile_rows(targets, 2),
-            )
+            jittered = x + &noise;
+            tiled = Matrix::vstack(&[targets, targets]).expect("same widths");
+            (vec![x, &jittered], &tiled)
         } else {
-            (x.clone(), targets.clone())
+            (vec![x], targets)
         };
+        let embeddings = embed_rows(&backbone, &inputs)?;
 
         let report = Trainer::new(config.train).fit_soft_classifier(
-            &mut net,
-            &x,
-            &targets,
+            &mut head,
+            &embeddings,
+            targets,
             split_seed(seed, 1),
         )?;
         let dt_ms = anole_obs::elapsed_ms(t0);
@@ -145,6 +144,11 @@ impl DecisionModel {
                 report.epochs_run as f64 / (dt_ms / 1000.0)
             );
         }
+        let frozen = backbone.layers().len();
+        let mut layers = backbone.layers().to_vec();
+        layers.extend_from_slice(head.layers());
+        let mut net = Mlp::from_layers(layers);
+        net.set_frozen_prefix(frozen);
         Ok(Self {
             net,
             n_models,
@@ -285,27 +289,19 @@ impl DecisionModel {
         if refs.is_empty() {
             return Ok(cm);
         }
-        // Batch the scoring: one decision forward over all frames and one
-        // detector forward per model, instead of per-frame row-vector
-        // forwards (n·(m+1) tiny matmuls collapse into m+1 large ones that
-        // the tiled kernels can parallelize). Per-row results are
-        // bit-identical to the row-vector path, so the matrix is unchanged.
+        // Batch the scoring: one decision forward over all frames and the
+        // batched per-frame F1 table, instead of per-frame row-vector
+        // forwards. Per-row results are bit-identical to the row-vector
+        // path, so the matrix is unchanged.
         let x = dataset.features_matrix(refs);
         let suitability = self.suitability(&x)?;
-        let mut model_probs = Vec::with_capacity(repository.len());
-        for model in repository.models() {
-            model_probs.push((model.id, model.detect_probs(&x)?));
-        }
-        for (i, &r) in refs.iter().enumerate() {
-            let frame = dataset.frame(r);
+        let frames: Vec<&Frame> = refs.iter().map(|&r| dataset.frame(r)).collect();
+        let f1 = f1_table(repository.models(), &frames, threshold)?;
+        for i in 0..refs.len() {
             let mut best = (0usize, 0.0f32);
-            for (id, probs) in &model_probs {
-                let pred = threshold_probs(probs.row(i), threshold);
-                let mut counts = DetectionCounts::default();
-                counts.accumulate(&pred, &frame.truth);
-                let f1 = counts.f1();
-                if f1 > best.1 {
-                    best = (*id, f1);
+            for (id, &score) in f1.row(i).iter().enumerate() {
+                if score > best.1 {
+                    best = (id, score);
                 }
             }
             if best.1 <= 0.0 {
@@ -318,13 +314,35 @@ impl DecisionModel {
     }
 }
 
-/// Repeats the rows of `m` `times` times (vertically).
-fn tile_rows(m: &Matrix, times: usize) -> Matrix {
-    if times <= 1 {
-        return m.clone();
+/// Rows per forward when [`DecisionModel::train_from_features`] embeds its
+/// training rows: enough to amortise each forward, few enough that no
+/// intermediate activation spans the whole training set.
+const EMBED_BLOCK_ROWS: usize = 256;
+
+/// The `backbone` outputs of every row of `parts`, stacked in order, computed
+/// in blocks of [`EMBED_BLOCK_ROWS`] rows through one workspace.
+fn embed_rows(backbone: &Mlp, parts: &[&Matrix]) -> Result<Matrix, AnoleError> {
+    let rows = parts.iter().map(|m| m.rows()).sum();
+    let width = backbone.output_dim();
+    let mut embeddings = Matrix::zeros(rows, width);
+    let mut ws = Workspace::new();
+    let mut block = Matrix::default();
+    let mut out_row = 0;
+    for part in parts {
+        let cols = part.cols();
+        for start in (0..part.rows()).step_by(EMBED_BLOCK_ROWS) {
+            let n = EMBED_BLOCK_ROWS.min(part.rows() - start);
+            block.resize_scratch(n, cols);
+            block
+                .as_mut_slice()
+                .copy_from_slice(&part.as_slice()[start * cols..(start + n) * cols]);
+            let out = backbone.predict_batch(&block, &mut ws)?;
+            embeddings.as_mut_slice()[out_row * width..(out_row + n) * width]
+                .copy_from_slice(out.as_slice());
+            out_row += n;
+        }
     }
-    let parts: Vec<&Matrix> = std::iter::repeat_n(m, times).collect();
-    Matrix::vstack(&parts).expect("identical widths")
+    Ok(embeddings)
 }
 
 #[cfg(test)]
@@ -333,8 +351,20 @@ mod tests {
     use crate::osp::AdaptiveSampler;
     use crate::{AnoleConfig, SceneModelConfig};
     use anole_data::DatasetConfig;
+    use anole_nn::Dense;
 
     fn setup() -> (DrivingDataset, ModelRepository, DecisionModel, AnoleConfig) {
+        let (dataset, _, repo, decision, config) = setup_with_scene();
+        (dataset, repo, decision, config)
+    }
+
+    fn setup_with_scene() -> (
+        DrivingDataset,
+        SceneModel,
+        ModelRepository,
+        DecisionModel,
+        AnoleConfig,
+    ) {
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(61));
         let split = dataset.split();
         let config = AnoleConfig::fast();
@@ -361,7 +391,84 @@ mod tests {
             Seed(65),
         )
         .unwrap();
-        (dataset, repo, decision, config)
+        (dataset, scene, repo, decision, config)
+    }
+
+    /// Every weight and bias of `net` as bits, layer by layer.
+    fn weight_bits(net: &Mlp) -> Vec<u32> {
+        net.layers()
+            .iter()
+            .flat_map(|l| l.weights().iter().chain(l.bias().iter()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Trains the decision network as one `Mlp`: the scene backbone frozen
+    /// with `set_frozen_prefix` and run on every batch, the head on top.
+    fn train_joined(
+        scene: &SceneModel,
+        x: &Matrix,
+        targets: &Matrix,
+        config: &DecisionConfig,
+        seed: Seed,
+    ) -> Mlp {
+        let layers = scene.network().layers();
+        let backbone = &layers[..layers.len() - 1];
+        let head = Mlp::builder(scene.embedding_dim())
+            .hidden(config.head_hidden, Activation::Relu)
+            .output(targets.cols())
+            .build(split_seed(seed, 0));
+        let mut joined: Vec<Dense> = backbone.to_vec();
+        joined.extend_from_slice(head.layers());
+        let mut net = Mlp::from_layers(joined);
+        net.set_frozen_prefix(backbone.len());
+        let (x, targets) = if config.augment_noise_std > 0.0 {
+            let mut rng = anole_tensor::rng_from_seed(split_seed(seed, 7));
+            let std = config.augment_noise_std;
+            let noise = Matrix::random_normal(x.rows(), x.cols(), std, &mut rng);
+            (
+                Matrix::vstack(&[x, &(x + &noise)]).unwrap(),
+                Matrix::vstack(&[targets, targets]).unwrap(),
+            )
+        } else {
+            (x.clone(), targets.clone())
+        };
+        Trainer::new(config.train)
+            .fit_soft_classifier(&mut net, &x, &targets, split_seed(seed, 1))
+            .unwrap();
+        net
+    }
+
+    #[test]
+    fn head_trained_on_embeddings_equals_the_joined_network_bit_for_bit() {
+        let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(68));
+        let split = dataset.split();
+        let mut scfg = SceneModelConfig::default();
+        scfg.train.epochs = 3;
+        let scene = SceneModel::train(&dataset, &split.train, &scfg, Seed(69)).unwrap();
+        // More rows than one embedding block, and soft targets over 5 models.
+        let refs = &split.train[..300.min(split.train.len())];
+        let x = dataset.features_matrix(refs);
+        let mut rng = anole_tensor::rng_from_seed(Seed(70));
+        let targets = softmax(&Matrix::random_normal(x.rows(), 5, 1.0, &mut rng));
+        let mut config = AnoleConfig::fast().decision;
+        config.train.epochs = 3;
+        // The last case's batch spans several gradient chunks.
+        for (noise, batch) in [(0.0, 64), (0.05, 64), (0.0, 160)] {
+            config.augment_noise_std = noise;
+            config.train.batch_size = batch;
+            let seed = Seed(71);
+            let decision =
+                DecisionModel::train_from_features(&scene, &x, &targets, &config, seed).unwrap();
+            let joined = train_joined(&scene, &x, &targets, &config, seed);
+            assert_eq!(
+                weight_bits(decision.network()),
+                weight_bits(&joined),
+                "noise {noise}, batch {batch}"
+            );
+            assert_eq!(decision.network().frozen_prefix(), joined.frozen_prefix());
+            assert_eq!(decision.network(), &joined);
+        }
     }
 
     #[test]
@@ -413,9 +520,19 @@ mod tests {
 
     #[test]
     fn backbone_is_frozen_scene_prefix() {
-        let (dataset, _, decision, _) = setup();
-        let _ = dataset;
-        assert!(decision.network().frozen_prefix() >= 1);
+        let (_, scene, _, decision, _) = setup_with_scene();
+        let scene_layers = scene.network().layers();
+        let backbone = &scene_layers[..scene_layers.len() - 1];
+        let net = decision.network();
+        assert_eq!(net.frozen_prefix(), backbone.len());
+        assert_eq!(net.layers().len(), backbone.len() + 2);
+        for (ours, theirs) in net.layers().iter().zip(backbone) {
+            let bits = |l: &Dense| -> Vec<u32> {
+                l.weights().iter().chain(l.bias().iter()).map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(ours), bits(theirs));
+            assert_eq!(ours.activation(), theirs.activation());
+        }
         assert_eq!(
             decision.head_profile().reference,
             ReferenceModel::DecisionMlp

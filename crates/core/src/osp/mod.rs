@@ -9,4 +9,5 @@ mod scene_model;
 pub use decision::DecisionModel;
 pub use repository::{ClusterOrigin, CompressedModel, ModelRepository};
 pub use sampling::{frame_f1_of, AdaptiveSampler, SuitabilitySets};
+pub(crate) use sampling::{boost_owner, f1_table, membership};
 pub use scene_model::SceneModel;

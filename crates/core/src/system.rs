@@ -306,6 +306,7 @@ impl AnoleSystem {
         }
         let feature_dim = dataset.config().world.feature_dim;
         let threshold = self.config.detector.threshold;
+        let accept = self.config.sampling.accept_f1;
 
         // 1. Train the new specialist.
         let candidate = self.fit_specialist(dataset, frames, seed)?;
@@ -316,43 +317,28 @@ impl AnoleSystem {
         //    stored suitability samples (membership rows extended with the
         //    new model's score) plus the new footage (owner-boosted on the
         //    new model).
-        let sampler = AdaptiveSampler::new(self.config.sampling, threshold);
-        let old_refs: Vec<anole_data::FrameRef> =
-            self.suitability_sets.samples.iter().map(|&(r, _)| r).collect();
-        let x_old = dataset.features_matrix(&old_refs);
-        let mut rows = x_old.rows() + frames.len();
+        let stored = self.stored_sample_frames(dataset);
+        let footage: Vec<&anole_data::Frame> = frames.iter().collect();
+        let new_model = std::slice::from_ref(self.repository.model(new_id));
+        let stored_scores = crate::osp::f1_table(new_model, &stored, threshold)?;
+        let footage_scores = crate::osp::f1_table(self.repository.models(), &footage, threshold)?;
+        let rows = stored.len() + frames.len();
         let mut x = Matrix::zeros(rows, feature_dim);
         let mut targets = Matrix::zeros(rows, n_models);
-        let new_model = self.repository.model(new_id);
-        for (i, &r) in old_refs.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(x_old.row(i));
+        for (i, frame) in stored.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(&frame.features);
             let mut v = self.suitability_sets.memberships[i].clone();
-            let new_f1 = sampler.frame_f1(new_model, dataset, r)?;
-            v.push(if new_f1 > self.config.sampling.accept_f1 {
-                new_f1 * new_f1
-            } else {
-                0.0
-            });
+            v.extend(crate::osp::membership(stored_scores.row(i), accept));
             write_normalized(&mut targets, i, &v, self.suitability_sets.samples[i].1);
         }
-        let mut row = x_old.rows();
-        for frame in frames {
-            let mut v = vec![0.0f32; n_models];
-            for model in self.repository.models() {
-                let f1 = crate::osp::frame_f1_of(model, frame, threshold)?;
-                if f1 > self.config.sampling.accept_f1 {
-                    v[model.id] = f1 * f1;
-                }
-            }
+        for (k, frame) in frames.iter().enumerate() {
+            let row = stored.len() + k;
+            let mut v = crate::osp::membership(footage_scores.row(k), accept);
             // Owner boost toward the new specialist, mirroring collection.
-            let peak = v.iter().cloned().fold(0.0f32, f32::max).max(1.0);
-            v[new_id] += 2.0 * peak;
+            crate::osp::boost_owner(&mut v, new_id);
             x.row_mut(row).copy_from_slice(&frame.features);
             write_normalized(&mut targets, row, &v, new_id);
-            row += 1;
         }
-        rows = row;
-        debug_assert_eq!(rows, x.rows());
 
         self.decision = DecisionModel::train_from_features(
             &self.scene_model,
@@ -362,6 +348,11 @@ impl AnoleSystem {
             split_seed(seed, 2),
         )?;
         Ok(new_id)
+    }
+
+    /// The frames of the stored suitability samples, in sample order.
+    fn stored_sample_frames<'d>(&self, dataset: &'d DrivingDataset) -> Vec<&'d anole_data::Frame> {
+        self.suitability_sets.samples.iter().map(|&(r, _)| dataset.frame(r)).collect()
     }
 
     /// Trains one compressed specialist on `frames` (4/5 fit split, 1/5
@@ -502,6 +493,7 @@ impl AnoleSystem {
         let threshold = self.config.detector.threshold;
         let accept = self.config.sampling.accept_f1;
         let val = &dataset.split().val;
+        let footage: Vec<&anole_data::Frame> = frames.iter().collect();
 
         // Step 0: assignment. Deterministic (no RNG), so the checkpoint
         // only buys resume speed — a recomputed assignment is identical.
@@ -512,14 +504,14 @@ impl AnoleSystem {
             Some(a) => a,
             None => {
                 let n = self.repository.len();
+                let scores = crate::osp::f1_table(self.repository.models(), &footage, threshold)?;
                 let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); n];
                 let mut novel = Vec::new();
-                for (i, frame) in frames.iter().enumerate() {
+                for i in 0..frames.len() {
                     let mut covered = false;
-                    for model in self.repository.models() {
-                        let f1 = crate::osp::frame_f1_of(model, frame, threshold)?;
+                    for (id, &f1) in scores.row(i).iter().enumerate() {
                         if f1 > accept {
-                            assigned[model.id].push(i);
+                            assigned[id].push(i);
                             covered = true;
                         }
                     }
@@ -633,45 +625,35 @@ impl AnoleSystem {
             Some(d) => d,
             None => {
                 let feature_dim = dataset.config().world.feature_dim;
-                let sampler = AdaptiveSampler::new(self.config.sampling, threshold);
-                let refs: Vec<anole_data::FrameRef> =
-                    self.suitability_sets.samples.iter().map(|&(r, _)| r).collect();
-                let x_old = dataset.features_matrix(&refs);
-                let rows = refs.len() + frames.len();
+                let models = self.repository.models();
+                let stored = self.stored_sample_frames(dataset);
+                let stored_scores = crate::osp::f1_table(models, &stored, threshold)?;
+                let footage_scores = crate::osp::f1_table(models, &footage, threshold)?;
+                let rows = stored.len() + frames.len();
                 let mut x = Matrix::zeros(rows, feature_dim);
                 let mut targets = Matrix::zeros(rows, n_models);
-                for (i, &r) in refs.iter().enumerate() {
-                    x.row_mut(i).copy_from_slice(x_old.row(i));
-                    let mut v = vec![0.0f32; n_models];
-                    for model in self.repository.models() {
-                        let f1 = sampler.frame_f1(model, dataset, r)?;
-                        if f1 > accept {
-                            v[model.id] = f1 * f1;
-                        }
-                    }
+                for (i, frame) in stored.iter().enumerate() {
+                    x.row_mut(i).copy_from_slice(&frame.features);
+                    let v = crate::osp::membership(stored_scores.row(i), accept);
                     write_normalized(&mut targets, i, &v, self.suitability_sets.samples[i].1);
                 }
                 for (k, frame) in frames.iter().enumerate() {
-                    let row = refs.len() + k;
-                    let mut v = vec![0.0f32; n_models];
+                    let row = stored.len() + k;
+                    let scores = footage_scores.row(k);
+                    let mut v = crate::osp::membership(scores, accept);
                     let mut best = 0usize;
                     let mut best_f1 = 0.0f32;
-                    for model in self.repository.models() {
-                        let f1 = crate::osp::frame_f1_of(model, frame, threshold)?;
-                        if f1 > accept {
-                            v[model.id] = f1 * f1;
-                        }
+                    for (id, &f1) in scores.iter().enumerate() {
                         if f1 > best_f1 {
                             best_f1 = f1;
-                            best = model.id;
+                            best = id;
                         }
                     }
                     if let Some(new_id) = new_model {
                         if assignment.novel.contains(&k) {
                             // Owner boost toward the new specialist,
                             // mirroring expansion.
-                            let peak = v.iter().cloned().fold(0.0f32, f32::max).max(1.0);
-                            v[new_id] += 2.0 * peak;
+                            crate::osp::boost_owner(&mut v, new_id);
                             best = new_id;
                         }
                     }

@@ -121,12 +121,26 @@ impl Reader<'_> {
     }
 }
 
+/// `v` if it is finite: generated footage never holds NaN or infinity.
+fn finite(v: f32, what: &str) -> Result<f32, DecodeClipError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(DecodeClipError::new(format!("non-finite {what}")))
+    }
+}
+
 /// Decodes clips from the compact binary format.
+///
+/// Only what [`encode_clips`] writes decodes: re-encoding the clips gives
+/// back the input bytes.
 ///
 /// # Errors
 ///
-/// Returns [`DecodeClipError`] on a bad magic/version, truncated input, or
-/// out-of-range enum tags.
+/// Returns [`DecodeClipError`] on a bad magic/version, truncated input,
+/// out-of-range enum tags, a `seen` flag other than 0 or 1, an empty clip
+/// with non-zero dimensions, set padding bits after the last truth cell, or
+/// a non-finite feature or metadata value.
 pub fn decode_clips(bytes: &[u8]) -> Result<Vec<VideoClip>, DecodeClipError> {
     let mut r = Reader { rest: bytes };
     r.need(6, "header")?;
@@ -162,15 +176,25 @@ pub fn decode_clips(bytes: &[u8]) -> Result<Vec<VideoClip>, DecodeClipError> {
         let time = *TimeOfDay::ALL
             .get(time as usize)
             .ok_or_else(|| DecodeClipError::new("bad time tag"))?;
+        let seen = match seen {
+            0 => false,
+            1 => true,
+            other => return Err(DecodeClipError::new(format!("bad seen flag {other}"))),
+        };
         let frame_count = u32::from_le_bytes(r.take()) as usize;
         let feature_dim = u16::from_le_bytes(r.take()) as usize;
         let cells = u16::from_le_bytes(r.take()) as usize;
+        if frame_count == 0 && (feature_dim, cells) != (0, 0) {
+            return Err(DecodeClipError::new("an empty clip with non-zero dimensions"));
+        }
         let frame_size = feature_dim * 4 + cells.div_ceil(8) + 4 + 4 + 2 + 4;
 
         let mut frames = Vec::with_capacity(frame_count.min(r.rest.len() / frame_size));
         for _ in 0..frame_count {
             r.need(frame_size, "frame")?;
-            let features = (0..feature_dim).map(|_| f32::from_le_bytes(r.take())).collect();
+            let features = (0..feature_dim)
+                .map(|_| finite(f32::from_le_bytes(r.take()), "feature"))
+                .collect::<Result<_, _>>()?;
             let mut truth = Vec::with_capacity(cells);
             let mut byte = 0u8;
             for i in 0..cells {
@@ -179,11 +203,15 @@ pub fn decode_clips(bytes: &[u8]) -> Result<Vec<VideoClip>, DecodeClipError> {
                 }
                 truth.push(byte & (1 << (i % 8)) != 0);
             }
+            let used_bits = cells % 8;
+            if used_bits != 0 && byte >> used_bits != 0 {
+                return Err(DecodeClipError::new("set padding bits after the last truth cell"));
+            }
             let meta = FrameMeta {
-                brightness: f32::from_le_bytes(r.take()),
-                contrast: f32::from_le_bytes(r.take()),
+                brightness: finite(f32::from_le_bytes(r.take()), "brightness")?,
+                contrast: finite(f32::from_le_bytes(r.take()), "contrast")?,
                 object_count: u16::from_le_bytes(r.take()) as usize,
-                object_area: f32::from_le_bytes(r.take()),
+                object_area: finite(f32::from_le_bytes(r.take()), "object area")?,
             };
             frames.push(Frame {
                 features,
@@ -196,7 +224,7 @@ pub fn decode_clips(bytes: &[u8]) -> Result<Vec<VideoClip>, DecodeClipError> {
             source,
             attributes: SceneAttributes::new(weather, location, time),
             frames,
-            seen: seen != 0,
+            seen,
         });
     }
     if !r.rest.is_empty() {
@@ -269,6 +297,68 @@ mod tests {
         let mut bytes = encode_clips(&clips[..1]);
         bytes.push(0xFF);
         assert!(decode_clips(&bytes).unwrap_err().to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn every_bit_flip_fails_cleanly_or_round_trips() {
+        let clips = clips();
+        let bytes = encode_clips(&clips[..2]);
+        let mut flipped = bytes.clone();
+        let mut rejected = 0usize;
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match decode_clips(&flipped) {
+                Ok(decoded) => {
+                    assert!(encode_clips(&decoded) == flipped, "bit {bit} re-encodes differently")
+                }
+                Err(_) => rejected += 1,
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(rejected > 0);
+    }
+
+    #[test]
+    fn non_canonical_fields_are_rejected() {
+        let clips = clips();
+        let bytes = encode_clips(&clips[..1]);
+        let frame_start = 10 + CLIP_HEADER;
+        // The seen flag is the last of the five tags after the clip id.
+        let mut bad = bytes.clone();
+        bad[10 + 8 + 4] = 2;
+        assert!(decode_clips(&bad).unwrap_err().to_string().contains("seen"));
+        // A NaN first feature.
+        let mut bad = bytes.clone();
+        bad[frame_start..frame_start + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert!(decode_clips(&bad).unwrap_err().to_string().contains("non-finite feature"));
+        // An infinite brightness, just after the features and truth bytes.
+        let cells = clips[0].frames[0].truth.len();
+        let meta_at = frame_start + clips[0].frames[0].features.len() * 4 + cells.div_ceil(8);
+        let mut bad = bytes.clone();
+        bad[meta_at..meta_at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        assert!(decode_clips(&bad).unwrap_err().to_string().contains("non-finite brightness"));
+        // A frame count of zero under the first clip's non-zero dimensions.
+        let mut bad = bytes[..frame_start].to_vec();
+        bad[10 + 8 + 5..10 + 8 + 9].copy_from_slice(&0u32.to_le_bytes());
+        assert!(decode_clips(&bad).unwrap_err().to_string().contains("empty clip"));
+        let mut empty = clips[..1].to_vec();
+        empty[0].frames.clear();
+        assert_eq!(decode_clips(&encode_clips(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn set_truth_padding_bits_are_rejected() {
+        let mut clips = clips()[..1].to_vec();
+        for frame in &mut clips[0].frames {
+            frame.truth.truncate(13);
+        }
+        let bytes = encode_clips(&clips);
+        assert_eq!(decode_clips(&bytes).unwrap(), clips);
+        // The second truth byte holds cells 8..13 and three padding bits.
+        let last_truth = 10 + CLIP_HEADER + clips[0].frames[0].features.len() * 4 + 1;
+        let mut bad = bytes.clone();
+        bad[last_truth] |= 0x80;
+        assert!(decode_clips(&bad).unwrap_err().to_string().contains("padding"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Loss functions: softmax cross-entropy (classification) and
 //! binary-cross-entropy-with-logits (multi-label detection heads).
 
-use anole_tensor::Matrix;
+use anole_tensor::{Matrix, ShapeError};
 
 use crate::NnError;
 
@@ -136,7 +136,8 @@ pub fn softmax_cross_entropy_into(
 ///
 /// # Errors
 ///
-/// Returns an error if `targets` and `logits` have different shapes.
+/// Returns [`NnError::Shape`], naming both shapes, if `targets` and `logits`
+/// have different shapes.
 pub fn soft_cross_entropy(logits: &Matrix, targets: &Matrix) -> Result<LossValue, NnError> {
     let mut d = Matrix::default();
     let loss = soft_cross_entropy_into(logits, targets, &mut d)?;
@@ -159,10 +160,7 @@ pub fn soft_cross_entropy_into(
     d_logits: &mut Matrix,
 ) -> Result<f32, NnError> {
     if logits.shape() != targets.shape() {
-        return Err(NnError::SampleCount {
-            samples: logits.rows(),
-            labels: targets.rows(),
-        });
+        return Err(ShapeError::new("soft_cross_entropy", logits.shape(), targets.shape()).into());
     }
     softmax_into(logits, d_logits);
     let batch = logits.rows().max(1) as f32;
@@ -187,7 +185,8 @@ pub fn soft_cross_entropy_into(
 ///
 /// # Errors
 ///
-/// Returns a shape error if `targets` and `logits` have different shapes.
+/// Returns [`NnError::Shape`], naming both shapes, if `targets` and `logits`
+/// have different shapes.
 pub fn bce_with_logits(
     logits: &Matrix,
     targets: &Matrix,
@@ -205,6 +204,10 @@ pub fn bce_with_logits(
 /// probabilities first and is rewritten element-by-element into the
 /// gradient. Bit-identical to the allocating variant.
 ///
+/// A target of exactly 0 or 1 gives one of the two log terms a weight of
+/// zero; that term is `-0.0`, which leaves the other term's bits unchanged,
+/// so its logarithm is skipped. Any other target takes both terms.
+///
 /// # Errors
 ///
 /// Same as [`bce_with_logits`].
@@ -215,10 +218,7 @@ pub fn bce_with_logits_into(
     d_logits: &mut Matrix,
 ) -> Result<f32, NnError> {
     if logits.shape() != targets.shape() {
-        return Err(NnError::SampleCount {
-            samples: logits.rows(),
-            labels: targets.rows(),
-        });
+        return Err(ShapeError::new("bce_with_logits", logits.shape(), targets.shape()).into());
     }
     sigmoid_into(logits, d_logits);
     let n = logits.len().max(1) as f32;
@@ -228,7 +228,14 @@ pub fn bce_with_logits_into(
             let p = d_logits.get(i, j).clamp(1e-7, 1.0 - 1e-7);
             let t = targets.get(i, j);
             let w = if t > 0.5 { pos_weight } else { 1.0 };
-            loss -= w * (t * p.ln() + (1.0 - t) * (1.0 - p).ln());
+            let log_likelihood = if t == 0.0 {
+                (1.0 - p).ln()
+            } else if t == 1.0 {
+                p.ln()
+            } else {
+                t * p.ln() + (1.0 - t) * (1.0 - p).ln()
+            };
+            loss -= w * log_likelihood;
             d_logits.set(i, j, w * (p - t) / n);
         }
     }
@@ -343,6 +350,14 @@ mod tests {
     }
 
     #[test]
+    fn soft_cross_entropy_width_mismatch_names_both_shapes() {
+        let err = soft_cross_entropy(&Matrix::zeros(64, 3), &Matrix::zeros(64, 2)).unwrap_err();
+        assert!(matches!(err, NnError::Shape(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(text.contains("64x3") && text.contains("64x2"), "{text}");
+    }
+
+    #[test]
     fn bce_gradient_matches_finite_difference() {
         let logits = Matrix::from_rows(&[&[0.3, -1.2], &[2.0, 0.1]]).unwrap();
         let targets = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]).unwrap();
@@ -379,5 +394,52 @@ mod tests {
         let logits = Matrix::zeros(2, 2);
         let targets = Matrix::zeros(3, 2);
         assert!(bce_with_logits(&logits, &targets, 1.0).is_err());
+    }
+
+    #[test]
+    fn bce_width_mismatch_names_both_shapes() {
+        let err = bce_with_logits(&Matrix::zeros(64, 16), &Matrix::zeros(64, 15), 1.0).unwrap_err();
+        assert!(matches!(err, NnError::Shape(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(text.contains("64x16") && text.contains("64x15"), "{text}");
+    }
+
+    /// The loss of one logit as the two-term expression writes it, with
+    /// the probability clamped exactly as `bce_with_logits_into` clamps it.
+    fn two_term_bce(logit: f32, t: f32, pos_weight: f32) -> f32 {
+        let p = sigmoid(&Matrix::row_vector(&[logit])).get(0, 0).clamp(1e-7, 1.0 - 1e-7);
+        let w = if t > 0.5 { pos_weight } else { 1.0 };
+        let mut loss = 0.0f32;
+        loss -= w * (t * p.ln() + (1.0 - t) * (1.0 - p).ln());
+        loss
+    }
+
+    #[test]
+    fn bce_skipped_log_term_matches_the_two_term_expression_bit_for_bit() {
+        // Logits from -30 to 30: both ends saturate the sigmoid, so the
+        // sweep covers both clamp bounds and everything between them.
+        let logits: Vec<f32> = (0..=6000).map(|k| -30.0 + k as f32 * 0.01).collect();
+        let p_of = |logit: f32| sigmoid(&Matrix::row_vector(&[logit])).get(0, 0);
+        assert!(p_of(logits[0]) < 1e-7 && p_of(logits[6000]) > 1.0 - 1e-7);
+        for t in [0.0f32, 1.0] {
+            for &logit in &logits {
+                let (logits, targets) = (Matrix::row_vector(&[logit]), Matrix::row_vector(&[t]));
+                let loss = bce_with_logits(&logits, &targets, 3.0).unwrap().loss;
+                assert_eq!(
+                    loss.to_bits(),
+                    two_term_bce(logit, t, 3.0).to_bits(),
+                    "t {t}, logit {logit}"
+                );
+            }
+        }
+        // A fractional target keeps both terms: the loss is the two-term
+        // expression and differs from either term alone.
+        let (logit, t) = (0.4f32, 0.25f32);
+        let (logits, targets) = (Matrix::row_vector(&[logit]), Matrix::row_vector(&[t]));
+        let loss = bce_with_logits(&logits, &targets, 3.0).unwrap().loss;
+        assert_eq!(loss.to_bits(), two_term_bce(logit, t, 3.0).to_bits());
+        let p = p_of(logit);
+        assert_ne!(loss, -(t * p.ln()));
+        assert_ne!(loss, -((1.0 - t) * (1.0 - p).ln()));
     }
 }

@@ -158,12 +158,20 @@ impl Mlp {
     ///
     /// The paper freezes the `M_scene` backbone while training `M_decision`
     /// (§IV-C); the trainer consults this value and skips updates for the
-    /// first `frozen_prefix` layers.
+    /// first `frozen_prefix` layers. A frozen prefix still runs forward and
+    /// backward on every batch. `M_decision` avoids that cost: it embeds
+    /// its training rows through the backbone once, trains the head alone,
+    /// and then marks the joined network's backbone with this value.
     pub fn frozen_prefix(&self) -> usize {
         self.frozen_prefix
     }
 
     /// Freezes the first `layers` layers against training updates.
+    ///
+    /// Frozen layers keep their weights, but the trainer still runs them
+    /// forward and backward on every batch; to train only a head on top of
+    /// a fixed prefix, as `M_decision` does, train the head alone on the
+    /// prefix's outputs.
     ///
     /// # Panics
     ///

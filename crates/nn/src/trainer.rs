@@ -325,15 +325,17 @@ impl Trainer {
             anole_obs::counter_add!("nn.train.epochs", 1);
             anole_obs::counter_add!("nn.train.batches", batches as u64);
             anole_obs::gauge_set!("nn.train.epoch_loss", f64::from(mean_loss));
-            // Gradient norm of the epoch's last batch — purely
-            // observational, never fed back into training.
+            // Gradient norm of the trainable layers in the epoch's last
+            // batch — purely observational, never fed back into training.
             anole_obs::gauge_set!(
                 "nn.train.grad_norm",
-                grad_frobenius_norm(if last_chunked {
-                    &ws.chunks[0].grads
-                } else {
-                    &ws.main.grads
-                })
+                grad_frobenius_norm(
+                    &(if last_chunked {
+                        &ws.chunks[0].grads
+                    } else {
+                        &ws.main.grads
+                    })[model.frozen_prefix()..]
+                )
             );
             if self.config.target_loss > 0.0 && mean_loss < self.config.target_loss {
                 break;
