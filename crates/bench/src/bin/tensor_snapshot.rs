@@ -257,9 +257,11 @@ fn main() -> ExitCode {
     }
 
     // One epoch of the workspace-reusing trainer: 512 samples x 32 features,
-    // 8 classes, batch 128 (chunked gradient path), warm workspace. The
-    // warm-up call inside `time_ms` performs all buffer allocation; the
-    // measured epochs run allocation-free.
+    // 8 classes, batch 128, warm workspace. Every batch runs the single-pass
+    // loop; the "parallel" variant differs only in the matrix products,
+    // which fan out at `min_par_elems: 1`. The warm-up call inside
+    // `time_ms` performs all buffer allocation; the measured epochs run
+    // allocation-free.
     {
         let mut rng = rng_from_seed(Seed(6_700));
         let tx = Matrix::random_normal(512, 32, 1.0, &mut rng);

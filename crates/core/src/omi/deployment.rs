@@ -97,6 +97,26 @@ pub struct FlightFrame {
     pub suitability: f32,
 }
 
+impl FlightFrame {
+    /// The event for frame `frame` served as `outcome`. Indices and counts
+    /// saturate at their field's maximum, and the fallback depth at 3.
+    pub fn new(frame: usize, outcome: &StepOutcome) -> Self {
+        Self {
+            frame: u32::try_from(frame).unwrap_or(u32::MAX),
+            requested: u16::try_from(outcome.requested).unwrap_or(u16::MAX),
+            used: u16::try_from(outcome.used).unwrap_or(u16::MAX),
+            cache_hit: outcome.cache_hit,
+            fallback_depth: outcome.fallback_depth.min(3) as u8,
+            models_executed: u8::try_from(outcome.models_executed).unwrap_or(u8::MAX),
+            faults: u8::try_from(outcome.faults).unwrap_or(u8::MAX),
+            health: outcome.health,
+            precision: outcome.precision,
+            latency_ms: outcome.latency_ms,
+            suitability: outcome.suitability,
+        }
+    }
+}
+
 /// The dumped contents of a session's flight recorder: the last
 /// `capacity` frames (of `frames_seen` total) in arrival order, plus the
 /// session's drift state at dump time. Produced by
@@ -716,19 +736,8 @@ impl<'a> OnlineEngine<'a> {
             self.quantized_resident() as f64
         );
         if let Some(ring) = &mut self.flight {
-            ring.push(FlightFrame {
-                frame: (self.frames_by_state.iter().sum::<usize>() - 1) as u32,
-                requested: outcome.requested.min(usize::from(u16::MAX)) as u16,
-                used: outcome.used.min(usize::from(u16::MAX)) as u16,
-                cache_hit: outcome.cache_hit,
-                fallback_depth: outcome.fallback_depth.min(3) as u8,
-                models_executed: outcome.models_executed.min(usize::from(u8::MAX)) as u8,
-                faults: outcome.faults.min(u32::from(u8::MAX)) as u8,
-                health: outcome.health,
-                precision: outcome.precision,
-                latency_ms: outcome.latency_ms,
-                suitability: outcome.suitability,
-            });
+            let frame = self.frames_by_state.iter().sum::<usize>() - 1;
+            ring.push(FlightFrame::new(frame, &outcome));
         }
         outcome
     }
@@ -1745,6 +1754,17 @@ mod tests {
             };
             assert_eq!(*f, expected);
         }
+
+        // Telemetry stores the same event per frame as the ring.
+        let mut telemetry = crate::omi::Telemetry::new();
+        for o in &outcomes {
+            telemetry.record(o, None);
+        }
+        let events: Vec<FlightFrame> = telemetry.records()[first..]
+            .iter()
+            .map(|r| r.event)
+            .collect();
+        assert_eq!(events, record.frames);
     }
 
     #[test]

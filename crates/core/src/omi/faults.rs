@@ -583,42 +583,28 @@ impl FaultInjector {
     /// manifest checksum on the device). One draw per call; scheduled
     /// [`FaultKind::TruncatedArtifact`] events fire by arrival index.
     pub fn artifact_arrives_corrupt(&mut self) -> bool {
-        let corrupt = self.rng.f32() < self.plan.truncated_artifact_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.artifacts && e.kind == FaultKind::TruncatedArtifact);
-        self.artifacts += 1;
-        corrupt || scheduled
+        let index = bump(&mut self.artifacts);
+        self.draw(
+            self.plan.truncated_artifact_rate,
+            FaultKind::TruncatedArtifact,
+            index,
+        )
     }
 
     /// Whether the download link dies before the next chunk transfer. One
     /// draw per call; scheduled [`FaultKind::LinkDeath`] events fire by
     /// chunk index.
     pub fn link_dies(&mut self) -> bool {
-        let dies = self.rng.f32() < self.plan.link_death_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.chunks && e.kind == FaultKind::LinkDeath);
-        self.chunks += 1;
-        dies || scheduled
+        let index = bump(&mut self.chunks);
+        self.draw(self.plan.link_death_rate, FaultKind::LinkDeath, index)
     }
 
     /// Whether the next fleet device attempt panics. One draw per call;
     /// scheduled [`FaultKind::DevicePanic`] events fire by draw index (the
     /// supervisor draws once per device attempt in a fixed order).
     pub fn device_panics(&mut self) -> bool {
-        let panics = self.rng.f32() < self.plan.device_panic_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.device_draws && e.kind == FaultKind::DevicePanic);
-        self.device_draws += 1;
-        panics || scheduled
+        let index = bump(&mut self.device_draws);
+        self.draw(self.plan.device_panic_rate, FaultKind::DevicePanic, index)
     }
 
     /// Whether a full session queue's next push overflows (the gateway
@@ -626,55 +612,39 @@ impl FaultInjector {
     /// draw per call; scheduled [`FaultKind::QueueOverflow`] events fire by
     /// draw index.
     pub fn queue_overflows(&mut self) -> bool {
-        let overflows = self.rng.f32() < self.plan.queue_overflow_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.overflow_draws && e.kind == FaultKind::QueueOverflow);
-        self.overflow_draws += 1;
-        overflows || scheduled
+        let index = bump(&mut self.overflow_draws);
+        self.draw(
+            self.plan.queue_overflow_rate,
+            FaultKind::QueueOverflow,
+            index,
+        )
     }
 
     /// Whether a session serves its next frame slowly. One draw per call;
     /// scheduled [`FaultKind::SlowConsumer`] events fire by draw index.
     pub fn consumer_slows(&mut self) -> bool {
-        let slows = self.rng.f32() < self.plan.slow_consumer_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.consumer_draws && e.kind == FaultKind::SlowConsumer);
-        self.consumer_draws += 1;
-        slows || scheduled
+        let index = bump(&mut self.consumer_draws);
+        self.draw(self.plan.slow_consumer_rate, FaultKind::SlowConsumer, index)
     }
 
     /// Whether a session stalls (consumes nothing for a few windows). One
     /// draw per call; scheduled [`FaultKind::SessionStall`] events fire by
     /// draw index.
     pub fn session_stalls(&mut self) -> bool {
-        let stalls = self.rng.f32() < self.plan.session_stall_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.stall_draws && e.kind == FaultKind::SessionStall);
-        self.stall_draws += 1;
-        stalls || scheduled
+        let index = bump(&mut self.stall_draws);
+        self.draw(self.plan.session_stall_rate, FaultKind::SessionStall, index)
     }
 
     /// Whether the gateway scheduler skips the next scheduling window. One
     /// draw per call; scheduled [`FaultKind::SchedulerHiccup`] events fire
     /// by window index.
     pub fn scheduler_hiccups(&mut self) -> bool {
-        let hiccups = self.rng.f32() < self.plan.scheduler_hiccup_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.window_draws && e.kind == FaultKind::SchedulerHiccup);
-        self.window_draws += 1;
-        hiccups || scheduled
+        let index = bump(&mut self.window_draws);
+        self.draw(
+            self.plan.scheduler_hiccup_rate,
+            FaultKind::SchedulerHiccup,
+            index,
+        )
     }
 
     /// Whether the next bundle delivery during a rollout is stale (the
@@ -682,48 +652,34 @@ impl FaultInjector {
     /// One draw per call; scheduled [`FaultKind::StaleBundle`] events fire
     /// by delivery index.
     pub fn bundle_is_stale(&mut self) -> bool {
-        let stale = self.rng.f32() < self.plan.stale_bundle_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.delivery_draws && e.kind == FaultKind::StaleBundle);
-        self.delivery_draws += 1;
-        stale || scheduled
+        let index = bump(&mut self.delivery_draws);
+        self.draw(self.plan.stale_bundle_rate, FaultKind::StaleBundle, index)
     }
 
     /// Whether the next rollout candidate is silently regressed (the canary
     /// gate must detect and reject it). One draw per call; scheduled
     /// [`FaultKind::RegressedUpdate`] events fire by candidate index.
     pub fn update_regresses(&mut self) -> bool {
-        let regresses = self.rng.f32() < self.plan.regressed_update_rate;
-        let scheduled = self
-            .plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == self.candidate_draws && e.kind == FaultKind::RegressedUpdate);
-        self.candidate_draws += 1;
-        regresses || scheduled
+        let index = bump(&mut self.candidate_draws);
+        self.draw(
+            self.plan.regressed_update_rate,
+            FaultKind::RegressedUpdate,
+            index,
+        )
     }
 
     /// Whether a [`FaultKind::ReprofileAbort`] is scheduled right after the
     /// re-profile step with this index. Purely scheduled — consumes no
     /// randomness — mirroring [`FaultInjector::train_abort_after`].
     pub fn reprofile_abort_after(&self, step_index: usize) -> bool {
-        self.plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == step_index && e.kind == FaultKind::ReprofileAbort)
+        self.scheduled_at(FaultKind::ReprofileAbort, step_index)
     }
 
     /// Whether a [`FaultKind::TrainAbort`] is scheduled right after the OSP
     /// stage with this index. Purely scheduled — consumes no randomness —
     /// so checking it never shifts any other fault stream.
     pub fn train_abort_after(&self, stage_index: usize) -> bool {
-        self.plan
-            .scheduled
-            .iter()
-            .any(|e| e.frame == stage_index && e.kind == FaultKind::TrainAbort)
+        self.scheduled_at(FaultKind::TrainAbort, stage_index)
     }
 
     /// Whether one load retry also fails (drawn at the transient rate, so a
@@ -733,6 +689,27 @@ impl FaultInjector {
     pub fn retry_fails(&mut self) -> bool {
         self.rng.f32() < self.plan.transient_load_rate
     }
+
+    /// One Bernoulli draw at `rate`, or'd with a `kind` event the plan
+    /// schedules at `index`, the call's position in its category.
+    fn draw(&mut self, rate: f32, kind: FaultKind, index: usize) -> bool {
+        let drawn = self.rng.f32() < rate;
+        drawn || self.scheduled_at(kind, index)
+    }
+
+    /// Whether the plan schedules a `kind` event at `index`.
+    fn scheduled_at(&self, kind: FaultKind, index: usize) -> bool {
+        self.plan
+            .scheduled
+            .iter()
+            .any(|e| e.frame == index && e.kind == kind)
+    }
+}
+
+/// Returns `*counter`, then increments it.
+fn bump(counter: &mut usize) -> usize {
+    *counter += 1;
+    *counter - 1
 }
 
 fn worse(current: Option<LoadFault>, incoming: LoadFault) -> LoadFault {

@@ -11,40 +11,18 @@ use anole_detect::DetectionCounts;
 use anole_nn::Precision;
 use anole_obs::FixedHistogram;
 
-use crate::omi::{DriftState, HealthState, StepOutcome};
+use crate::omi::{DriftState, FlightFrame, HealthState, StepOutcome};
 
-/// One telemetry record: a [`StepOutcome`] plus optional ground-truth score.
+/// One telemetry record: the frame's [`FlightFrame`] event plus what the
+/// engine cannot know about it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
-    /// Frame index within the run.
-    pub frame: usize,
-    /// Model the decision model ranked first.
-    pub requested: usize,
-    /// Model that actually served the frame.
-    pub used: usize,
-    /// Whether the requested model was cache-resident.
-    pub cache_hit: bool,
-    /// Compressed models executed (>1 on hedged frames, 0 on frames served
-    /// from last-good detections).
-    pub models_executed: usize,
-    /// End-to-end latency in milliseconds.
-    pub latency_ms: f32,
-    /// Top-1 suitability probability.
-    pub suitability: f32,
-    /// Engine health after this frame.
-    pub health: HealthState,
-    /// Fallback tier that served the frame (0 = requested model,
-    /// 1 = best cached, 2 = pinned fallback, 3 = last-good detections).
-    pub fallback_depth: usize,
-    /// Faults injected into this frame.
-    pub faults: u32,
+    /// The frame's event; its `frame` is the index within the run.
+    pub event: FlightFrame,
     /// Id of the engine's `omi.engine.step` span that served this frame
     /// (0 when observability is disabled), linking the record to the span
     /// trace.
     pub span_id: u64,
-    /// Weight format of the model that served the frame (`fp32` or `i8` in
-    /// the CSV).
-    pub precision: Precision,
     /// Drift judgement in force while this frame was served (as reported to
     /// [`Telemetry::note_drift`]; `Nominal` when no detector is wired in).
     pub drift_state: DriftState,
@@ -98,18 +76,8 @@ impl Telemetry {
             counts.f1()
         });
         self.records.push(TelemetryRecord {
-            frame: self.records.len(),
-            requested: outcome.requested,
-            used: outcome.used,
-            cache_hit: outcome.cache_hit,
-            models_executed: outcome.models_executed,
-            latency_ms: outcome.latency_ms,
-            suitability: outcome.suitability,
-            health: outcome.health,
-            fallback_depth: outcome.fallback_depth,
-            faults: outcome.faults,
+            event: FlightFrame::new(self.records.len(), outcome),
             span_id: anole_obs::last_root_span_id(),
-            precision: outcome.precision,
             drift_state: self.current_drift,
             f1,
         });
@@ -133,13 +101,13 @@ impl Telemetry {
     pub fn degraded_frames(&self) -> usize {
         self.records
             .iter()
-            .filter(|r| r.health != HealthState::Healthy)
+            .filter(|r| r.event.health != HealthState::Healthy)
             .count()
     }
 
     /// Total faults injected across the recorded frames.
     pub fn fault_total(&self) -> u64 {
-        self.records.iter().map(|r| u64::from(r.faults)).sum()
+        self.records.iter().map(|r| u64::from(r.event.faults)).sum()
     }
 
     /// Renders the log as CSV (header + one row per frame).
@@ -164,21 +132,22 @@ impl Telemetry {
             // parsed CSV reproduces the recorded values bit-for-bit instead
             // of rounding to a fixed number of decimals.
             // Infallible for String; keep the row loop panic-free.
+            let e = &r.event;
             let _ = write!(
                 out,
                 "{},{},{},{},{},{:?},{:?},{},{},{},{},{},{},",
-                r.frame,
-                r.requested,
-                r.used,
-                r.cache_hit,
-                r.models_executed,
-                r.latency_ms,
-                r.suitability,
-                r.health,
-                r.fallback_depth,
-                r.faults,
+                e.frame,
+                e.requested,
+                e.used,
+                e.cache_hit,
+                e.models_executed,
+                e.latency_ms,
+                e.suitability,
+                e.health,
+                e.fallback_depth,
+                e.faults,
                 r.span_id,
-                r.precision,
+                e.precision,
                 r.drift_state,
             );
             if let Some(f1) = r.f1 {
@@ -201,13 +170,13 @@ impl Telemetry {
         let n = self.records.len() as f32;
         let mut latency = FixedHistogram::new(anole_obs::LATENCY_MS_BOUNDS);
         for r in &self.records {
-            latency.record(f64::from(r.latency_ms));
+            latency.record(f64::from(r.event.latency_ms));
         }
-        let mean_latency_ms = self.records.iter().map(|r| r.latency_ms).sum::<f32>() / n;
-        let hit_rate = self.records.iter().filter(|r| r.cache_hit).count() as f32 / n;
-        let mean_fallback_depth =
-            self.records.iter().map(|r| r.fallback_depth as f32).sum::<f32>() / n;
-        let i8_frames = self.records.iter().filter(|r| r.precision == Precision::Int8).count();
+        let events = || self.records.iter().map(|r| &r.event);
+        let mean_latency_ms = events().map(|e| e.latency_ms).sum::<f32>() / n;
+        let hit_rate = events().filter(|e| e.cache_hit).count() as f32 / n;
+        let mean_fallback_depth = events().map(|e| f32::from(e.fallback_depth)).sum::<f32>() / n;
+        let i8_frames = events().filter(|e| e.precision == Precision::Int8).count();
         let scored: Vec<f32> = self.records.iter().filter_map(|r| r.f1).collect();
         let mean_f1 = if scored.is_empty() {
             0.0
@@ -322,7 +291,7 @@ mod tests {
         assert_eq!(summary.drift_events, 0);
         // Frame indices are sequential.
         for (i, r) in telemetry.records().iter().enumerate() {
-            assert_eq!(r.frame, i);
+            assert_eq!(r.event.frame as usize, i);
         }
     }
 

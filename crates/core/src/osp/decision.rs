@@ -453,7 +453,7 @@ mod tests {
         let targets = softmax(&Matrix::random_normal(x.rows(), 5, 1.0, &mut rng));
         let mut config = AnoleConfig::fast().decision;
         config.train.epochs = 3;
-        // The last case's batch spans several gradient chunks.
+        // The last case's batches are larger than any shipped config's 64.
         for (noise, batch) in [(0.0, 64), (0.05, 64), (0.0, 160)] {
             config.augment_noise_std = noise;
             config.train.batch_size = batch;

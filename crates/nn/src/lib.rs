@@ -55,5 +55,5 @@ pub use mlp::{Mlp, MlpBuilder};
 pub use optim::{Adam, Optimizer, OptimizerKind, Sgd};
 pub use profile::{ModelProfile, ReferenceModel};
 pub use quant::{Precision, Predictor, QuantizedDense, QuantizedMlp};
-pub use trainer::{TrainConfig, TrainReport, Trainer, GRAD_CHUNK_ROWS};
+pub use trainer::{TrainConfig, TrainReport, Trainer};
 pub use workspace::Workspace;

@@ -6,8 +6,7 @@
 //! state initialisation — and the historical `step_reference` kept as the
 //! plainly-auditable specification the property tests compare against.
 
-use anole_tensor::parallel::for_each_row_chunk_n;
-use anole_tensor::{parallel_config, Matrix, ShapeError};
+use anole_tensor::{Matrix, ShapeError};
 
 use crate::{Mlp, NnError};
 
@@ -108,24 +107,12 @@ fn fused_sgd(
     if grad.shape() != param.shape() || velocity.shape() != param.shape() {
         return Err(ShapeError::new("fused_sgd", param.shape(), grad.shape()).into());
     }
-    let cols = param.cols();
-    let rows = param.rows();
-    let threads = parallel_config().threads_for(param.len());
-    let g = grad.as_slice();
-    for_each_row_chunk_n(
-        [param.as_mut_slice(), velocity.as_mut_slice()],
-        cols,
-        rows,
-        threads,
-        |range, [w, v]| {
-            let g = &g[range.start * cols..range.end * cols];
-            for ((wv, vv), &gv) in w.iter_mut().zip(v.iter_mut()).zip(g.iter()) {
-                let vn = *vv * momentum + (-lr) * gv;
-                *vv = vn;
-                *wv += vn;
-            }
-        },
-    );
+    let state = param.as_mut_slice().iter_mut().zip(velocity.as_mut_slice());
+    for ((w, v), &g) in state.zip(grad.as_slice()) {
+        let vn = *v * momentum + (-lr) * g;
+        *v = vn;
+        *w += vn;
+    }
     Ok(())
 }
 
@@ -154,29 +141,17 @@ fn fused_adam(
     {
         return Err(ShapeError::new("fused_adam", param.shape(), grad.shape()).into());
     }
-    let cols = param.cols();
-    let rows = param.rows();
-    let threads = parallel_config().threads_for(param.len());
-    let g = grad.as_slice();
-    for_each_row_chunk_n(
-        [param.as_mut_slice(), first.as_mut_slice(), second.as_mut_slice()],
-        cols,
-        rows,
-        threads,
-        |range, [w, m, v]| {
-            let g = &g[range.start * cols..range.end * cols];
-            for i in 0..g.len() {
-                let gi = g[i];
-                let mi = beta1 * m[i] + (1.0 - beta1) * gi;
-                let vi = beta2 * v[i] + (1.0 - beta2) * gi * gi;
-                m[i] = mi;
-                v[i] = vi;
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                w[i] += -lr * m_hat / (v_hat.sqrt() + eps);
-            }
-        },
-    );
+    let moments = first.as_mut_slice().iter_mut().zip(second.as_mut_slice());
+    let state = param.as_mut_slice().iter_mut().zip(moments);
+    for ((w, (m, v)), &g) in state.zip(grad.as_slice()) {
+        let mi = beta1 * *m + (1.0 - beta1) * g;
+        let vi = beta2 * *v + (1.0 - beta2) * g * g;
+        *m = mi;
+        *v = vi;
+        let m_hat = mi / bc1;
+        let v_hat = vi / bc2;
+        *w += -lr * m_hat / (v_hat.sqrt() + eps);
+    }
     Ok(())
 }
 

@@ -8,26 +8,13 @@
 //! repository's candidate fan-out) can amortise warm-up across runs. Both are
 //! bit-identical — buffer reuse never changes results.
 
-use anole_tensor::{parallel_config, rng_from_seed, Matrix, Seed};
+use anole_tensor::{rng_from_seed, Matrix, Seed};
 
 use crate::workspace::{BatchWorkspace, Workspace};
 use crate::{
     bce_with_logits_into, soft_cross_entropy_into, softmax_cross_entropy_into, Mlp, NnError,
     OptimizerKind,
 };
-
-/// Fixed row count of one gradient-accumulation chunk.
-///
-/// Batches of at least `2 * GRAD_CHUNK_ROWS` rows are split into chunks of
-/// this size whose loss/gradient contributions are computed independently
-/// (possibly on different threads, each into its own per-chunk workspace) and
-/// combined with a pairwise tree reduction. Both the chunk boundaries and the
-/// reduction order depend only on the batch size — never on the thread count
-/// — so training is bit-identical for any [`anole_tensor::ParallelConfig`].
-/// Smaller batches keep the classic single-pass path, which preserves the
-/// exact numerics of earlier releases for every configuration shipped in this
-/// repository.
-pub const GRAD_CHUNK_ROWS: usize = 64;
 
 /// Hyper-parameters of a training run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,9 +70,7 @@ pub struct TrainReport {
 
 /// Which supervision signal a training run optimises.
 ///
-/// Borrowed views into the caller's dataset; `Copy` so the chunked path can
-/// hand one to each worker thread.
-#[derive(Clone, Copy)]
+/// Borrowed views into the caller's dataset.
 enum LossSource<'a> {
     /// Hard class labels → softmax cross-entropy.
     Hard { labels: &'a [usize] },
@@ -285,25 +270,17 @@ impl Trainer {
         let batch = self.config.batch_size.clamp(1, n);
         let mut order: Vec<usize> = (0..n).collect();
         let mut epoch_losses = Vec::with_capacity(self.config.epochs);
-        let mut last_chunked = false;
+        let bws = &mut ws.main;
 
         for _ in 0..self.config.epochs {
             rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
             let mut batches = 0;
-            for chunk in order.chunks(batch) {
-                let use_chunked = chunk.len() >= 2 * GRAD_CHUNK_ROWS;
-                last_chunked = use_chunked;
-                let loss = if use_chunked {
-                    accumulate_grads_chunked_ws(model, x, chunk, src, ws)?
-                } else {
-                    let bws = &mut ws.main;
-                    x.gather_rows_into(chunk, &mut bws.x);
-                    model.forward_ws(bws)?;
-                    let loss = src.loss_into(chunk, bws)?;
-                    model.backward_ws(bws)?;
-                    loss
-                };
+            for idx in order.chunks(batch) {
+                x.gather_rows_into(idx, &mut bws.x);
+                model.forward_ws(bws)?;
+                let loss = src.loss_into(idx, bws)?;
+                model.backward_ws(bws)?;
                 if self.config.weight_decay > 0.0 {
                     let keep = 1.0 - self.config.weight_decay;
                     let frozen = model.frozen_prefix();
@@ -311,12 +288,7 @@ impl Trainer {
                         layer.scale_parameters(keep);
                     }
                 }
-                let grads: &[(Matrix, Matrix)] = if use_chunked {
-                    &ws.chunks[0].grads
-                } else {
-                    &ws.main.grads
-                };
-                optimizer.step(model, grads)?;
+                optimizer.step(model, &bws.grads)?;
                 epoch_loss += loss;
                 batches += 1;
             }
@@ -329,13 +301,7 @@ impl Trainer {
             // batch — purely observational, never fed back into training.
             anole_obs::gauge_set!(
                 "nn.train.grad_norm",
-                grad_frobenius_norm(
-                    &(if last_chunked {
-                        &ws.chunks[0].grads
-                    } else {
-                        &ws.main.grads
-                    })[model.frozen_prefix()..]
-                )
+                grad_frobenius_norm(&bws.grads[model.frozen_prefix()..])
             );
             if self.config.target_loss > 0.0 && mean_loss < self.config.target_loss {
                 break;
@@ -365,113 +331,6 @@ fn grad_frobenius_norm(grads: &[(Matrix, Matrix)]) -> f64 {
         }
     }
     sum.sqrt()
-}
-
-/// Loss and per-layer gradients (left in `bws.grads`) of one fixed-size
-/// sub-chunk, pre-scaled by `chunk_rows / batch_rows` so the per-chunk
-/// contributions sum to the batch-mean loss and gradient.
-fn chunk_grad_ws(
-    model: &Mlp,
-    x: &Matrix,
-    idx: &[usize],
-    src: LossSource<'_>,
-    batch_rows: f32,
-    bws: &mut BatchWorkspace,
-) -> Result<f32, NnError> {
-    x.gather_rows_into(idx, &mut bws.x);
-    model.forward_ws(bws)?;
-    let loss = src.loss_into(idx, bws)?;
-    let weight = idx.len() as f32 / batch_rows;
-    bws.d_logits.map_inplace(|v| v * weight);
-    model.backward_ws(bws)?;
-    Ok(loss * weight)
-}
-
-/// Splits `batch_idx` into [`GRAD_CHUNK_ROWS`]-row chunks, computes each
-/// chunk's loss/gradients independently into its per-chunk workspace (fanning
-/// out to the [`anole_tensor::parallel_config`] thread pool when it pays),
-/// and combines them with a pairwise tree reduction in fixed chunk order.
-/// The reduced gradients end up in `ws.chunks[0].grads`; the batch-mean loss
-/// is returned.
-///
-/// Chunk boundaries and the reduction tree depend only on `batch_idx.len()`,
-/// so the result is bit-identical for every thread count; only scheduling
-/// changes. The serial path (1 thread) performs no allocations once the
-/// chunk workspaces are warm; the fan-out path allocates only for thread
-/// scaffolding, never for numerics.
-fn accumulate_grads_chunked_ws(
-    model: &Mlp,
-    x: &Matrix,
-    batch_idx: &[usize],
-    src: LossSource<'_>,
-    ws: &mut Workspace,
-) -> Result<f32, NnError> {
-    let batch_rows = batch_idx.len() as f32;
-    let n_chunks = batch_idx.len().div_ceil(GRAD_CHUNK_ROWS);
-    ws.ensure_chunks(n_chunks);
-    let work = batch_idx.len().saturating_mul(model.parameter_count());
-    let threads = parallel_config().threads_for(work).min(n_chunks);
-
-    if threads <= 1 {
-        for (i, idx) in batch_idx.chunks(GRAD_CHUNK_ROWS).enumerate() {
-            ws.chunk_losses[i] = chunk_grad_ws(model, x, idx, src, batch_rows, &mut ws.chunks[i])?;
-        }
-    } else {
-        let idx_chunks: Vec<&[usize]> = batch_idx.chunks(GRAD_CHUNK_ROWS).collect();
-        let per_worker = n_chunks.div_ceil(threads);
-        let chunk_ws = &mut ws.chunks[..n_chunks];
-        let losses = &mut ws.chunk_losses[..n_chunks];
-        // Workers own contiguous chunk groups in order; each reports its
-        // first error, and the first erroring worker wins — i.e. the error of
-        // the lowest-indexed failing chunk, matching the serial path.
-        let first_err = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk_ws
-                .chunks_mut(per_worker)
-                .zip(losses.chunks_mut(per_worker))
-                .zip(idx_chunks.chunks(per_worker))
-                .map(|((ws_group, loss_group), idx_group)| {
-                    scope.spawn(move || -> Result<(), NnError> {
-                        for ((bws, loss_slot), idx) in
-                            ws_group.iter_mut().zip(loss_group.iter_mut()).zip(idx_group)
-                        {
-                            *loss_slot = chunk_grad_ws(model, x, idx, src, batch_rows, bws)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            let mut err = None;
-            for h in handles {
-                let r = h.join().expect("gradient worker panicked");
-                if let (None, Err(e)) = (&err, r) {
-                    err = Some(e);
-                }
-            }
-            err
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-    }
-
-    // In-place pairwise tree reduction: stride 1 combines (0,1), (2,3), …;
-    // stride 2 combines the survivors, and so on — the same tree the
-    // historical round-based reduction built, for any chunk count.
-    let mut stride = 1;
-    while stride < n_chunks {
-        let mut i = 0;
-        while i + stride < n_chunks {
-            let (left, right) = ws.chunks.split_at_mut(i + stride);
-            for ((lw, lb), (rw, rb)) in left[i].grads.iter_mut().zip(right[0].grads.iter()) {
-                *lw += rw;
-                *lb += rb;
-            }
-            ws.chunk_losses[i] += ws.chunk_losses[i + stride];
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-    Ok(ws.chunk_losses[0])
 }
 
 #[cfg(test)]
@@ -675,9 +534,9 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_bit_identical() {
-        // A workspace recycled across runs (even across loss kinds and the
-        // chunked path) must train exactly like a fresh one.
-        let (x, y) = blobs(80, Seed(71)); // 160 rows → batch 160 hits the chunked path
+        // A workspace recycled across runs (even across loss kinds and
+        // model shapes) must train exactly like a fresh one.
+        let (x, y) = blobs(80, Seed(71));
         let cfg = TrainConfig {
             epochs: 4,
             batch_size: 160,

@@ -18,10 +18,6 @@
 use anole_tensor::{Matrix, QuantRows};
 
 /// Scratch buffers for one forward/backward pass over one mini-batch.
-///
-/// The chunked gradient-accumulation path owns one of these per
-/// [`GRAD_CHUNK_ROWS`](crate::GRAD_CHUNK_ROWS)-row chunk so chunks can be
-/// processed on independent threads without sharing mutable state.
 #[derive(Debug, Default)]
 pub(crate) struct BatchWorkspace {
     /// Gathered input rows of the current mini-batch.
@@ -112,13 +108,8 @@ impl BatchWorkspace {
 /// ```
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Scratch for the classic (single-pass) batch path.
+    /// Scratch for the mini-batch forward/backward pass.
     pub(crate) main: BatchWorkspace,
-    /// One scratch per gradient-accumulation chunk; `chunks[0]` also holds
-    /// the reduced gradients after the in-place tree reduction.
-    pub(crate) chunks: Vec<BatchWorkspace>,
-    /// Per-chunk pre-scaled losses, reduced alongside the gradients.
-    pub(crate) chunk_losses: Vec<f32>,
     /// Output buffer for the workspace-backed serving paths
     /// ([`Mlp::predict_proba_batch`](crate::Mlp::predict_proba_batch) and
     /// friends): softmax/sigmoid results land here so inference allocates
@@ -135,14 +126,5 @@ impl Workspace {
     pub fn new() -> Self {
         anole_obs::counter_add!("nn.workspace.created", 1);
         Self::default()
-    }
-
-    /// Grows the chunk pool to at least `n` entries (warm-up only).
-    pub(crate) fn ensure_chunks(&mut self, n: usize) {
-        if self.chunks.len() < n {
-            self.chunks.resize_with(n, BatchWorkspace::default);
-        }
-        self.chunk_losses.clear();
-        self.chunk_losses.resize(n, 0.0);
     }
 }

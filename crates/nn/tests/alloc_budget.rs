@@ -39,26 +39,36 @@ fn build_model() -> Mlp {
         .build(Seed(81))
 }
 
-fn classifier_allocs(epochs: usize, batch_size: usize, ws: &mut Workspace, x: &Matrix, y: &[usize]) -> u64 {
-    let mut model = build_model();
-    let trainer = Trainer::new(TrainConfig {
-        epochs,
-        batch_size,
-        ..TrainConfig::default()
-    });
-    let (result, allocs) = measure(|| trainer.fit_classifier_ws(&mut model, x, y, Seed(82), ws));
-    result.unwrap();
-    allocs
+/// The `fit_*_ws` entry point a measurement drives.
+#[derive(Clone, Copy, Debug)]
+enum Fit {
+    /// `fit_classifier_ws`: hard labels.
+    Classifier,
+    /// `fit_soft_classifier_ws`: soft targets, as `M_decision` trains.
+    SoftClassifier,
+    /// `fit_multilabel_ws`: dense 0/1 targets.
+    Multilabel,
 }
 
-fn multilabel_allocs(epochs: usize, batch_size: usize, ws: &mut Workspace, x: &Matrix, t: &Matrix) -> u64 {
+/// Allocations of one `epochs`-epoch fit on `ws`.
+fn fit_allocs(
+    fit: Fit,
+    epochs: usize,
+    batch_size: usize,
+    ws: &mut Workspace,
+    (x, labels, targets): &(Matrix, Vec<usize>, Matrix),
+) -> u64 {
     let mut model = build_model();
     let trainer = Trainer::new(TrainConfig {
         epochs,
         batch_size,
         ..TrainConfig::default()
     });
-    let (result, allocs) = measure(|| trainer.fit_multilabel_ws(&mut model, x, t, Seed(82), ws));
+    let (result, allocs) = measure(|| match fit {
+        Fit::Classifier => trainer.fit_classifier_ws(&mut model, x, labels, Seed(82), ws),
+        Fit::SoftClassifier => trainer.fit_soft_classifier_ws(&mut model, x, targets, Seed(82), ws),
+        Fit::Multilabel => trainer.fit_multilabel_ws(&mut model, x, targets, Seed(82), ws),
+    });
     result.unwrap();
     allocs
 }
@@ -111,30 +121,24 @@ fn steady_state_mini_batches_allocate_nothing() {
         threads: 1,
         ..ParallelConfig::default()
     });
-    let (x, labels, targets) = dataset(200, 7, 3);
+    let data = dataset(200, 7, 3);
 
-    // Classic path (batch 25 < 2 * GRAD_CHUNK_ROWS) and chunked path
-    // (batch 160), for both a gather-labels and a gather-targets loss.
+    // Many small batches (25 rows) and one large batch plus a tail (160 and
+    // 40 rows), for each loss: gathered labels, gathered soft targets (the
+    // loss `M_decision` trains on) and gathered 0/1 targets.
     for batch_size in [25usize, 160] {
-        let mut ws = Workspace::new();
-        classifier_allocs(2, batch_size, &mut ws, &x, &labels); // warm-up
-        let base = classifier_allocs(2, batch_size, &mut ws, &x, &labels);
-        assert!(base > 0, "counting allocator is not measuring");
-        let longer = classifier_allocs(6, batch_size, &mut ws, &x, &labels);
-        assert_eq!(
-            longer, base,
-            "classifier batch={batch_size}: 4 extra epochs allocated {} extra times",
-            longer as i64 - base as i64
-        );
-
-        let mut ws = Workspace::new();
-        multilabel_allocs(2, batch_size, &mut ws, &x, &targets); // warm-up
-        let base = multilabel_allocs(2, batch_size, &mut ws, &x, &targets);
-        let longer = multilabel_allocs(6, batch_size, &mut ws, &x, &targets);
-        assert_eq!(
-            longer, base,
-            "multilabel batch={batch_size}: 4 extra epochs allocated {} extra times",
-            longer as i64 - base as i64
-        );
+        for fit in [Fit::Classifier, Fit::SoftClassifier, Fit::Multilabel] {
+            let mut ws = Workspace::new();
+            fit_allocs(fit, 2, batch_size, &mut ws, &data); // warm-up
+            let base = fit_allocs(fit, 2, batch_size, &mut ws, &data);
+            assert!(base > 0, "counting allocator is not measuring");
+            let longer = fit_allocs(fit, 6, batch_size, &mut ws, &data);
+            assert_eq!(
+                longer,
+                base,
+                "{fit:?} batch={batch_size}: 4 extra epochs allocated {} extra times",
+                longer as i64 - base as i64
+            );
+        }
     }
 }

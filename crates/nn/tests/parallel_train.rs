@@ -1,12 +1,12 @@
-//! Bit-identity of chunked parallel gradient accumulation across thread
-//! counts (threads ∈ {1, 2, 8}).
+//! Bit-identity of training across thread counts (threads ∈ {1, 2, 8}).
 //!
-//! Uses a batch ≥ `2 * GRAD_CHUNK_ROWS` so the chunked path engages, and the
-//! full training loop (shuffling, optimizer state, weight decay) as the
+//! `min_par_elems: 1` sends every matrix product of the forward and
+//! backward passes through the row-partitioned parallel kernels, and the
+//! full training loop (shuffling, optimizer state, weight decay) is the
 //! observable: if any gradient bit differed the trained weights would
 //! diverge.
 
-use anole_nn::{Activation, Mlp, Trainer, TrainConfig};
+use anole_nn::{Activation, Mlp, TrainConfig, Trainer};
 use anole_tensor::{
     parallel_config, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, Seed,
 };
@@ -18,68 +18,69 @@ fn dataset(n: usize, dim: usize, classes: usize, seed: Seed) -> (Matrix, Vec<usi
     (x, labels)
 }
 
-fn train_with_threads(threads: usize, x: &Matrix, labels: &[usize]) -> (Mlp, Vec<f32>) {
-    set_parallel_config(ParallelConfig {
-        threads,
-        min_par_elems: 1,
-    });
-    let mut model = Mlp::builder(x.cols())
-        .hidden(16, Activation::Relu)
-        .output(4)
-        .build(Seed(21));
-    let report = Trainer::new(TrainConfig {
-        epochs: 3,
-        batch_size: 192, // ≥ 2 * GRAD_CHUNK_ROWS → chunked accumulation
-        weight_decay: 0.001,
-        ..TrainConfig::default()
-    })
-    .fit_classifier(&mut model, x, labels, Seed(22))
-    .unwrap();
-    (model, report.epoch_losses)
-}
-
-#[test]
-fn chunked_grad_accumulation_is_bit_identical_across_threads() {
+/// Trains a fresh model at threads 1, 2 and 8 and asserts that the three
+/// runs' weights and epoch losses are identical.
+fn assert_bit_identical_across_threads(
+    build: impl Fn() -> Mlp,
+    cfg: TrainConfig,
+    x: &Matrix,
+    labels: &[usize],
+) {
     let baseline = parallel_config();
-    let (x, labels) = dataset(200, 8, 4, Seed(20));
-
-    let (model_ref, losses_ref) = train_with_threads(1, &x, &labels);
-    for threads in [2usize, 8] {
-        let (model, losses) = train_with_threads(threads, &x, &labels);
-        assert_eq!(losses, losses_ref, "epoch losses diverged at threads={threads}");
-        assert_eq!(model, model_ref, "weights diverged at threads={threads}");
-    }
-
-    set_parallel_config(baseline);
-}
-
-#[test]
-fn chunked_and_classic_paths_agree_when_batch_is_small() {
-    // Batches below the chunking cutover must keep the exact historical
-    // numerics regardless of the parallel configuration.
-    let baseline = parallel_config();
-    let (x, labels) = dataset(96, 6, 3, Seed(30));
-
     let mut runs = Vec::new();
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 8] {
         set_parallel_config(ParallelConfig {
             threads,
             min_par_elems: 1,
         });
-        let mut model = Mlp::builder(6)
+        let mut model = build();
+        let report = Trainer::new(cfg)
+            .fit_classifier(&mut model, x, labels, Seed(22))
+            .unwrap();
+        runs.push((threads, model, report.epoch_losses));
+    }
+    set_parallel_config(baseline);
+    let (_, model_ref, losses_ref) = &runs[0];
+    for (threads, model, losses) in &runs[1..] {
+        assert_eq!(
+            losses, losses_ref,
+            "epoch losses diverged at threads={threads}"
+        );
+        assert_eq!(model, model_ref, "weights diverged at threads={threads}");
+    }
+}
+
+#[test]
+fn training_at_batch_192_is_bit_identical_across_threads() {
+    let (x, labels) = dataset(200, 8, 4, Seed(20));
+    let build = || {
+        Mlp::builder(8)
+            .hidden(16, Activation::Relu)
+            .output(4)
+            .build(Seed(21))
+    };
+    let cfg = TrainConfig {
+        epochs: 3,
+        batch_size: 192,
+        weight_decay: 0.001,
+        ..TrainConfig::default()
+    };
+    assert_bit_identical_across_threads(build, cfg, &x, &labels);
+}
+
+#[test]
+fn training_at_batch_32_is_bit_identical_across_threads() {
+    let (x, labels) = dataset(96, 6, 3, Seed(30));
+    let build = || {
+        Mlp::builder(6)
             .hidden(8, Activation::Tanh)
             .output(3)
-            .build(Seed(31));
-        let report = Trainer::new(TrainConfig {
-            epochs: 4,
-            batch_size: 32,
-            ..TrainConfig::default()
-        })
-        .fit_classifier(&mut model, &x, &labels, Seed(32))
-        .unwrap();
-        runs.push((model, report));
-    }
-    assert_eq!(runs[0], runs[1]);
-
-    set_parallel_config(baseline);
+            .build(Seed(31))
+    };
+    let cfg = TrainConfig {
+        epochs: 4,
+        batch_size: 32,
+        ..TrainConfig::default()
+    };
+    assert_bit_identical_across_threads(build, cfg, &x, &labels);
 }

@@ -3,15 +3,14 @@
 //!
 //! The reference loop below replays the historical trainer verbatim —
 //! `select_rows` gathers, `forward_cached`, the allocating loss functions,
-//! `Mlp::backward`, the round-based pairwise tree reduction, and
-//! `Optimizer::step_reference` — using the same seed discipline. The real
-//! trainer must match it bit for bit (`f32::to_bits`, not `==`) across loss
-//! kinds, batch sizes (classic and chunked paths), optimizers, frozen
-//! prefixes, and thread counts.
+//! `Mlp::backward` and `Optimizer::step_reference` — using the same seed
+//! discipline. The real trainer must match it bit for bit (`f32::to_bits`,
+//! not `==`) across loss kinds, batch sizes, optimizers, frozen prefixes,
+//! and thread counts.
 
 use anole_nn::{
     bce_with_logits, soft_cross_entropy, softmax_cross_entropy, Activation, LossValue, Mlp,
-    OptimizerKind, TrainConfig, Trainer, Workspace, GRAD_CHUNK_ROWS,
+    OptimizerKind, TrainConfig, Trainer, Workspace,
 };
 use anole_tensor::{
     parallel_config, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, Seed,
@@ -37,44 +36,6 @@ fn loss_of(logits: &Matrix, idx: &[usize], src: RefLoss<'_>) -> LossValue {
     }
 }
 
-fn chunked_grads(
-    model: &Mlp,
-    x: &Matrix,
-    batch_idx: &[usize],
-    src: RefLoss<'_>,
-) -> (f32, Vec<(Matrix, Matrix)>) {
-    let batch_rows = batch_idx.len() as f32;
-    let mut partials: Vec<(f32, Vec<(Matrix, Matrix)>)> = batch_idx
-        .chunks(GRAD_CHUNK_ROWS)
-        .map(|idx| {
-            let bx = x.select_rows(idx);
-            let cache = model.forward_cached(&bx).unwrap();
-            let lv = loss_of(cache.output(), idx, src);
-            let weight = idx.len() as f32 / batch_rows;
-            let d_logits = lv.d_logits.scale(weight);
-            let grads = model.backward(&cache, &d_logits).unwrap();
-            (lv.loss * weight, grads)
-        })
-        .collect();
-    // Round-based pairwise tree reduction, exactly as the historical trainer.
-    while partials.len() > 1 {
-        let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-        let mut it = partials.into_iter();
-        while let Some(mut left) = it.next() {
-            if let Some(right) = it.next() {
-                left.0 += right.0;
-                for ((lw, lb), (rw, rb)) in left.1.iter_mut().zip(right.1) {
-                    *lw += &rw;
-                    *lb += &rb;
-                }
-            }
-            next.push(left);
-        }
-        partials = next;
-    }
-    partials.pop().unwrap()
-}
-
 /// The historical training loop, rebuilt on the allocating public APIs.
 fn reference_fit(
     cfg: &TrainConfig,
@@ -94,15 +55,10 @@ fn reference_fit(
         let mut epoch_loss = 0.0;
         let mut batches = 0;
         for chunk in order.chunks(batch) {
-            let (loss, grads) = if chunk.len() >= 2 * GRAD_CHUNK_ROWS {
-                chunked_grads(model, x, chunk, src)
-            } else {
-                let bx = x.select_rows(chunk);
-                let cache = model.forward_cached(&bx).unwrap();
-                let lv = loss_of(cache.output(), chunk, src);
-                let grads = model.backward(&cache, &lv.d_logits).unwrap();
-                (lv.loss, grads)
-            };
+            let bx = x.select_rows(chunk);
+            let cache = model.forward_cached(&bx).unwrap();
+            let lv = loss_of(cache.output(), chunk, src);
+            let grads = model.backward(&cache, &lv.d_logits).unwrap();
             if cfg.weight_decay > 0.0 {
                 let keep = 1.0 - cfg.weight_decay;
                 let frozen = model.frozen_prefix();
@@ -111,7 +67,7 @@ fn reference_fit(
                 }
             }
             optimizer.step_reference(model, &grads).unwrap();
-            epoch_loss += loss;
+            epoch_loss += lv.loss;
             batches += 1;
         }
         let mean = epoch_loss / batches.max(1) as f32;
@@ -157,8 +113,8 @@ fn build_model(dim: usize, classes: usize, seed: u64) -> Mlp {
 fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
     let (x, labels, targets) = dataset(200, 7, 3, Seed(90));
     for seed in [5u64, 6] {
-        // Batch 24 stays on the classic path; 160 engages chunked
-        // accumulation (≥ 2 * GRAD_CHUNK_ROWS).
+        // Nine batches per epoch (eight of 24 rows, one of 8), or two
+        // (160 rows and a 40-row tail).
         for batch_size in [24usize, 160] {
             let cfg = TrainConfig {
                 epochs: 3,

@@ -1,7 +1,7 @@
 //! Row-major dense `f32` matrix with the kernels the reproduction needs.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, Sub};
+use std::ops::{Add, Mul, Sub};
 
 use anole_json::{field, json_struct, FromJson, Value};
 
@@ -959,15 +959,6 @@ impl Mul<f32> for &Matrix {
 
     fn mul(self, rhs: f32) -> Matrix {
         self.scale(rhs)
-    }
-}
-
-impl AddAssign<&Matrix> for Matrix {
-    /// # Panics
-    ///
-    /// Panics if shapes disagree.
-    fn add_assign(&mut self, rhs: &Matrix) {
-        self.axpy(1.0, rhs).expect("matrix += shape mismatch");
     }
 }
 

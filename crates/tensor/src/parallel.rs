@@ -1,16 +1,17 @@
 //! Workspace-wide parallel execution policy and deterministic helpers.
 //!
 //! Every parallel kernel in the workspace (matrix products, k-means
-//! assignment, trainer gradient accumulation, repository fan-out) consults a
-//! single process-global [`ParallelConfig`] so that tests and benchmarks can
-//! pin the thread count in one place. The contract all consumers uphold:
+//! assignment, the repository's per-candidate fan-out) consults a single
+//! process-global [`ParallelConfig`] so that tests and benchmarks can pin the
+//! thread count in one place. The contract all consumers uphold:
 //!
 //! **Determinism.** Results are bit-identical for every `threads`
 //! setting. Parallel kernels only partition *output* elements across threads
 //! (each output element is produced by exactly one thread, with the same
 //! per-element floating-point accumulation order as the serial path), and
-//! reductions always combine per-chunk partials whose boundaries depend only
-//! on the problem shape — never on the thread count.
+//! reductions always combine per-row partials serially in row order, so the
+//! addition order depends only on the problem shape — never on the thread
+//! count.
 //!
 //! The environment variable `ANOLE_THREADS` overrides the automatic thread
 //! count when [`ParallelConfig::threads`] is `0` (auto); CI uses it to
@@ -153,65 +154,6 @@ where
     });
 }
 
-/// Like [`for_each_row_chunk`], but partitions `N` equally-shaped slices in
-/// lockstep: `f` receives the row range it owns plus the matching mutable
-/// sub-slice of every input.
-///
-/// This is what lets a fused optimizer update walk `[weights, moment1,
-/// moment2]` in a single pass while still row-partitioning across threads —
-/// every row of every slice is touched by exactly one thread, so per-element
-/// computations stay bit-identical across thread counts. No allocation is
-/// performed on any path.
-///
-/// # Panics
-///
-/// Panics if any slice's length differs from `rows * row_width` or a worker
-/// thread panics.
-pub fn for_each_row_chunk_n<T, F, const N: usize>(
-    outs: [&mut [T]; N],
-    row_width: usize,
-    rows: usize,
-    threads: usize,
-    f: F,
-) where
-    T: Send,
-    F: Fn(std::ops::Range<usize>, [&mut [T]; N]) + Sync,
-{
-    for o in &outs {
-        assert_eq!(o.len(), rows * row_width, "output length mismatch");
-    }
-    if rows == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, rows);
-    if threads == 1 {
-        anole_obs::counter_add!("tensor.parallel.serial_runs", 1);
-        f(0..rows, outs);
-        return;
-    }
-    anole_obs::counter_add!("tensor.parallel.fanouts", 1);
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = outs.map(Some);
-        let mut row0 = 0usize;
-        while row0 < rows {
-            let row1 = (row0 + chunk_rows).min(rows);
-            let split = (row1 - row0) * row_width;
-            let mut heads: [Option<&mut [T]>; N] = [(); N].map(|_| None);
-            for (slot, head) in rest.iter_mut().zip(heads.iter_mut()) {
-                let (h, t) = slot.take().expect("slice consumed").split_at_mut(split);
-                *head = Some(h);
-                *slot = Some(t);
-            }
-            let heads = heads.map(|h| h.expect("head populated"));
-            let range = row0..row1;
-            scope.spawn(move || f(range, heads));
-            row0 = row1;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,34 +230,5 @@ mod tests {
     fn empty_output_is_a_no_op() {
         let mut out: Vec<f32> = Vec::new();
         for_each_row_chunk(&mut out, 4, 0, 8, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn lockstep_chunks_cover_every_row_of_every_slice_once() {
-        for threads in [1usize, 2, 3, 8, 100] {
-            let rows = 37;
-            let width = 3;
-            let mut a = vec![0u32; rows * width];
-            let mut b = vec![0u32; rows * width];
-            for_each_row_chunk_n([&mut a, &mut b], width, rows, threads, |range, [ca, cb]| {
-                for (local, row) in range.clone().enumerate() {
-                    for j in 0..width {
-                        ca[local * width + j] += (row * width + j) as u32 + 1;
-                        cb[local * width + j] += 2 * ((row * width + j) as u32 + 1);
-                    }
-                }
-            });
-            let expect_a: Vec<u32> = (1..=(rows * width) as u32).collect();
-            let expect_b: Vec<u32> = expect_a.iter().map(|v| 2 * v).collect();
-            assert_eq!(a, expect_a, "threads={threads}");
-            assert_eq!(b, expect_b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn lockstep_empty_output_is_a_no_op() {
-        let mut a: Vec<f32> = Vec::new();
-        let mut b: Vec<f32> = Vec::new();
-        for_each_row_chunk_n([&mut a, &mut b], 4, 0, 8, |_, _| panic!("must not run"));
     }
 }

@@ -125,7 +125,7 @@ fn survives_load_failures_and_memory_pressure_above_pinned_baseline() {
     // Health is surfaced through telemetry, not just the engine.
     assert!(chaos.telemetry.degraded_frames() > 0, "no degraded frames recorded");
     assert!(
-        chaos.telemetry.records().iter().any(|r| r.health == HealthState::Degraded),
+        chaos.telemetry.records().iter().any(|r| r.event.health == HealthState::Degraded),
         "telemetry never reported Degraded"
     );
     assert!(chaos.telemetry.fault_total() > 0);

@@ -130,10 +130,10 @@ fn kill_after_any_stage_then_resume_is_bit_identical() {
     }
 }
 
-/// ISSUE acceptance: checkpoint resume stays bit-identical through the
+/// Checkpoint resume stays bit-identical through the
 /// workspace-reusing trainer even when the thread count changes between the
-/// original run and the resume. Per-worker warm workspaces and the chunked
-/// gradient partitioning must never leak into the trained weights.
+/// original run and the resume. Per-worker warm workspaces and the thread
+/// count of the repository fan-out must never leak into the trained weights.
 #[test]
 fn resume_with_different_thread_count_is_bit_identical() {
     use anole::tensor::{parallel_config, set_parallel_config, ParallelConfig};
