@@ -126,15 +126,6 @@ impl ThompsonSampler {
         self.exhausted[i] = true;
     }
 
-    /// Whether arm `i` has been marked exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn is_exhausted(&self, i: usize) -> bool {
-        self.exhausted[i]
-    }
-
     /// Whether arm `i` has met the coupon-collector criterion.
     ///
     /// # Panics

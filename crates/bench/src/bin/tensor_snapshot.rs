@@ -1,14 +1,13 @@
-//! `tensor_snapshot` — machine-readable timing snapshot of the parallel
-//! compute layer, written to `BENCH_tensor.json`.
+//! `tensor_snapshot` — machine-readable timing snapshot of the compute
+//! kernels, written to `BENCH_tensor.json`.
 //!
 //! It emits a small JSON file suitable for diffing across commits and
-//! machines: wall
-//! times for the naive/serial/parallel matmul kernels, the
-//! transpose-fused variants, the layer shapes the serving path runs, the
-//! fp32 and int8 forwards of the serving detector and decision net, the
-//! fused-vs-reference optimizer steps, one
-//! workspace-reused training epoch, the k-means assignment fan-out, and the
-//! Algorithm 1 repository training loop at threads = 1 vs auto.
+//! machines: wall times for the naive and register-blocked matmul kernels,
+//! the transpose-fused variants, the layer shapes the serving path runs,
+//! the fp32 and int8 forwards of the serving detector and decision net, the
+//! fused-vs-reference optimizer steps, one workspace-reused training epoch,
+//! a k-means fit, and the Algorithm 1 repository training loop, the one
+//! thread fan-out, at threads = 1 vs auto.
 //!
 //! Usage:
 //!
@@ -28,20 +27,6 @@ use anole_data::{DatasetConfig, DrivingDataset};
 use anole_json::{ToJson, Value};
 use anole_nn::{Activation, Mlp, OptimizerKind, Predictor, TrainConfig, Trainer, Workspace};
 use anole_tensor::{rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed};
-
-fn serial() -> ParallelConfig {
-    ParallelConfig {
-        threads: 1,
-        ..ParallelConfig::default()
-    }
-}
-
-fn parallel() -> ParallelConfig {
-    ParallelConfig {
-        min_par_elems: 1,
-        ..ParallelConfig::default() // threads = 0: auto / ANOLE_THREADS
-    }
-}
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -110,7 +95,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let auto_threads = parallel().effective_threads();
     let mut kernels: Vec<Row> = Vec::new();
     let mut record = |name: &str, variant: &'static str, threads: usize, ms: f64| {
         eprintln!("[tensor_snapshot] {name}/{variant} (threads={threads}): {ms:.6} ms");
@@ -131,28 +115,17 @@ fn main() -> ExitCode {
         record(&name, "naive", 1, time_ms(reps, || {
             black_box(naive_matmul(&a, &b));
         }));
-        set_parallel_config(serial());
         record(&name, "serial", 1, time_ms(reps, || {
-            black_box(a.matmul(&b).unwrap());
-        }));
-        set_parallel_config(parallel());
-        record(&name, "parallel", auto_threads, time_ms(reps, || {
             black_box(a.matmul(&b).unwrap());
         }));
         if n == 256 {
             let bt = b.transpose();
-            for (cfg, variant, threads) in
-                [(serial(), "serial", 1), (parallel(), "parallel", auto_threads)]
-            {
-                set_parallel_config(cfg);
-                record("matmul_tn_256", variant, threads, time_ms(reps, || {
-                    black_box(a.matmul_tn(&b).unwrap());
-                }));
-                set_parallel_config(cfg);
-                record("matmul_nt_256", variant, threads, time_ms(reps, || {
-                    black_box(a.matmul_nt(&bt).unwrap());
-                }));
-            }
+            record("matmul_tn_256", "serial", 1, time_ms(reps, || {
+                black_box(a.matmul_tn(&b).unwrap());
+            }));
+            record("matmul_nt_256", "serial", 1, time_ms(reps, || {
+                black_box(a.matmul_nt(&bt).unwrap());
+            }));
         }
     }
 
@@ -161,7 +134,6 @@ fn main() -> ExitCode {
     // 64-row batch (the gateway's batched scoring, a training mini-batch).
     // One call takes well under a microsecond, so each row times `iters`
     // calls into a warm output buffer and reports the time per call.
-    set_parallel_config(serial());
     let shapes: [(usize, usize, usize, usize); 3] =
         [(1, 32, 64, 20_000), (1, 64, 19, 20_000), (64, 32, 64, 500)];
     for (m, k, n, iters) in shapes {
@@ -239,7 +211,6 @@ fn main() -> ExitCode {
                 )
             })
             .collect();
-        set_parallel_config(serial());
         let kinds = [
             ("optim_step_sgd", OptimizerKind::Sgd { lr: 0.01, momentum: 0.9 }),
             ("optim_step_adam", OptimizerKind::Adam { lr: 0.01 }),
@@ -257,9 +228,7 @@ fn main() -> ExitCode {
     }
 
     // One epoch of the workspace-reusing trainer: 512 samples x 32 features,
-    // 8 classes, batch 128, warm workspace. Every batch runs the single-pass
-    // loop; the "parallel" variant differs only in the matrix products,
-    // which fan out at `min_par_elems: 1`. The warm-up call inside
+    // 8 classes, batch 128, warm workspace. The warm-up call inside
     // `time_ms` performs all buffer allocation; the measured epochs run
     // allocation-free.
     {
@@ -271,27 +240,22 @@ fn main() -> ExitCode {
             batch_size: 128,
             ..TrainConfig::default()
         };
-        for (cfg, variant, threads) in
-            [(serial(), "serial", 1), (parallel(), "parallel", auto_threads)]
-        {
-            set_parallel_config(cfg);
-            let mut net = Mlp::builder(32)
-                .hidden(64, Activation::Relu)
-                .output(8)
-                .build(Seed(7));
-            let trainer = Trainer::new(tcfg);
-            let mut ws = Workspace::new();
-            record("train_epoch_512x32", variant, threads, time_ms(reps, || {
-                black_box(
-                    trainer
-                        .fit_classifier_ws(&mut net, &tx, &tlabels, Seed(8), &mut ws)
-                        .unwrap(),
-                );
-            }));
-        }
+        let mut net = Mlp::builder(32)
+            .hidden(64, Activation::Relu)
+            .output(8)
+            .build(Seed(7));
+        let trainer = Trainer::new(tcfg);
+        let mut ws = Workspace::new();
+        record("train_epoch_512x32", "serial", 1, time_ms(reps, || {
+            black_box(
+                trainer
+                    .fit_classifier_ws(&mut net, &tx, &tlabels, Seed(8), &mut ws)
+                    .unwrap(),
+            );
+        }));
     }
 
-    // K-means assignment fan-out.
+    // A k-means fit: 4096 points in eight offset clusters.
     let mut rng = rng_from_seed(Seed(5_500));
     let mut pts = Matrix::random_normal(4096, 16, 1.0, &mut rng);
     for i in 0..pts.rows() {
@@ -301,16 +265,12 @@ fn main() -> ExitCode {
         }
     }
     let km = KMeans::new(8).with_max_iterations(10);
-    for (cfg, variant, threads) in
-        [(serial(), "serial", 1), (parallel(), "parallel", auto_threads)]
-    {
-        set_parallel_config(cfg);
-        record("kmeans_4096x16_k8", variant, threads, time_ms(reps, || {
-            black_box(km.fit(&pts, Seed(1)).unwrap());
-        }));
-    }
+    record("kmeans_4096x16_k8", "serial", 1, time_ms(reps, || {
+        black_box(km.fit(&pts, Seed(1)).unwrap());
+    }));
 
-    // Algorithm 1 repository training loop (the TCM fan-out).
+    // Algorithm 1 repository training loop (the TCM fan-out), at one thread
+    // and at the automatic count (`ANOLE_THREADS`, else every core).
     if !skip_train {
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(71));
         let split = dataset.split();
@@ -319,23 +279,30 @@ fn main() -> ExitCode {
         scfg.train.epochs = 10;
         let scene =
             SceneModel::train(&dataset, &split.train, &scfg, Seed(72)).expect("scene model");
-        for (cfg, variant, threads) in
-            [(serial(), "serial", 1), (parallel(), "parallel", auto_threads)]
-        {
+        let configs = [
+            (ParallelConfig { threads: 1 }, "serial"),
+            (ParallelConfig::default(), "parallel"),
+        ];
+        for (cfg, variant) in configs {
             set_parallel_config(cfg);
-            record("osp_repository_train_small", variant, threads, time_ms(1, || {
-                black_box(
-                    ModelRepository::train(
-                        &dataset,
-                        &scene,
-                        &split.train,
-                        &split.val,
-                        &config,
-                        Seed(73),
-                    )
-                    .expect("repository"),
-                );
-            }));
+            record(
+                "osp_repository_train_small",
+                variant,
+                cfg.effective_threads(),
+                time_ms(1, || {
+                    black_box(
+                        ModelRepository::train(
+                            &dataset,
+                            &scene,
+                            &split.train,
+                            &split.val,
+                            &config,
+                            Seed(73),
+                        )
+                        .expect("repository"),
+                    );
+                }),
+            );
         }
     }
     set_parallel_config(ParallelConfig::default());
@@ -357,7 +324,6 @@ fn main() -> ExitCode {
     let speedups = [
         ("matmul_64_serial_vs_naive", ratio("matmul_64", "naive", "serial")),
         ("matmul_256_serial_vs_naive", ratio("matmul_256", "naive", "serial")),
-        ("matmul_256_parallel_vs_serial", ratio("matmul_256", "serial", "parallel")),
         (
             "matmul_nt_256_over_matmul_256_serial",
             over(find("matmul_nt_256", "serial"), find("matmul_256", "serial")),
@@ -368,8 +334,6 @@ fn main() -> ExitCode {
         ),
         ("optim_step_sgd_reference_vs_fused", ratio("optim_step_sgd", "reference", "fused")),
         ("optim_step_adam_reference_vs_fused", ratio("optim_step_adam", "reference", "fused")),
-        ("train_epoch_parallel_vs_serial", ratio("train_epoch_512x32", "serial", "parallel")),
-        ("kmeans_parallel_vs_serial", ratio("kmeans_4096x16_k8", "serial", "parallel")),
         (
             "osp_train_parallel_vs_serial",
             ratio("osp_repository_train_small", "serial", "parallel"),

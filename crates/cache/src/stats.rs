@@ -68,20 +68,6 @@ impl CacheStats {
     pub fn record_miss(&mut self) {
         self.misses += 1;
     }
-
-    /// Accumulates `other` into `self`, counter by counter — aggregation
-    /// across a fleet of caches. `peak_resident_bytes`
-    /// becomes the sum of per-cache peaks: an upper bound on the aggregate
-    /// peak, since independent caches need not peak simultaneously.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.insertions += other.insertions;
-        self.capacity_evictions += other.capacity_evictions;
-        self.resident_bytes += other.resident_bytes;
-        self.peak_resident_bytes += other.peak_resident_bytes;
-    }
 }
 
 impl std::fmt::Display for CacheStats {

@@ -1,14 +1,9 @@
 //! Deterministic k-means (k-means++ initialization, Lloyd iterations).
 //!
-//! The O(n·k·d) assignment step, the k-means++ distance refresh, and the
-//! silhouette score fan out across the [`anole_tensor::parallel_config`]
-//! thread pool. Parallelism only partitions per-point computations — each
-//! point's nearest centroid is computed exactly as in the serial loop, and
-//! scalar reductions (inertia, silhouette total, k-means++ mass) sum the
-//! per-point values in ascending point order on one thread — so fits are
-//! bit-identical for every thread count.
+//! Every step runs on the caller's thread in ascending point order, so a
+//! fit depends only on the points, `k` and the seed.
 
-use anole_tensor::{l2_distance, parallel_config, rng_from_seed, Matrix, Seed, StdRng};
+use anole_tensor::{l2_distance, rng_from_seed, Matrix, Seed, StdRng};
 
 /// Error returned by clustering routines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,24 +111,13 @@ impl KMeans {
         let mut centroids = self.init_pp(points, &mut rng);
         let mut assignments = vec![0usize; points.rows()];
         let mut iterations = 0;
-        let threads = assignment_threads(points.rows(), self.k, points.cols());
 
         for iter in 0..self.max_iterations {
             iterations = iter + 1;
-            // Assignment step: each point is independent, so partition points
-            // across threads; every assignment is computed exactly as in the
-            // serial loop.
-            anole_tensor::parallel::for_each_row_chunk(
-                &mut assignments,
-                1,
-                points.rows(),
-                threads,
-                |range, out| {
-                    for (slot, i) in out.iter_mut().zip(range) {
-                        *slot = nearest_centroid(points.row(i), &centroids).0;
-                    }
-                },
-            );
+            // Assignment step.
+            for (i, slot) in assignments.iter_mut().enumerate() {
+                *slot = nearest_centroid(points.row(i), &centroids).0;
+            }
             // Update step.
             let mut sums = Matrix::zeros(self.k, points.cols());
             let mut counts = vec![0usize; self.k];
@@ -162,24 +146,11 @@ impl KMeans {
             }
         }
 
-        // Final assignment + inertia: nearest pairs in parallel, then the
-        // squared distances summed serially in point order so the reduction
-        // is chunk-stable.
-        let mut nearest: Vec<(usize, f32)> = vec![(0, 0.0); points.rows()];
-        anole_tensor::parallel::for_each_row_chunk(
-            &mut nearest,
-            1,
-            points.rows(),
-            threads,
-            |range, out| {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    *slot = nearest_centroid(points.row(i), &centroids);
-                }
-            },
-        );
+        // Final assignment and inertia.
         let mut inertia = 0.0;
-        for (i, &(a, d)) in nearest.iter().enumerate() {
-            assignments[i] = a;
+        for (i, slot) in assignments.iter_mut().enumerate() {
+            let (a, d) = nearest_centroid(points.row(i), &centroids);
+            *slot = a;
             inertia += d * d;
         }
 
@@ -193,29 +164,20 @@ impl KMeans {
 
     /// k-means++ initialization: first centroid uniform, the rest sampled
     /// proportionally to squared distance from the nearest chosen centroid.
-    #[allow(clippy::needless_range_loop)]
     fn init_pp(&self, points: &Matrix, rng: &mut StdRng) -> Matrix {
         let n = points.rows();
         let mut centroids = Matrix::zeros(self.k, points.cols());
         let first = rng.usize(0..n);
         centroids.row_mut(0).copy_from_slice(points.row(first));
 
-        let mut d2 = vec![0.0f32; n];
-        let threads = assignment_threads(n, self.k, points.cols());
+        let mut d2 = vec![f32::INFINITY; n];
         for c in 1..self.k {
-            // Refresh each point's squared distance to its nearest chosen
-            // centroid in parallel; the sampling mass is then summed serially
-            // in point order, keeping the draw deterministic.
-            anole_tensor::parallel::for_each_row_chunk(&mut d2, 1, n, threads, |range, out| {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let mut best = f32::INFINITY;
-                    for existing in 0..c {
-                        let d = l2_distance(points.row(i), centroids.row(existing));
-                        best = best.min(d * d);
-                    }
-                    *slot = best;
-                }
-            });
+            // Each point's squared distance to its nearest chosen centroid:
+            // fold in the centroid chosen last.
+            for (i, best) in d2.iter_mut().enumerate() {
+                let d = l2_distance(points.row(i), centroids.row(c - 1));
+                *best = best.min(d * d);
+            }
             let total: f32 = d2.iter().sum();
             let idx = if total <= f32::EPSILON {
                 rng.usize(0..n)
@@ -293,13 +255,6 @@ pub(crate) fn nearest_centroid(point: &[f32], centroids: &Matrix) -> (usize, f32
     best
 }
 
-/// Threads to use for a per-point fan-out whose work is `points·k·dim`
-/// distance terms. Delegates to the global [`parallel_config`] so tests can
-/// pin `threads = 1`.
-fn assignment_threads(points: usize, k: usize, dim: usize) -> usize {
-    parallel_config().threads_for(points.saturating_mul(k).saturating_mul(dim.max(1)))
-}
-
 fn farthest_point(points: &Matrix, centroids: &Matrix, assignments: &[usize]) -> usize {
     let mut best = (0usize, -1.0f32);
     #[allow(clippy::needless_range_loop)]
@@ -310,55 +265,6 @@ fn farthest_point(points: &Matrix, centroids: &Matrix, assignments: &[usize]) ->
         }
     }
     best.0
-}
-
-/// Mean silhouette coefficient of a clustering, in `[-1, 1]`.
-///
-/// Larger is better; ~0 indicates overlapping clusters. Points in singleton
-/// clusters contribute 0, following the usual convention.
-///
-/// # Panics
-///
-/// Panics if `assignments.len() != points.rows()`.
-pub fn silhouette_score(points: &Matrix, assignments: &[usize], k: usize) -> f32 {
-    assert_eq!(points.rows(), assignments.len(), "assignment count mismatch");
-    let n = points.rows();
-    if n == 0 || k < 2 {
-        return 0.0;
-    }
-    // Each point's silhouette coefficient is independent (O(n·d) apiece), so
-    // compute them in parallel and sum serially in point order.
-    let mut coeffs = vec![0.0f32; n];
-    let threads = parallel_config().threads_for(n.saturating_mul(n).saturating_mul(points.cols().max(1)));
-    anole_tensor::parallel::for_each_row_chunk(&mut coeffs, 1, n, threads, |range, out| {
-        for (slot, i) in out.iter_mut().zip(range) {
-            let mut dist_sum = vec![0.0f32; k];
-            let mut count = vec![0usize; k];
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                dist_sum[assignments[j]] += l2_distance(points.row(i), points.row(j));
-                count[assignments[j]] += 1;
-            }
-            let own = assignments[i];
-            if count[own] == 0 {
-                continue; // singleton cluster contributes 0
-            }
-            let a = dist_sum[own] / count[own] as f32;
-            let mut b = f32::INFINITY;
-            for c in 0..k {
-                if c != own && count[c] > 0 {
-                    b = b.min(dist_sum[c] / count[c] as f32);
-                }
-            }
-            if b.is_finite() {
-                *slot = (b - a) / a.max(b);
-            }
-        }
-    });
-    let total: f32 = coeffs.iter().sum();
-    total / n as f32
 }
 
 #[cfg(test)]
@@ -440,25 +346,5 @@ mod tests {
             let (nearest, _) = nearest_centroid(pts.row(i), &fit.centroids);
             assert_eq!(fit.assignments[i], nearest);
         }
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_low_for_merged() {
-        let pts = blobs(&[(0.0, 0.0), (30.0, 30.0)], 20, 0.5, Seed(11));
-        let fit = KMeans::new(2).fit(&pts, Seed(12)).unwrap();
-        let good = silhouette_score(&pts, &fit.assignments, 2);
-        assert!(good > 0.8, "good {good}");
-
-        let one_blob = blobs(&[(0.0, 0.0)], 40, 1.0, Seed(13));
-        let fit2 = KMeans::new(2).fit(&one_blob, Seed(14)).unwrap();
-        let bad = silhouette_score(&one_blob, &fit2.assignments, 2);
-        assert!(bad < good);
-    }
-
-    #[test]
-    fn silhouette_edge_cases() {
-        assert_eq!(silhouette_score(&Matrix::zeros(0, 2), &[], 2), 0.0);
-        let pts = Matrix::zeros(3, 2);
-        assert_eq!(silhouette_score(&pts, &[0, 0, 0], 1), 0.0);
     }
 }

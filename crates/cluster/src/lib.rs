@@ -5,7 +5,7 @@
 //! clusters the embeddings with k = 2, 3, … and trains one compressed model
 //! per cluster, keeping models that validate above a threshold δ. This crate
 //! provides the clustering half: deterministic k-means with k-means++
-//! initialization, quality measures (inertia, silhouette), and
+//! initialization, the inertia of each fit, and
 //! [`MultiLevelClustering`] which yields the cluster assignments for each k
 //! in turn.
 //!
@@ -28,5 +28,5 @@
 mod kmeans;
 mod multilevel;
 
-pub use kmeans::{silhouette_score, ClusterError, KMeans, KMeansFit};
+pub use kmeans::{ClusterError, KMeans, KMeansFit};
 pub use multilevel::{ClusterLevel, MultiLevelClustering};

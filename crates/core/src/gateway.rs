@@ -56,7 +56,6 @@ use crate::omi::{
     StepOutcome,
 };
 use crate::{AnoleError, AnoleSystem};
-use anole_cache::CacheStats;
 
 /// Queue-depth histogram buckets (frames waiting per session).
 const QUEUE_DEPTH_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
@@ -766,32 +765,10 @@ impl<'a> Gateway<'a> {
         self.active_count
     }
 
-    /// Fleet-wide cache statistics summed over every admitted session's
-    /// engine (terminal sessions included).
-    pub fn fleet_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.sessions {
-            total.merge(&s.engine.cache_stats());
-        }
-        total
-    }
-
     /// Fleet-wide model-load attempts (each one a cold load priced into
     /// background time) summed over every admitted session's engine.
     pub fn fleet_load_attempts(&self) -> usize {
         self.sessions.iter().map(|s| s.engine.load_attempt_count()).sum()
-    }
-
-    /// Fleet-wide fallback-depth histogram (frames served at each tier)
-    /// summed over every admitted session's engine.
-    pub fn fleet_fallback_depths(&self) -> [usize; 4] {
-        let mut total = [0usize; 4];
-        for s in &self.sessions {
-            for (t, d) in total.iter_mut().zip(s.engine.health_report().fallback_depths) {
-                *t += d;
-            }
-        }
-        total
     }
 
     /// The SLO runtime's time-series rings: one window per executed

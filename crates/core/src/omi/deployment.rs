@@ -481,11 +481,6 @@ impl<'a> OnlineEngine<'a> {
         self.health
     }
 
-    /// The pinned always-resident fallback model, if configured.
-    pub fn pinned_fallback(&self) -> Option<usize> {
-        self.pinned
-    }
-
     /// Whether `model_id` has been permanently excluded.
     pub fn is_excluded(&self, model_id: usize) -> bool {
         self.excluded.get(model_id).copied().unwrap_or(false)

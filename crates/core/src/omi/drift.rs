@@ -454,11 +454,6 @@ impl SceneDistanceScorer {
         Ok(())
     }
 
-    /// Number of centroids the scorer currently holds.
-    pub fn centroid_count(&self) -> usize {
-        self.centroids.rows()
-    }
-
     /// Builds a [`DriftDetector`] over this scorer: internally the detector
     /// watches *negated* distances, so its below-floor rule flags
     /// above-ceiling distances. Feed it `-scorer.score(...)`, or use

@@ -600,6 +600,33 @@ mod tests {
     }
 
     #[test]
+    fn repository_is_bit_identical_across_thread_counts() {
+        use anole_tensor::{parallel_config, set_parallel_config, ParallelConfig};
+        // Eight workers outnumber every level's candidates, so the fan-out's
+        // clamp runs too. `Debug` prints each float in its shortest
+        // round-trip form and keeps the sign of zero, so equal text means
+        // equal bits (trained weights are never NaN).
+        let (dataset, scene, repo, config) = setup();
+        let split = dataset.split();
+        let expected = format!("{repo:?}");
+        let prior = parallel_config();
+        for threads in [1usize, 2, 8] {
+            set_parallel_config(ParallelConfig { threads });
+            let retrained = ModelRepository::train(
+                &dataset,
+                &scene,
+                &split.train,
+                &split.val,
+                &config,
+                Seed(43),
+            );
+            set_parallel_config(prior);
+            let got = format!("{:?}", retrained.unwrap());
+            assert_eq!(got, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn impossible_delta_yields_empty_repository_error() {
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(44));
         let split = dataset.split();

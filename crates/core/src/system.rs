@@ -724,11 +724,6 @@ pub struct QuantizationReport {
 }
 
 impl QuantizationReport {
-    /// Models (specialists + decision head) now serving at int8.
-    pub fn quantized_count(&self) -> usize {
-        self.accepted.len() + usize::from(self.decision_quantized)
-    }
-
     /// Largest F1 the gate allowed any accepted specialist to lose.
     pub fn worst_accepted_delta(&self) -> f32 {
         self.accepted.iter().map(ModelQuantOutcome::f1_delta).fold(0.0, f32::max)

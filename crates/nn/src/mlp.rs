@@ -50,13 +50,6 @@ impl MlpBuilder {
         self
     }
 
-    /// Appends an output layer with an explicit activation (e.g. sigmoid
-    /// heads; note the losses in this crate expect raw logits).
-    pub fn output_with_activation(mut self, classes: usize, activation: Activation) -> Self {
-        self.specs.push((classes, activation));
-        self
-    }
-
     /// Builds the network with deterministic initialization from `seed`.
     ///
     /// # Panics

@@ -8,15 +8,11 @@
 //! would be a per-batch allocation in the inner loop. With E vs E+4 epochs
 //! over many mini-batches each, equality proves the steady-state loop never
 //! touches the heap.
-//!
-//! Threads are pinned to 1: spawning scoped workers allocates on the
-//! spawning thread by design, so the zero-alloc contract covers the serial
-//! hot path (the parallel path allocates only thread scaffolding).
 #![cfg(feature = "alloc-count")]
 
 use anole_nn::alloc_count::{measure, CountingAllocator};
 use anole_nn::{Activation, Mlp, TrainConfig, Trainer, Workspace};
-use anole_tensor::{rng_from_seed, set_parallel_config, Matrix, ParallelConfig, Seed};
+use anole_tensor::{rng_from_seed, Matrix, Seed};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -75,10 +71,6 @@ fn fit_allocs(
 
 #[test]
 fn warm_workspace_serving_allocates_nothing() {
-    set_parallel_config(ParallelConfig {
-        threads: 1,
-        ..ParallelConfig::default()
-    });
     let (x, _, _) = dataset(64, 7, 3);
     // The engine serves one frame at a time, through the fp32 model or its
     // int8 twin; the gateway scores whole batches.
@@ -117,10 +109,6 @@ fn warm_workspace_serving_allocates_nothing() {
 
 #[test]
 fn steady_state_mini_batches_allocate_nothing() {
-    set_parallel_config(ParallelConfig {
-        threads: 1,
-        ..ParallelConfig::default()
-    });
     let data = dataset(200, 7, 3);
 
     // Many small batches (25 rows) and one large batch plus a tail (160 and

@@ -5,16 +5,14 @@
 //! `select_rows` gathers, `forward_cached`, the allocating loss functions,
 //! `Mlp::backward` and `Optimizer::step_reference` — using the same seed
 //! discipline. The real trainer must match it bit for bit (`f32::to_bits`,
-//! not `==`) across loss kinds, batch sizes, optimizers, frozen prefixes,
-//! and thread counts.
+//! not `==`) across loss kinds, batch sizes, optimizers and frozen
+//! prefixes.
 
 use anole_nn::{
     bce_with_logits, soft_cross_entropy, softmax_cross_entropy, Activation, LossValue, Mlp,
     OptimizerKind, TrainConfig, Trainer, Workspace,
 };
-use anole_tensor::{
-    parallel_config, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, Seed,
-};
+use anole_tensor::{rng_from_seed, Matrix, Seed};
 
 #[derive(Clone, Copy)]
 enum RefLoss<'a> {
@@ -157,11 +155,7 @@ fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
 }
 
 #[test]
-fn workspace_trainer_matches_reference_across_thread_counts() {
-    // The config is process-global, but every training path is
-    // thread-count-invariant by contract, so concurrent tests mutating it
-    // cannot perturb this one.
-    let baseline = parallel_config();
+fn workspace_trainer_matches_reference_with_sgd_momentum_and_weight_decay() {
     let (x, labels, _) = dataset(200, 7, 3, Seed(91));
     let cfg = TrainConfig {
         epochs: 3,
@@ -174,18 +168,11 @@ fn workspace_trainer_matches_reference_across_thread_counts() {
     let mut expect = build_model(7, 3, 11);
     reference_fit(&cfg, &mut expect, &x, RefLoss::Hard(&labels), Seed(61));
 
-    for threads in [1usize, 2, 4] {
-        set_parallel_config(ParallelConfig {
-            threads,
-            min_par_elems: 1,
-        });
-        let mut got = build_model(7, 3, 11);
-        Trainer::new(cfg)
-            .fit_classifier(&mut got, &x, &labels, Seed(61))
-            .unwrap();
-        assert_bitwise_eq(&got, &expect, &format!("threads={threads}"));
-    }
-    set_parallel_config(baseline);
+    let mut got = build_model(7, 3, 11);
+    Trainer::new(cfg)
+        .fit_classifier(&mut got, &x, &labels, Seed(61))
+        .unwrap();
+    assert_bitwise_eq(&got, &expect, "sgd");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! Counters and gauges are single relaxed atomics; histograms shard their
 //! buckets across a fixed set of atomic accumulators (one per worker-ish
-//! thread, picked round-robin) so `for_each_row_chunk` workers and the
-//! repository's training threads never contend on a lock in the hot path.
+//! thread, picked round-robin) so the repository's training threads never
+//! contend on a lock in the hot path.
 //! All accumulation is integer addition, which commutes, so snapshots are
 //! bit-identical regardless of thread count or interleaving.
 //!

@@ -23,7 +23,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 mod matrix;
-pub mod parallel;
+mod parallel;
 mod quant;
 mod rng;
 mod stats;

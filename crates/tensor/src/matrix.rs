@@ -110,8 +110,8 @@ macro_rules! with_vecs {
     };
 }
 
-/// Writes rows `rows` of `lhs · b` into `out` (`rows.len()` rows of `n`),
-/// where `b` is row-major `lhs.depth × n`.
+/// Writes the `rows × n` product `lhs · b` into `out`, where `b` is
+/// row-major `lhs.depth × n`.
 ///
 /// Each output element is one accumulator that starts at `+0.0` and adds its
 /// `k` terms in ascending order, each term a separate multiply then add, so
@@ -124,13 +124,13 @@ macro_rules! with_vecs {
 ///
 /// Panics if an operand is shorter than the shapes say; the check runs in
 /// release builds too, because the AVX body reads through raw pointers.
-fn gemm(lhs: Lhs<'_>, rows: std::ops::Range<usize>, b: &[f32], n: usize, out: &mut [f32]) {
-    assert_operands(lhs, &rows, b, n, out);
+fn gemm(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    assert_operands(lhs, rows, b, n, out);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
         // SAFETY: AVX was detected at runtime just above, and
         // `assert_operands` bounds every access the body makes: lhs element
-        // (i, k) for i < rows.end and k < depth, the `n` columns of row k of
+        // (i, k) for i < rows and k < depth, the `n` columns of row k of
         // `b`, and the `n` columns of each output row.
         unsafe { gemm_avx(lhs, rows, b, n, out) };
         return;
@@ -139,10 +139,10 @@ fn gemm(lhs: Lhs<'_>, rows: std::ops::Range<usize>, b: &[f32], n: usize, out: &m
 }
 
 /// Asserts that the operands of [`gemm`] hold what their shapes say.
-fn assert_operands(lhs: Lhs<'_>, rows: &std::ops::Range<usize>, b: &[f32], n: usize, out: &[f32]) {
-    assert_eq!(out.len(), rows.len() * n, "gemm: output length");
+fn assert_operands(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &[f32]) {
+    assert_eq!(out.len(), rows * n, "gemm: output length");
     assert_eq!(b.len(), lhs.depth * n, "gemm: rhs length");
-    if let (Some(last_row), Some(last_k)) = (rows.end.checked_sub(1), lhs.depth.checked_sub(1)) {
+    if let (Some(last_row), Some(last_k)) = (rows.checked_sub(1), lhs.depth.checked_sub(1)) {
         let last = last_row * lhs.row_stride + last_k * lhs.k_stride;
         assert!(last < lhs.data.len(), "gemm: lhs length");
     }
@@ -163,21 +163,15 @@ static TAIL_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 
 /// assertions of [`gemm`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn gemm_avx(
-    lhs: Lhs<'_>,
-    rows: std::ops::Range<usize>,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
+unsafe fn gemm_avx(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
     use std::arch::x86_64::{__m256i, _mm256_loadu_si256};
-    for (local, i) in rows.enumerate() {
+    for i in 0..rows {
         let a = lhs.data.as_ptr().add(i * lhs.row_stride);
         for j0 in (0..n).step_by(BLOCK_COLS) {
             let cols = BLOCK_COLS.min(n - j0);
             let tail = cols % LANES;
             let mask = _mm256_loadu_si256(TAIL_MASKS[LANES - tail..].as_ptr().cast::<__m256i>());
-            let (bj, oj) = (b.as_ptr().add(j0), out.as_mut_ptr().add(local * n + j0));
+            let (bj, oj) = (b.as_ptr().add(j0), out.as_mut_ptr().add(i * n + j0));
             with_vecs!(cols.div_ceil(LANES), V => if tail == 0 {
                 block_avx::<V, false>(a, lhs.k_stride, lhs.depth, bj, n, mask, oj)
             } else {
@@ -231,9 +225,9 @@ unsafe fn block_avx<const V: usize, const MASKED: bool>(
 
 /// Portable body of [`gemm`]: the blocks of [`gemm_avx`] in safe code, with
 /// the last `n mod 8` columns of a row in a shorter final vector.
-fn gemm_portable(lhs: Lhs<'_>, rows: std::ops::Range<usize>, b: &[f32], n: usize, out: &mut [f32]) {
-    for (local, i) in rows.enumerate() {
-        let out_row = &mut out[local * n..(local + 1) * n];
+fn gemm_portable(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for i in 0..rows {
+        let out_row = &mut out[i * n..(i + 1) * n];
         for (p, out_block) in out_row.chunks_mut(BLOCK_COLS).enumerate() {
             let j0 = p * BLOCK_COLS;
             let cols = out_block.len();
@@ -278,17 +272,6 @@ fn block_portable<const V: usize, const MASKED: bool>(
     for (dst, acc) in out.chunks_mut(LANES).zip(&acc) {
         dst.copy_from_slice(&acc[..dst.len()]);
     }
-}
-
-/// Fills `out`, already shaped `rows × rhs.cols()`, with `lhs · rhs`,
-/// row-partitioned across the [`crate::parallel_config`] thread pool.
-fn product_into(lhs: Lhs<'_>, rows: usize, rhs: &Matrix, out: &mut Matrix) {
-    let n = rhs.cols;
-    let work = rows.saturating_mul(lhs.depth).saturating_mul(n);
-    let threads = crate::parallel_config().threads_for(work);
-    crate::parallel::for_each_row_chunk(&mut out.data, n, rows, threads, |range, chunk| {
-        gemm(lhs, range, &rhs.data, n, chunk);
-    });
 }
 
 /// A row-major dense matrix of `f32` values.
@@ -606,9 +589,7 @@ impl Matrix {
     /// body with the same algorithm runs elsewhere; both give the same bits.
     /// Zero entries need no skip: an accumulator that starts at `+0.0` never
     /// becomes `-0.0`, so adding a zero term leaves it unchanged on finite
-    /// data. Large products are row-partitioned across the
-    /// [`crate::parallel_config`] thread pool, and the result is
-    /// bit-identical for every `threads` setting.
+    /// data.
     ///
     /// # Errors
     ///
@@ -644,7 +625,7 @@ impl Matrix {
             k_stride: 1,
             depth: self.cols,
         };
-        product_into(lhs, self.rows, rhs, out);
+        gemm(lhs, self.rows, &rhs.data, rhs.cols, &mut out.data);
         Ok(())
     }
 
@@ -654,8 +635,7 @@ impl Matrix {
     /// so each output element accumulates its `k` terms (the rows of `self`
     /// and `rhs`) in ascending order from `+0.0`, with no fused
     /// multiply-add — the same rounding contract and the same runtime AVX
-    /// dispatch. Output rows (columns of `self`) are partitioned across
-    /// threads.
+    /// dispatch.
     ///
     /// # Errors
     ///
@@ -690,7 +670,7 @@ impl Matrix {
             k_stride: self.cols,
             depth: self.rows,
         };
-        product_into(lhs, self.cols, rhs, out);
+        gemm(lhs, self.cols, &rhs.data, rhs.cols, &mut out.data);
         Ok(())
     }
 
@@ -1060,24 +1040,59 @@ mod tests {
                         let want = textbook_bits(lhs, m, b.as_slice(), n);
                         // A NaN guard past the output catches a stray store.
                         let mut buf = vec![f32::NAN; m * n + GUARD];
-                        gemm_portable(lhs, 0..m, b.as_slice(), n, &mut buf[..m * n]);
+                        gemm_portable(lhs, m, b.as_slice(), n, &mut buf[..m * n]);
                         let label = format!("{layout} m={m} k={depth} n={n}");
                         assert_eq!(bits(&buf[..m * n]), want, "portable {label}");
                         #[cfg(target_arch = "x86_64")]
                         if std::arch::is_x86_feature_detected!("avx") {
                             buf.fill(f32::NAN);
                             let out = &mut buf[..m * n];
-                            assert_operands(lhs, &(0..m), b.as_slice(), n, out);
+                            assert_operands(lhs, m, b.as_slice(), n, out);
                             // SAFETY: AVX was detected just above, and
                             // `assert_operands` bounds every access, as in
                             // `gemm`.
-                            unsafe { gemm_avx(lhs, 0..m, b.as_slice(), n, out) };
+                            unsafe { gemm_avx(lhs, m, b.as_slice(), n, out) };
                             assert_eq!(bits(&buf[..m * n]), want, "avx {label}");
                         }
                         assert!(buf[m * n..].iter().all(|v| v.is_nan()), "guard {label}");
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_terms_round_like_a_zero_skipping_loop() {
+        // The kernel adds every term, zeros included. On finite data that gives
+        // the bits of a loop that skips zero terms: the accumulator starts at
+        // +0.0 and can never become -0.0, so adding a ±0.0 term changes nothing.
+        let mut rng = rng_from_seed(Seed(99));
+        let b = Matrix::random_normal(12, 10, 1.0, &mut rng);
+        for zero_share in [0.0f32, 0.2, 0.25, 0.3, 0.9] {
+            let mut a = Matrix::random_normal(9, 12, 1.0, &mut rng);
+            let total = a.len();
+            for idx in 0..((total as f32 * zero_share) as usize) {
+                let (r, c) = (idx / a.cols(), idx % a.cols());
+                a.set(r, c, 0.0);
+            }
+            // Reference computed by hand in ascending k, skipping zero terms.
+            let mut want = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    let a_ik = a.get(i, k);
+                    for j in 0..b.cols() {
+                        if a_ik != 0.0 {
+                            want.set(i, j, want.get(i, j) + a_ik * b.get(k, j));
+                        }
+                    }
+                }
+            }
+            let got = a.matmul(&b).unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(want.as_slice()),
+                "zero_share={zero_share}"
+            );
         }
     }
 

@@ -1,33 +1,15 @@
 //! Properties of the int8 quantization path: round-trip error bounds,
 //! closeness of the quantized product ([`QuantRows::matmul_nt_into`]) to its
-//! f32 reference, and bit-identity across every `threads` setting.
+//! f32 reference, and exact equality with an integer reference.
 //!
 //! The quantized product sums integer levels on the f32 kernel, and those
-//! sums are exact, so — unlike the f32 products, which only promise identity
-//! for a pinned addition order — its bit-identity sweep also checks exact
-//! equality against a naive `i32` reference computed here by hand. As in
-//! `prop_parallel.rs`, the sweeps live in single `#[test]`s and
-//! `serial_guard` serializes them because [`ParallelConfig`] is
-//! process-global.
+//! sums are exact, so it must equal, bit for bit, a naive `i32` reference
+//! computed here by hand.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-use anole_tensor::{
-    parallel_config, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix,
-    QuantRows, Seed,
-};
-
-fn serial_guard() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use anole_tensor::{rng_from_seed, Matrix, QuantMatrix, QuantRows, Seed};
 
 /// Shapes chosen to exercise degenerate rows/columns, odd k, ragged
-/// register blocks, sizes larger than one thread chunk, and (300×64×64)
-/// a product past the default parallel cutover.
+/// register blocks, and a 300-row product.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (3, 5, 2),
@@ -94,13 +76,6 @@ fn quantize_dequantize_round_trip_is_bounded_by_half_a_scale() {
 
 #[test]
 fn quantized_product_tracks_the_f32_product_within_quantization_error() {
-    let _guard = serial_guard();
-    let baseline = parallel_config();
-    set_parallel_config(ParallelConfig {
-        threads: 1,
-        ..ParallelConfig::default()
-    });
-
     for &(rows, inner, cols) in SHAPES {
         for (case, (a, b)) in cases(rows, inner, cols).into_iter().enumerate() {
             let aq = QuantMatrix::quantize(&a);
@@ -126,15 +101,10 @@ fn quantized_product_tracks_the_f32_product_within_quantization_error() {
             }
         }
     }
-
-    set_parallel_config(baseline);
 }
 
 #[test]
-fn quantized_product_is_bit_identical_across_threads() {
-    let _guard = serial_guard();
-    let baseline = parallel_config();
-
+fn quantized_product_equals_the_exact_i32_reference() {
     for &(rows, inner, cols) in SHAPES {
         for (case, (a, b)) in cases(rows, inner, cols).into_iter().enumerate() {
             let aq = QuantMatrix::quantize(&a);
@@ -142,8 +112,7 @@ fn quantized_product_is_bit_identical_across_threads() {
 
             // Naive scalar reference: the exact i32 dot, dequantized the
             // same way the product does. The f32 sums of integer levels are
-            // exact, so the product must match it bit for bit on every
-            // thread count.
+            // exact, so the product must match it bit for bit.
             let mut want = Matrix::zeros(rows, cols);
             for i in 0..rows {
                 for j in 0..cols {
@@ -157,18 +126,11 @@ fn quantized_product_is_bit_identical_across_threads() {
                 }
             }
             let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-
-            for threads in [1usize, 2, 8] {
-                set_parallel_config(ParallelConfig {
-                    threads,
-                    min_par_elems: 1,
-                });
-                let got = quantized_product(&a, &bq);
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{rows}x{inner}x{cols} case={case} threads={threads}");
-            }
+            let got: Vec<u32> = quantized_product(&a, &bq)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "{rows}x{inner}x{cols} case={case}");
         }
     }
-
-    set_parallel_config(baseline);
 }

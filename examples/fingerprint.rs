@@ -3,10 +3,16 @@
 //! not move serving behaviour prints the same output before and after.
 //!
 //! ```text
-//! cargo run --release --offline --example fingerprint > off.txt
-//! cargo run --release --offline --example fingerprint --features obs > on.txt
-//! ANOLE_THREADS=2 cargo run --release --offline --example fingerprint > off2.txt
-//! diff off.txt off2.txt && grep -v '^obs ' on.txt | diff off.txt -
+//! cargo build --release --offline --example fingerprint
+//! ANOLE_THREADS=1 ./target/release/examples/fingerprint --paper > t1.txt
+//! ANOLE_THREADS=2 ./target/release/examples/fingerprint --paper > t2.txt
+//! cargo build --release --offline --features obs --example fingerprint
+//! ANOLE_THREADS=1 ./target/release/examples/fingerprint --paper > obs_t1.txt
+//! ANOLE_THREADS=2 ./target/release/examples/fingerprint --paper > obs_t2.txt
+//! diff t1.txt t2.txt
+//! grep -v '^obs ' obs_t1.txt | diff t1.txt -
+//! diff <(grep -v '^obs counter nn.workspace.created ' obs_t1.txt) \
+//!      <(grep -v '^obs counter nn.workspace.created ' obs_t2.txt)
 //! ```
 //!
 //! Hashes cover `Debug` text and the `to_bits()` of every float, never a
@@ -28,7 +34,9 @@
 //!
 //! With `--features obs` the metric dump follows on lines prefixed `obs`
 //! (wall-clock gauges left out). Every other line must equal the obs-off
-//! output, at any `ANOLE_THREADS`.
+//! output, at any `ANOLE_THREADS`. The `obs` lines are the same at every
+//! thread count except `nn.workspace.created`, which counts one workspace
+//! per repository worker.
 
 use std::fmt::Debug;
 

@@ -150,7 +150,7 @@ fn resume_with_different_thread_count_is_bit_identical() {
     // by contract, so neither this override nor concurrent tests can move
     // the weights.
     let prior = parallel_config();
-    set_parallel_config(ParallelConfig { threads: 3, ..prior });
+    set_parallel_config(ParallelConfig { threads: 3 });
     let mut resumed = TrainRecovery::new(open_store(&dir));
     let result = AnoleSystem::train_resumable(dataset, config, TRAIN_SEED, &mut resumed);
     set_parallel_config(prior);
