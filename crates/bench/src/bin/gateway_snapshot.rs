@@ -3,9 +3,11 @@
 //!
 //! Trains a fast Anole system, then drives the serving gateway at each
 //! requested fleet scale (default 1k and 10k sessions), once clean and once
-//! under the full four-kind gateway chaos plan. Reports wall-clock
-//! sessions/sec and frames/sec alongside the gateway's own virtual-time
-//! step-latency quantiles (p50/p95/p99) and its shedding/batching counters.
+//! under the full four-kind gateway chaos plan. Each tier runs five times,
+//! each on a fresh gateway; it reports the median, minimum and maximum wall
+//! time, sessions/sec and frames/sec at the median, and the gateway's own
+//! virtual-time step-latency quantiles (p50/p95/p99) and shedding/batching
+//! counters. A repetition whose report differs from the first fails the run.
 //!
 //! Usage:
 //!
@@ -27,6 +29,9 @@ use anole_core::{AnoleConfig, AnoleSystem};
 use anole_data::{DrivingDataset, Frame};
 use anole_json::{ToJson, Value};
 use anole_tensor::{split_seed, Seed};
+
+/// Timed repetitions of each tier.
+const REPS: usize = 5;
 
 fn session_frames(dataset: &DrivingDataset, session: usize, n: usize) -> Vec<Frame> {
     let split = dataset.split();
@@ -72,18 +77,22 @@ fn run_tier(
     (report, start.elapsed().as_secs_f64())
 }
 
+/// One tier's row; `walls` holds the repetitions' wall times, sorted.
 fn tier_row(
     report: &GatewayReport,
     sessions: usize,
     frames_each: usize,
     chaos: bool,
-    wall_s: f64,
+    walls: &[f64],
 ) -> Value {
+    let wall_s = walls[walls.len() / 2];
     Value::object(vec![
         ("sessions", sessions.to_json()),
         ("frames_per_session", frames_each.to_json()),
         ("chaos", chaos.to_json()),
         ("wall_seconds", wall_s.to_json()),
+        ("wall_seconds_min", walls[0].to_json()),
+        ("wall_seconds_max", walls[walls.len() - 1].to_json()),
         ("sessions_per_sec", (sessions as f64 / wall_s.max(1e-9)).to_json()),
         ("frames_per_sec", (report.frames_processed as f64 / wall_s.max(1e-9)).to_json()),
         ("step_latency_p50_ms", report.step_latency_p50_ms.to_json()),
@@ -174,10 +183,21 @@ fn main() -> ExitCode {
         for chaos in [false, true] {
             let (report, wall_s) =
                 run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
+            let mut walls = vec![wall_s];
+            for _ in 1..REPS {
+                let (again, wall_s) =
+                    run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
+                if again != report {
+                    eprintln!("error: a repetition at scale {sessions} (chaos={chaos}) differs");
+                    return ExitCode::FAILURE;
+                }
+                walls.push(wall_s);
+            }
+            walls.sort_by(f64::total_cmp);
             eprintln!(
-                "[gateway_snapshot] {sessions} sessions (chaos={chaos}): {:.2} sessions/sec, \
-                 p99 step {:.1} ms, {} shed, {} lost",
-                sessions as f64 / wall_s.max(1e-9),
+                "[gateway_snapshot] {sessions} sessions (chaos={chaos}): {:.2} sessions/sec \
+                 (median of {REPS}), p99 step {:.1} ms, {} shed, {} lost",
+                sessions as f64 / walls[REPS / 2].max(1e-9),
                 report.step_latency_p99_ms,
                 report.frames_shed,
                 report.lost_sessions(),
@@ -186,12 +206,12 @@ fn main() -> ExitCode {
                 eprintln!("error: gateway lost sessions at scale {sessions}");
                 return ExitCode::FAILURE;
             }
-            tiers.push(tier_row(&report, sessions, frames_each, chaos, wall_s));
+            tiers.push(tier_row(&report, sessions, frames_each, chaos, &walls));
         }
     }
 
     let out = Value::object(vec![
-        ("schema", Value::String("anole-gateway-bench/4".into())),
+        ("schema", Value::String("anole-gateway-bench/5".into())),
         ("host", host_json()),
         ("device", Value::String("JetsonTx2Nx".into())),
         ("seed", seed.to_json()),

@@ -289,7 +289,7 @@ fn main() -> ExitCode {
                 "osp_repository_train_small",
                 variant,
                 cfg.effective_threads(),
-                time_ms(1, || {
+                time_ms(reps, || {
                     black_box(
                         ModelRepository::train(
                             &dataset,

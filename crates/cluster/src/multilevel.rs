@@ -43,7 +43,6 @@ pub struct MultiLevelClustering<'a> {
     embeddings: &'a Matrix,
     seed: Seed,
     next_k: usize,
-    max_k: usize,
 }
 
 impl<'a> MultiLevelClustering<'a> {
@@ -55,7 +54,6 @@ impl<'a> MultiLevelClustering<'a> {
             embeddings,
             seed,
             next_k: 2,
-            max_k: embeddings.rows(),
         }
     }
 
@@ -70,12 +68,6 @@ impl<'a> MultiLevelClustering<'a> {
         self
     }
 
-    /// Caps the sweep at `k <= max_k`.
-    pub fn with_max_k(mut self, max_k: usize) -> Self {
-        self.max_k = max_k.min(self.embeddings.rows());
-        self
-    }
-
     /// The k the next call to `next` will use.
     pub fn next_k(&self) -> usize {
         self.next_k
@@ -86,7 +78,7 @@ impl Iterator for MultiLevelClustering<'_> {
     type Item = Result<ClusterLevel, ClusterError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_k > self.max_k {
+        if self.next_k > self.embeddings.rows() {
             return None;
         }
         let k = self.next_k;
@@ -120,16 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_respects_max_k() {
-        let emb = line_points(10);
-        let ks: Vec<usize> = MultiLevelClustering::new(&emb, Seed(1))
-            .with_max_k(4)
-            .map(|l| l.unwrap().k)
-            .collect();
-        assert_eq!(ks, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn sweep_can_start_later() {
         let emb = line_points(8);
         let mut sweep = MultiLevelClustering::new(&emb, Seed(1)).starting_at(5);
@@ -140,7 +122,7 @@ mod tests {
     #[test]
     fn each_level_is_a_valid_partition() {
         let emb = line_points(9);
-        for level in MultiLevelClustering::new(&emb, Seed(2)).with_max_k(5) {
+        for level in MultiLevelClustering::new(&emb, Seed(2)).take(4) {
             let level = level.unwrap();
             assert_eq!(level.fit.assignments.len(), 9);
             assert!(level.fit.assignments.iter().all(|&a| a < level.k));

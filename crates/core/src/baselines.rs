@@ -3,10 +3,11 @@
 
 use anole_cluster::{KMeans, KMeansFit};
 use anole_data::{DatasetSource, DrivingDataset, Frame, FrameRef};
-use anole_nn::{sigmoid, Activation, Mlp, ReferenceModel, Trainer, Workspace};
+use anole_nn::{sigmoid, Mlp, ReferenceModel, Workspace};
 use anole_tensor::{split_seed, Matrix, Seed};
 
 use crate::omi::OnlineEngine;
+use crate::osp::fit_detector;
 use crate::{AnoleConfig, AnoleError};
 
 /// Identifies a candidate method in reports.
@@ -91,6 +92,7 @@ pub trait InferenceMethod {
     }
 }
 
+/// `fit_detector` on the referenced frames.
 fn train_detector(
     dataset: &DrivingDataset,
     refs: &[FrameRef],
@@ -99,19 +101,8 @@ fn train_detector(
     seed: Seed,
     ws: &mut Workspace,
 ) -> Result<Mlp, AnoleError> {
-    let x = dataset.features_matrix(refs);
-    let y = dataset.truth_matrix(refs);
-    let mut builder = Mlp::builder(dataset.config().world.feature_dim);
-    for &h in hidden {
-        builder = builder.hidden(h, Activation::Relu);
-    }
-    let mut net = builder
-        .output(dataset.config().world.grid.cells())
-        .build(split_seed(seed, 0));
-    let mut train_cfg = config.detector.train;
-    train_cfg.pos_weight = config.detector.pos_weight;
-    Trainer::new(train_cfg).fit_multilabel_ws(&mut net, &x, &y, split_seed(seed, 1), ws)?;
-    Ok(net)
+    let (x, y) = (dataset.features_matrix(refs), dataset.truth_matrix(refs));
+    fit_detector(&x, &y, hidden, &config.detector, seed, ws)
 }
 
 fn detect(net: &Mlp, frame: &Frame, threshold: f32) -> Result<Vec<bool>, AnoleError> {
@@ -247,14 +238,8 @@ impl Ssm {
         config: &AnoleConfig,
         seed: Seed,
     ) -> Result<Self, AnoleError> {
-        let net = train_detector(
-            dataset,
-            refs,
-            &[config.detector.compressed_hidden],
-            config,
-            seed,
-            &mut Workspace::new(),
-        )?;
+        let hidden = [config.detector.compressed_hidden];
+        let net = train_detector(dataset, refs, &hidden, config, seed, &mut Workspace::new())?;
         Ok(Self {
             net,
             threshold: config.detector.threshold,

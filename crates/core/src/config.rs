@@ -26,7 +26,6 @@ impl Default for SceneModelConfig {
                 epochs: 40,
                 batch_size: 64,
                 optimizer: OptimizerKind::Adam { lr: 5e-3 },
-                ..TrainConfig::default()
             },
         }
     }
@@ -41,7 +40,7 @@ pub struct DetectorConfig {
     pub deep_hidden: usize,
     /// Number of hidden layers of the deep detector.
     pub deep_layers: usize,
-    /// Positive-cell weight in the BCE loss.
+    /// Positive-cell weight in every detector's BCE loss.
     pub pos_weight: f32,
     /// Detection probability threshold.
     pub threshold: f32,
@@ -70,8 +69,6 @@ impl Default for DetectorConfig {
                 epochs: 30,
                 batch_size: 64,
                 optimizer: OptimizerKind::Adam { lr: 5e-3 },
-                pos_weight: 2.0,
-                ..TrainConfig::default()
             },
         }
     }
@@ -84,18 +81,15 @@ pub struct RepositoryConfig {
     pub target_models: usize,
     /// Validation-F1 acceptance threshold δ.
     pub delta: f32,
-    /// Cap on the clustering sweep's k (0 = number of scenes).
-    pub max_k: usize,
 }
 
-anole_json::json_struct!(RepositoryConfig { target_models, delta, max_k });
+anole_json::json_struct!(RepositoryConfig { target_models, delta });
 
 impl Default for RepositoryConfig {
     fn default() -> Self {
         Self {
             target_models: 19,
             delta: 0.30,
-            max_k: 0,
         }
     }
 }
@@ -133,9 +127,6 @@ impl Default for SamplingConfig {
 pub struct DecisionConfig {
     /// Hidden width of the decision head (paper: a 2-layer MLP).
     pub head_hidden: usize,
-    /// Standard deviation of Gaussian feature jitter used to augment the
-    /// decision training set (doubles it); `0.0` disables augmentation.
-    pub augment_noise_std: f32,
     /// When the top-1 suitability probability falls below this confidence,
     /// the engine hedges by fusing the detection maps of the top
     /// [`DecisionConfig::hedge_top_k`] cached models (§II case 3: low
@@ -144,37 +135,22 @@ pub struct DecisionConfig {
     pub confidence_threshold: f32,
     /// Number of cached models fused on low-confidence frames.
     pub hedge_top_k: usize,
-    /// Exponential smoothing of the online suitability vector across
-    /// frames, in `[0, 1)`: `v ← α·v_prev + (1−α)·v_frame`. Scenes persist
-    /// across consecutive frames, so smoothing suppresses per-frame routing
-    /// noise; `0.0` recovers the paper's literal per-sample selection.
-    pub suitability_smoothing: f32,
     /// Training schedule.
     pub train: TrainConfig,
 }
 
-anole_json::json_struct!(DecisionConfig {
-    head_hidden,
-    augment_noise_std,
-    confidence_threshold,
-    hedge_top_k,
-    suitability_smoothing,
-    train,
-});
+anole_json::json_struct!(DecisionConfig { head_hidden, confidence_threshold, hedge_top_k, train });
 
 impl Default for DecisionConfig {
     fn default() -> Self {
         Self {
             head_hidden: 64,
-            augment_noise_std: 0.0,
             confidence_threshold: 0.45,
             hedge_top_k: 2,
-            suitability_smoothing: 0.0,
             train: TrainConfig {
                 epochs: 40,
                 batch_size: 64,
                 optimizer: OptimizerKind::Adam { lr: 5e-3 },
-                ..TrainConfig::default()
             },
         }
     }
@@ -208,15 +184,10 @@ impl Default for CacheConfig {
     }
 }
 
-/// Int8 serving (quantization) parameters.
+/// Int8 serving (quantization) parameters, read by
+/// [`AnoleSystem::quantize_models`](crate::AnoleSystem::quantize_models).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantConfig {
-    /// Whether [`AnoleSystem::train`](crate::AnoleSystem::train) runs the
-    /// quantization sweep after the offline pipeline. Off by default: the
-    /// fp32 pipeline stays bit-identical to earlier releases, and
-    /// [`AnoleSystem::quantize_models`](crate::AnoleSystem::quantize_models)
-    /// can always be invoked explicitly.
-    pub enabled: bool,
     /// Acceptance gate ε: a specialist whose validation F1 drops by more
     /// than this when served at int8 keeps serving at fp32. The decision
     /// model uses the same ε as a top-1 agreement bound (quantized routing
@@ -224,16 +195,20 @@ pub struct QuantConfig {
     pub epsilon_f1: f32,
 }
 
-anole_json::json_struct!(QuantConfig { enabled, epsilon_f1 });
+anole_json::json_struct!(QuantConfig { epsilon_f1 });
 
 impl Default for QuantConfig {
     fn default() -> Self {
-        Self {
-            enabled: false,
-            epsilon_f1: 0.02,
-        }
+        Self { epsilon_f1: 0.02 }
     }
 }
+
+/// Error budget of the shed-ratio objective
+/// (`gateway.frames.shed / gateway.frames.total`).
+const SHED_BUDGET: f64 = 0.05;
+
+/// Quantile of the step-latency objective.
+const LATENCY_QUANTILE: f64 = 0.99;
 
 /// Serving SLO parameters: the declarative objectives the fleet gateway
 /// and the continual-learning canary gate evaluate with multi-window
@@ -243,46 +218,21 @@ pub struct SloConfig {
     /// Whether SLO evaluation is armed: the lifecycle builds specs from
     /// this section for canary gating and fleet serving. Off by default.
     pub enabled: bool,
-    /// Error budget for the shed-ratio objective
-    /// (`gateway.frames.shed / gateway.frames.total`).
-    pub shed_budget: f64,
-    /// Quantile of the latency objective (e.g. `0.99` for p99).
-    pub latency_q: f64,
-    /// Latency limit (virtual ms) the quantile must stay under.
+    /// Latency limit (virtual ms) the p99 step latency must stay under.
     pub latency_limit_ms: f64,
-    /// Single-window burn multiple that fires a page.
-    pub fast_burn: f64,
-    /// Long-window burn multiple that fires a warn.
-    pub slow_burn: f64,
-    /// Long-window span in scheduling windows.
-    pub slow_windows: usize,
     /// Frames per canary device the re-profiling rollout serves through an
     /// SLO-armed gateway before promotion; a page during that run rolls the
     /// candidate back.
     pub canary_frames: usize,
 }
 
-anole_json::json_struct!(SloConfig {
-    enabled,
-    shed_budget,
-    latency_q,
-    latency_limit_ms,
-    fast_burn,
-    slow_burn,
-    slow_windows,
-    canary_frames,
-});
+anole_json::json_struct!(SloConfig { enabled, latency_limit_ms, canary_frames });
 
 impl Default for SloConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            shed_budget: 0.05,
-            latency_q: 0.99,
             latency_limit_ms: 150.0,
-            fast_burn: anole_obs::DEFAULT_FAST_BURN,
-            slow_burn: anole_obs::DEFAULT_SLOW_BURN,
-            slow_windows: anole_obs::DEFAULT_SLOW_WINDOWS,
             canary_frames: 32,
         }
     }
@@ -291,85 +241,23 @@ impl Default for SloConfig {
 impl SloConfig {
     /// The standard spec pair every SLO-armed gateway evaluates: the
     /// shed-ratio objective and the step-latency quantile objective, both
-    /// resolved against the gateway's synthetic per-run series.
+    /// resolved against the gateway's synthetic per-run series, with
+    /// [`SloSpec`](anole_obs::SloSpec)'s default burn rates and long window.
     pub fn specs(&self) -> Vec<anole_obs::SloSpec> {
         vec![
             anole_obs::SloSpec::error_ratio(
                 "gateway-shed-ratio",
                 "gateway.frames.shed",
                 "gateway.frames.total",
-                self.shed_budget,
-            )
-            .with_burn_rates(self.fast_burn, self.slow_burn)
-            .with_slow_windows(self.slow_windows),
+                SHED_BUDGET,
+            ),
             anole_obs::SloSpec::quantile(
                 "gateway-step-latency",
                 "gateway.step.latency_ms",
-                self.latency_q,
+                LATENCY_QUANTILE,
                 self.latency_limit_ms,
-            )
-            .with_burn_rates(self.fast_burn, self.slow_burn)
-            .with_slow_windows(self.slow_windows),
+            ),
         ]
-    }
-}
-
-/// On-device drift-detection parameters (the calibrated
-/// [`DriftDetector`](crate::omi::DriftDetector)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Rolling-window length of the detector.
-    pub window: usize,
-    /// Calibration quantile for the confidence floor (the floor is the
-    /// `quantile` of top-1 suitability over validation frames).
-    pub quantile: f32,
-    /// Consecutive below-floor windows required to latch `Drifting`.
-    pub enter_windows: usize,
-    /// Consecutive in-distribution observations required to release.
-    pub exit_windows: usize,
-    /// Minimum observations between emitted
-    /// [`DriftEvent`](crate::omi::DriftEvent)s.
-    pub cooldown: usize,
-}
-
-anole_json::json_struct!(DriftConfig { window, quantile, enter_windows, exit_windows, cooldown });
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            quantile: 0.1,
-            enter_windows: 3,
-            exit_windows: 8,
-            cooldown: 64,
-        }
-    }
-}
-
-/// Staged rollout + rollback parameters for continual re-profiling
-/// ([`deploy::staged_rollout`](crate::deploy::staged_rollout)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RolloutConfig {
-    /// Fraction of the fleet serving as the canary cohort (at least one
-    /// device).
-    pub canary_fraction: f32,
-    /// Promotion gate ε: the candidate's validation F1 must not fall more
-    /// than this below the last-good bundle's (same shape as the
-    /// quantization acceptance sweep).
-    pub epsilon_f1: f32,
-    /// Retry budget per canary bundle download before the rollout aborts.
-    pub max_download_sessions: usize,
-}
-
-anole_json::json_struct!(RolloutConfig { canary_fraction, epsilon_f1, max_download_sessions });
-
-impl Default for RolloutConfig {
-    fn default() -> Self {
-        Self {
-            canary_fraction: 0.25,
-            epsilon_f1: 0.02,
-            max_download_sessions: 8,
-        }
     }
 }
 
@@ -389,22 +277,17 @@ pub struct AnoleConfig {
     pub decision: DecisionConfig,
     /// Model-cache parameters.
     pub cache: CacheConfig,
-    /// Int8 serving parameters. Deserializes to the disabled default from
-    /// configs saved before quantization existed.
+    /// Int8 serving parameters. Deserializes to the default from configs
+    /// saved before quantization existed.
     pub quant: QuantConfig,
-    /// Drift-detection parameters. Deserializes to the default from configs
-    /// saved before the drift subsystem existed.
-    pub drift: DriftConfig,
-    /// Staged-rollout parameters. Deserializes to the default from configs
-    /// saved before continual re-profiling existed.
-    pub rollout: RolloutConfig,
     /// Serving-SLO parameters. Deserializes to the disabled default from
     /// configs saved before SLOs existed, or saved while at the default.
     pub slo: SloConfig,
 }
 
-// A config saved before a section existed lacks it; an unknown section (the
-// retired `prefetch` block) is ignored.
+// A config saved before a section existed lacks it; an unknown section or
+// member (the retired `prefetch`, `drift` and `rollout` blocks, say) is
+// ignored.
 anole_json::json_struct!(AnoleConfig {
     scene,
     detector,
@@ -413,8 +296,6 @@ anole_json::json_struct!(AnoleConfig {
     decision,
     cache,
     quant = QuantConfig::default(),
-    drift = DriftConfig::default(),
-    rollout = RolloutConfig::default(),
     slo = SloConfig::default(),
 });
 
@@ -440,6 +321,24 @@ mod tests {
 
     /// The bytes written for the default config.
     const DEFAULT_CONFIG_JSON: &str = concat!(
+        r#"{"scene":{"hidden":64,"embedding":32,"train":{"epochs":40,"batch_size":64,"#,
+        r#""optimizer":{"Adam":{"lr":0.005}}}},"detector":{"compressed_hidden":48,"#,
+        r#""deep_hidden":96,"deep_layers":2,"pos_weight":2.0,"threshold":0.5,"#,
+        r#""train":{"epochs":30,"batch_size":64,"optimizer":{"Adam":{"lr":0.005}}}},"#,
+        r#""repository":{"target_models":19,"delta":0.3},"sampling":{"theta":0.9,"#,
+        r#""kappa":12000,"accept_f1":0.5,"max_draws_per_arm":600},"decision":{"#,
+        r#""head_hidden":64,"confidence_threshold":0.45,"hedge_top_k":2,"train":{"#,
+        r#""epochs":40,"batch_size":64,"optimizer":{"Adam":{"lr":0.005}}}},"cache":{"#,
+        r#""capacity":5,"policy":"Lfu","byte_budget":null},"quant":{"epsilon_f1":0.02},"#,
+        r#""slo":{"enabled":false,"latency_limit_ms":150.0,"canary_frames":32}}"#,
+    );
+
+    /// The bytes written for the default config while it still carried the
+    /// retired values: the `drift` and `rollout` sections, the trainers'
+    /// `pos_weight`, `weight_decay` and `target_loss`, `max_k`,
+    /// `augment_noise_std`, `suitability_smoothing`, `quant.enabled` and
+    /// five SLO thresholds.
+    const RETIRED_DEFAULT_CONFIG_JSON: &str = concat!(
         r#"{"scene":{"hidden":64,"embedding":32,"train":{"epochs":40,"batch_size":64,"#,
         r#""optimizer":{"Adam":{"lr":0.005}},"pos_weight":1.0,"weight_decay":0.0,"#,
         r#""target_loss":0.0}},"detector":{"compressed_hidden":48,"deep_hidden":96,"#,
@@ -467,8 +366,6 @@ mod tests {
         assert_eq!(cfg.cache.policy, EvictionPolicy::Lfu);
         assert_eq!(cfg.cache.byte_budget, None);
         assert!((cfg.sampling.theta - 0.9).abs() < 1e-12);
-        // Quantization is opt-in: the default pipeline stays pure fp32.
-        assert!(!cfg.quant.enabled);
         assert!(cfg.quant.epsilon_f1 > 0.0);
     }
 
@@ -497,16 +394,18 @@ mod tests {
     #[test]
     fn default_config_json_is_pinned() {
         assert_eq!(anole_json::to_string(&AnoleConfig::default()), DEFAULT_CONFIG_JSON);
-        let back: AnoleConfig = anole_json::from_str(DEFAULT_CONFIG_JSON).unwrap();
-        assert_eq!(back, AnoleConfig::default());
+        for json in [DEFAULT_CONFIG_JSON, RETIRED_DEFAULT_CONFIG_JSON] {
+            let back: AnoleConfig = anole_json::from_str(json).unwrap();
+            assert_eq!(back, AnoleConfig::default());
+        }
     }
 
     #[test]
     fn configs_without_later_sections_still_deserialize() {
-        // A config saved before the quantization, drift, rollout and SLO
-        // sections and cache byte accounting existed lacks all five; each
-        // must default, not error.
-        let value = default_config_without(&["quant", "cache.byte_budget", "drift", "rollout", "slo"]);
+        // A config saved before the quantization and SLO sections and cache
+        // byte accounting existed lacks all three; each must default, not
+        // error.
+        let value = default_config_without(&["quant", "cache.byte_budget", "slo"]);
         assert!(value.get("quant").is_none());
         let cfg = AnoleConfig::from_json(&value).unwrap();
         assert_eq!(cfg, AnoleConfig::default());
@@ -519,14 +418,14 @@ mod tests {
     fn non_default_slo_round_trips_and_sets_spec_budgets() {
         let mut cfg = AnoleConfig::default();
         cfg.slo.enabled = true;
-        cfg.slo.shed_budget = 0.01;
+        cfg.slo.latency_limit_ms = 90.0;
         let json = anole_json::to_string(&cfg);
         let back: AnoleConfig = anole_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
         let specs = cfg.slo.specs();
         assert_eq!(specs.len(), 2);
-        assert!((specs[0].budget() - 0.01).abs() < 1e-12);
-        assert!((specs[1].budget() - (1.0 - cfg.slo.latency_q)).abs() < 1e-12);
+        assert!((specs[0].budget() - SHED_BUDGET).abs() < 1e-12);
+        assert!((specs[1].budget() - (1.0 - LATENCY_QUANTILE)).abs() < 1e-12);
     }
 
     #[test]
@@ -545,17 +444,6 @@ mod tests {
         members.push(("prefetch".to_string(), prefetch));
         let cfg = AnoleConfig::from_json(&value).unwrap();
         assert_eq!(cfg, AnoleConfig::default());
-    }
-
-    #[test]
-    fn drift_and_rollout_defaults_are_sane() {
-        let cfg = AnoleConfig::default();
-        assert!(cfg.drift.window > 0);
-        assert!(cfg.drift.quantile > 0.0 && cfg.drift.quantile < 1.0);
-        assert!(cfg.drift.enter_windows >= 1 && cfg.drift.exit_windows >= 1);
-        assert!(cfg.rollout.canary_fraction > 0.0 && cfg.rollout.canary_fraction <= 1.0);
-        assert!(cfg.rollout.epsilon_f1 > 0.0);
-        assert!(cfg.rollout.max_download_sessions >= 1);
     }
 
     #[test]

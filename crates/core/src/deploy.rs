@@ -16,7 +16,7 @@ use anole_json::json_struct;
 use anole_tensor::{rng_from_seed, split_seed, Seed, StdRng};
 
 use crate::omi::FaultInjector;
-use crate::{AnoleError, AnoleSystem, RolloutConfig};
+use crate::{AnoleError, AnoleSystem};
 
 /// One artifact in a deployment bundle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -437,6 +437,19 @@ pub struct RolloutReport {
     pub slo_canary_pages: usize,
 }
 
+/// Fraction of the fleet serving as the canary cohort of a staged rollout
+/// (at least one device).
+const CANARY_FRACTION: f32 = 0.25;
+
+/// Promotion gate ε: a candidate's routed validation F1 must not fall more
+/// than this below the last-good bundle's (the shape of the quantization
+/// acceptance gate).
+const EPSILON_F1: f32 = 0.02;
+
+/// Download sessions per bundle delivery before a rollout gives up: the
+/// budget of stale-delivery retries and of each resumable download.
+const MAX_DOWNLOAD_SESSIONS: usize = 8;
+
 /// Delivers `manifest` to one device, retrying stale arrivals. Each attempt
 /// that draws [`FaultKind::StaleBundle`](crate::omi::FaultKind) is discarded
 /// before any bytes move (the device rejects the outdated manifest version);
@@ -446,12 +459,10 @@ fn deliver(
     seed: Seed,
     device: u64,
     injector: &mut Option<&mut FaultInjector>,
-    max_sessions: usize,
     draw_stale: bool,
     report: &mut RolloutReport,
 ) -> Result<(), AnoleError> {
-    let attempts = max_sessions.max(1);
-    for _ in 0..attempts {
+    for _ in 0..MAX_DOWNLOAD_SESSIONS {
         if draw_stale && injector.as_deref_mut().is_some_and(FaultInjector::bundle_is_stale) {
             report.stale_deliveries += 1;
             anole_obs::counter_add!("omi.engine.drift.stale_bundles", 1);
@@ -464,14 +475,14 @@ fn deliver(
             &mut link,
             &mut rng,
             injector.as_deref_mut(),
-            max_sessions,
+            MAX_DOWNLOAD_SESSIONS,
         )?;
         report.downloads += 1;
         report.download_ms += dl.total_ms;
         return Ok(());
     }
     Err(deploy_err(format!(
-        "device {device} still served a stale bundle after {attempts} delivery attempts"
+        "device {device} still served a stale bundle after {MAX_DOWNLOAD_SESSIONS} delivery attempts"
     )))
 }
 
@@ -480,11 +491,11 @@ fn deliver(
 ///
 /// The candidate is bundled to `candidate_dir` and delivered (over the
 /// unstable uplink, with stale-bundle retries) to a canary cohort of
-/// `⌈fleet · canary_fraction⌉` devices, which *shadow-evaluate* it: routed
+/// `⌈fleet · 0.25⌉` devices, which *shadow-evaluate* it: routed
 /// validation F1 is measured on `dataset`'s validation split while every
 /// live session keeps serving the last-good bundle from `last_good_dir`.
 /// Promotion mirrors the quantization acceptance gate: the candidate is
-/// promoted only when `candidate_f1 + epsilon_f1 ≥ last_good_f1` and no
+/// promoted only when `candidate_f1 + 0.02 ≥ last_good_f1` and no
 /// [`FaultKind::RegressedUpdate`](crate::omi::FaultKind) fired. On
 /// promotion the rest of the fleet downloads the candidate; on rollback the
 /// canary cohort is re-served the last-good bundle and
@@ -500,14 +511,12 @@ fn deliver(
 ///   device exhausting its stale-delivery retries.
 /// * [`AnoleError::DownloadIncomplete`] when a download exhausts its
 ///   sessions.
-#[allow(clippy::too_many_arguments)]
 pub fn staged_rollout(
     candidate: &AnoleSystem,
     last_good_dir: &Path,
     candidate_dir: &Path,
     dataset: &DrivingDataset,
     fleet_devices: usize,
-    rollout: &RolloutConfig,
     seed: Seed,
     mut injector: Option<&mut FaultInjector>,
 ) -> Result<RolloutReport, AnoleError> {
@@ -522,8 +531,7 @@ pub fn staged_rollout(
     let candidate_f1 = routed_validation_f1(candidate, dataset, val)?;
     let last_good_f1 = routed_validation_f1(&last_good, dataset, val)?;
 
-    let canary = ((fleet_devices as f32 * rollout.canary_fraction).ceil() as usize)
-        .clamp(1, fleet_devices);
+    let canary = ((fleet_devices as f32 * CANARY_FRACTION).ceil() as usize).clamp(1, fleet_devices);
     let mut report = RolloutReport {
         outcome: RolloutOutcome::RolledBack,
         candidate_f1,
@@ -546,7 +554,6 @@ pub fn staged_rollout(
             seed,
             1000 + d as u64,
             &mut injector,
-            rollout.max_download_sessions,
             true,
             &mut report,
         )?;
@@ -554,8 +561,7 @@ pub fn staged_rollout(
     report.regression_injected =
         injector.as_deref_mut().is_some_and(FaultInjector::update_regresses);
 
-    let promote =
-        !report.regression_injected && candidate_f1 + rollout.epsilon_f1 >= last_good_f1;
+    let promote = !report.regression_injected && candidate_f1 + EPSILON_F1 >= last_good_f1;
     if promote {
         // Fan out to the rest of the fleet; canary devices already hold the
         // bundle and just switch their sessions over.
@@ -565,7 +571,6 @@ pub fn staged_rollout(
                 seed,
                 1000 + d as u64,
                 &mut injector,
-                rollout.max_download_sessions,
                 true,
                 &mut report,
             )?;
@@ -582,7 +587,6 @@ pub fn staged_rollout(
                 seed,
                 2000 + d as u64,
                 &mut injector,
-                rollout.max_download_sessions,
                 false,
                 &mut report,
             )?;
@@ -950,7 +954,6 @@ mod tests {
     #[test]
     fn rollout_promotes_a_healthy_candidate_deterministically() {
         let (dataset, system, last_good, candidate_dir) = rollout_fixture("promote");
-        let rollout = crate::RolloutConfig::default();
         let run = || {
             staged_rollout(
                 &system,
@@ -958,7 +961,6 @@ mod tests {
                 &candidate_dir,
                 &dataset,
                 8,
-                &rollout,
                 Seed(143),
                 None,
             )
@@ -985,7 +987,6 @@ mod tests {
         use crate::omi::{FaultKind, FaultPlan};
 
         let (dataset, system, last_good, candidate_dir) = rollout_fixture("regress");
-        let rollout = crate::RolloutConfig::default();
         let mut injector =
             FaultPlan::new(Seed(144)).at(0, FaultKind::RegressedUpdate).injector();
         let report = staged_rollout(
@@ -994,7 +995,6 @@ mod tests {
             &candidate_dir,
             &dataset,
             8,
-            &rollout,
             Seed(145),
             Some(&mut injector),
         )
@@ -1020,14 +1020,12 @@ mod tests {
         // must refuse it on measurement alone.
         let foreign = DrivingDataset::generate(&DatasetConfig::small(), Seed(146));
         let broken = AnoleSystem::train(&foreign, &AnoleConfig::fast(), Seed(142)).unwrap();
-        let rollout = crate::RolloutConfig::default();
         let report = staged_rollout(
             &broken,
             &last_good,
             &candidate_dir,
             &dataset,
             4,
-            &rollout,
             Seed(147),
             None,
         )
@@ -1035,7 +1033,7 @@ mod tests {
         assert_eq!(report.outcome, RolloutOutcome::RolledBack);
         assert!(!report.regression_injected);
         assert!(
-            report.candidate_f1 + rollout.epsilon_f1 < report.last_good_f1,
+            report.candidate_f1 + EPSILON_F1 < report.last_good_f1,
             "candidate {:.3} vs last-good {:.3}",
             report.candidate_f1,
             report.last_good_f1
@@ -1050,7 +1048,6 @@ mod tests {
         use crate::omi::{FaultKind, FaultPlan};
 
         let (dataset, system, last_good, candidate_dir) = rollout_fixture("stale");
-        let rollout = crate::RolloutConfig::default();
         // The first two delivery draws arrive stale; retries then succeed.
         let mut injector = FaultPlan::new(Seed(148))
             .at(0, FaultKind::StaleBundle)
@@ -1062,7 +1059,6 @@ mod tests {
             &candidate_dir,
             &dataset,
             4,
-            &rollout,
             Seed(149),
             Some(&mut injector),
         )

@@ -57,6 +57,21 @@ use crate::omi::{
 };
 use crate::{AnoleError, AnoleSystem};
 
+/// Virtual milliseconds between consecutive frames of one session's
+/// producer (its camera cadence).
+const FRAME_INTERVAL_MS: f64 = 33.0;
+
+/// Scheduling-window length in virtual milliseconds: frames ready within one
+/// window are stacked into one batched decision forward.
+const WINDOW_MS: f64 = 33.0;
+
+/// How long an injected [`FaultKind::SessionStall`] parks the session: three
+/// scheduling windows.
+const STALL_MS: f64 = 3.0 * WINDOW_MS;
+
+/// Device model every session's engine simulates.
+const DEVICE: DeviceKind = DeviceKind::JetsonTx2Nx;
+
 /// Queue-depth histogram buckets (frames waiting per session).
 const QUEUE_DEPTH_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
@@ -75,12 +90,6 @@ pub struct GatewayConfig {
     /// backpressure to the producer (or drops the oldest frame under an
     /// injected [`FaultKind::QueueOverflow`]).
     pub queue_capacity: usize,
-    /// Virtual milliseconds between consecutive frames of one session's
-    /// producer (its camera cadence).
-    pub frame_interval_ms: f64,
-    /// Scheduling-window length in virtual milliseconds: frames ready
-    /// within one window are stacked into one batched decision forward.
-    pub window_ms: f64,
     /// Per-frame deadline budget in virtual milliseconds, measured from the
     /// frame's nominal arrival. Queued frames past it are shed.
     /// `f64::INFINITY` disables shedding.
@@ -101,9 +110,6 @@ pub struct GatewayConfig {
     /// Latency multiplier applied to a frame hit by an injected
     /// [`FaultKind::SlowConsumer`].
     pub slow_factor: f64,
-    /// Scheduling windows an injected [`FaultKind::SessionStall`] parks the
-    /// session for.
-    pub stall_windows: usize,
     /// Hard cap on scheduling windows; non-terminal sessions are force-shed
     /// when it is reached (the zero-lost-sessions backstop). `0` picks
     /// `max(4096, 64 × longest session)` automatically.
@@ -114,8 +120,6 @@ pub struct GatewayConfig {
     /// session's report when it goes `Quarantined`/`Shed` or its drift
     /// detector latches. `0` (the default) disables recording.
     pub flight_recorder_frames: usize,
-    /// Device model every session's engine simulates.
-    pub device: DeviceKind,
 }
 
 impl Default for GatewayConfig {
@@ -123,18 +127,14 @@ impl Default for GatewayConfig {
         Self {
             max_sessions: 4096,
             queue_capacity: 4,
-            frame_interval_ms: 33.0,
-            window_ms: 33.0,
             deadline_ms: 100.0,
             batch_min: 2,
             shed_session_after: 8,
             breaker_threshold: 6,
             breaker_cooldown_ms: 500.0,
             slow_factor: 4.0,
-            stall_windows: 3,
             max_windows: 0,
             flight_recorder_frames: 0,
-            device: DeviceKind::JetsonTx2Nx,
         }
     }
 }
@@ -154,15 +154,6 @@ impl GatewayConfig {
         }
         if self.queue_capacity == 0 {
             return bad("queue_capacity", "a session queue needs at least one slot".into());
-        }
-        if !(self.frame_interval_ms.is_finite() && self.frame_interval_ms > 0.0) {
-            return bad(
-                "frame_interval_ms",
-                format!("{} is not a positive frame cadence", self.frame_interval_ms),
-            );
-        }
-        if !(self.window_ms.is_finite() && self.window_ms > 0.0) {
-            return bad("window_ms", format!("{} is not a positive window", self.window_ms));
         }
         if self.deadline_ms.is_nan() || self.deadline_ms <= 0.0 {
             return bad(
@@ -190,9 +181,6 @@ impl GatewayConfig {
                 "slow_factor",
                 format!("{} would speed the consumer up", self.slow_factor),
             );
-        }
-        if self.stall_windows == 0 {
-            return bad("stall_windows", "a stall parks the session for at least one window".into());
         }
         Ok(())
     }
@@ -836,7 +824,7 @@ impl<'a> Gateway<'a> {
                 ),
             });
         }
-        let mut engine = self.system.online_engine(self.config.device, spec.seed);
+        let mut engine = self.system.online_engine(DEVICE, spec.seed);
         if let Some(pinned) = spec.pinned {
             engine = engine.with_pinned_fallback(pinned);
         }
@@ -929,7 +917,7 @@ impl<'a> Gateway<'a> {
             if self.injector.as_mut().is_some_and(FaultInjector::scheduler_hiccups) {
                 self.hiccups += 1;
                 anole_obs::counter_add!("gateway.faults.scheduler_hiccup", 1);
-                self.now_ms += self.config.window_ms;
+                self.now_ms += WINDOW_MS;
                 continue;
             }
 
@@ -947,7 +935,7 @@ impl<'a> Gateway<'a> {
                 let sessions = &self.sessions;
                 self.active_ids.retain(|&idx| !sessions[idx].state.is_terminal());
             }
-            self.now_ms += self.config.window_ms;
+            self.now_ms += WINDOW_MS;
         }
 
         self.report()
@@ -987,7 +975,7 @@ impl<'a> Gateway<'a> {
                 s.queue.push_back((s.next_frame, s.next_arrival_ms));
                 s.offered += 1;
                 s.next_frame += 1;
-                s.next_arrival_ms += cfg.frame_interval_ms;
+                s.next_arrival_ms += FRAME_INTERVAL_MS;
                 s.peak_queue = s.peak_queue.max(s.queue.len());
             }
             if s.state == SessionState::Admitted && s.offered > 0 {
@@ -1008,7 +996,6 @@ impl<'a> Gateway<'a> {
     /// of each idle session becomes a dispatch candidate, unless an injected
     /// stall parks the session.
     fn shed_and_select(&mut self, now: f64) -> Vec<Candidate> {
-        let cfg = self.config;
         let deadline_ms = self.effective_deadline();
         let mut candidates: Vec<Candidate> = Vec::new();
         let ids = std::mem::take(&mut self.active_ids);
@@ -1022,7 +1009,7 @@ impl<'a> Gateway<'a> {
                 continue;
             }
             if self.injector.as_mut().is_some_and(FaultInjector::session_stalls) {
-                s.stalled_until_ms = now + cfg.stall_windows as f64 * cfg.window_ms;
+                s.stalled_until_ms = now + STALL_MS;
                 s.first_fault.get_or_insert(FaultKind::SessionStall);
                 self.stalls += 1;
                 anole_obs::counter_add!("gateway.faults.session_stall", 1);
@@ -1842,11 +1829,11 @@ mod tests {
         let (_dataset, system) = world();
         let err = Gateway::new(
             &system,
-            GatewayConfig { window_ms: 0.0, ..GatewayConfig::default() },
+            GatewayConfig { queue_capacity: 0, ..GatewayConfig::default() },
         )
         .map(|_| ())
         .unwrap_err();
-        assert!(matches!(err, AnoleError::InvalidConfig { what: "window_ms", .. }), "{err}");
+        assert!(matches!(err, AnoleError::InvalidConfig { what: "queue_capacity", .. }), "{err}");
         let err = Gateway::new(
             &system,
             GatewayConfig { slow_factor: 0.5, ..GatewayConfig::default() },
@@ -1998,6 +1985,17 @@ mod tests {
         assert_eq!(delta("gateway.frames.shed"), report.frames_shed);
         assert_eq!(delta("gateway.sessions.quarantined"), report.quarantined.len());
         let _ = gateway.take_session_errors();
+    }
+
+    #[test]
+    fn an_unbounded_flight_recorder_admits_and_completes() {
+        let (dataset, system) = world();
+        let config = GatewayConfig { flight_recorder_frames: usize::MAX, ..lossless() };
+        let mut gateway = Gateway::new(&system, config).unwrap();
+        gateway.admit(SessionSpec::new(test_frames(&dataset, 6), Seed(3))).unwrap();
+        let report = gateway.run();
+        assert_eq!(report.sessions[0].state, SessionState::Completed);
+        assert_eq!(report.sessions[0].processed, 6);
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub use checkpoint::{
     context_key, CheckpointStats, CheckpointStore, OspStage, RecoveryReport, TrainRecovery,
 };
 pub use config::{
-    AnoleConfig, CacheConfig, DecisionConfig, DetectorConfig, DriftConfig, QuantConfig,
-    RepositoryConfig, RolloutConfig, SamplingConfig, SceneModelConfig, SloConfig,
+    AnoleConfig, CacheConfig, DecisionConfig, DetectorConfig, QuantConfig, RepositoryConfig,
+    SamplingConfig, SceneModelConfig, SloConfig,
 };
 pub use error::AnoleError;
 pub use system::{AnoleSystem, ModelQuantOutcome, QuantizationReport, ReprofileReport};

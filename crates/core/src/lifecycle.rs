@@ -19,7 +19,6 @@ use std::rc::Rc;
 
 use anole_data::{ClipId, DatasetSource, DrivingDataset, Frame, SceneAttributes};
 use anole_detect::DetectionCounts;
-use anole_device::DeviceKind;
 use anole_tensor::{split_seed, Seed};
 
 use crate::checkpoint::TrainRecovery;
@@ -31,6 +30,13 @@ use crate::gateway::{
 use crate::omi::{DriftDetector, DriftState, FaultInjector, FaultKind, SceneDistanceScorer};
 use crate::{AnoleError, AnoleSystem, ReprofileReport};
 
+/// Rolling window of each device's drift detector, in frames.
+const DRIFT_WINDOW: usize = 15;
+
+/// Share of validation frames whose drift score may exceed the detector's
+/// calibrated ceiling.
+const DRIFT_QUANTILE: f32 = 0.1;
+
 /// Configuration of a fleet-lifecycle run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
@@ -38,14 +44,8 @@ pub struct FleetConfig {
     pub devices: usize,
     /// Frames each device records per day per scenario.
     pub frames_per_day: usize,
-    /// Drift-detector rolling window.
-    pub drift_window: usize,
-    /// Calibration quantile for the drift floor.
-    pub drift_quantile: f32,
     /// Minimum pooled drifting frames before an overnight expansion runs.
     pub min_footage: usize,
-    /// The device model the fleet runs on.
-    pub device: DeviceKind,
     /// How many times a panicked device's daily run is retried before the
     /// device is quarantined for the rest of the run.
     pub max_device_retries: usize,
@@ -56,10 +56,7 @@ impl Default for FleetConfig {
         Self {
             devices: 3,
             frames_per_day: 120,
-            drift_window: 15,
-            drift_quantile: 0.1,
             min_footage: 60,
-            device: DeviceKind::JetsonTx2Nx,
             max_device_retries: 1,
         }
     }
@@ -223,7 +220,7 @@ pub fn run_fleet_supervised(
     // centroid (the decision model's softmax confidence flattens at large
     // repository sizes and stops discriminating).
     let mut scorer = SceneDistanceScorer::calibrate(&system, dataset, &split.train)?;
-    let ceiling = scorer.ceiling(&system, dataset, &split.val, 1.0 - config.drift_quantile)?;
+    let ceiling = scorer.ceiling(&system, dataset, &split.val, 1.0 - DRIFT_QUANTILE)?;
     let mut footage_pool: Vec<Frame> = Vec::new();
     let mut days = Vec::with_capacity(schedule.len());
     let mut quarantined: Vec<usize> = Vec::new();
@@ -253,7 +250,6 @@ pub fn run_fleet_supervised(
                 max_sessions: roster.len().max(1),
                 deadline_ms: f64::INFINITY,
                 shed_session_after: usize::MAX,
-                device: config.device,
                 ..GatewayConfig::default()
             };
             // Each device derives its RNG streams from (day, device_idx),
@@ -278,7 +274,7 @@ pub fn run_fleet_supervised(
             for (pos, &device_idx) in roster.iter().enumerate() {
                 let mut spec = device_spec(device_idx);
                 spec.inject_panic = panic_flags[pos];
-                let detector = scorer_ref.detector(config.drift_window, ceiling);
+                let detector = scorer_ref.detector(DRIFT_WINDOW, ceiling);
                 gateway.admit_with_handler(
                     spec,
                     drift_handler(scorer_ref, system_ref, detector, Rc::clone(&states[pos])),
@@ -329,7 +325,7 @@ pub fn run_fleet_supervised(
                                 GatewayConfig { max_sessions: 1, ..gateway_config },
                             )?;
                             let state = Rc::new(RefCell::new(DeviceDayState::default()));
-                            let detector = scorer_ref.detector(config.drift_window, ceiling);
+                            let detector = scorer_ref.detector(DRIFT_WINDOW, ceiling);
                             retry.admit_with_handler(
                                 device_spec(device_idx),
                                 drift_handler(scorer_ref, system_ref, detector, Rc::clone(&state)),
@@ -492,7 +488,6 @@ pub fn reprofile_and_rollout(
         &candidate_dir,
         dataset,
         fleet_devices,
-        &system.config().rollout,
         split_seed(seed, 777),
         injector,
     )?;
@@ -745,7 +740,6 @@ mod tests {
             enabled: true,
             latency_limit_ms: 0.0,
             canary_frames: 16,
-            ..SloConfig::default()
         });
         // Same footage and seeds as `closed_loop_promotes_a_reprofiled_
         // candidate`: the F1 gate is deterministic and does not read the
@@ -827,7 +821,6 @@ mod tests {
             frames_per_day: 30,
             min_footage: 100_000,
             max_device_retries: 1,
-            ..FleetConfig::default()
         };
         // Every attempt panics: both devices burn their retry on day 0 and
         // the fleet finishes the schedule with an empty roster.

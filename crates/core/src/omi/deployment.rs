@@ -172,7 +172,9 @@ impl FlightRecord {
 
 /// Bounded ring behind the engine's flight recorder. Strictly passive:
 /// frames are copied in at the end of `finish_step` and nothing is ever
-/// read back on the serving path.
+/// read back on the serving path. It starts empty and grows to `cap`
+/// frames, so a depth of `usize::MAX` keeps every frame without reserving
+/// them up front.
 #[derive(Debug)]
 struct FlightRing {
     cap: usize,
@@ -185,7 +187,7 @@ impl FlightRing {
         Self {
             cap,
             seen: 0,
-            ring: VecDeque::with_capacity(cap),
+            ring: VecDeque::new(),
         }
     }
 
@@ -202,7 +204,7 @@ impl FlightRing {
 struct Choice {
     /// The best-ranked model (the pinned model on a pinned-only frame).
     requested: usize,
-    /// Smoothed suitability of `requested` (0.0 on a pinned-only frame).
+    /// Suitability of `requested` (0.0 on a pinned-only frame).
     suitability: f32,
     /// Non-excluded models, best first. Empty on a pinned-only frame: every
     /// model is excluded, and the pinned model serves without a decision.
@@ -238,7 +240,9 @@ pub struct OnlineEngine<'a> {
     rng: StdRng,
     usage_log: Vec<usize>,
     background_load_ms: f32,
-    smoothed_suitability: Option<Vec<f32>>,
+    /// The last scored frame's suitability vector, reused across frames.
+    /// `None` until a frame is scored.
+    suitability: Option<Vec<f32>>,
     total_latency_ms: f64,
     hedged_frames: usize,
     latency_budget_ms: Option<f32>,
@@ -295,7 +299,7 @@ impl<'a> OnlineEngine<'a> {
             rng: rng_from_seed(seed),
             usage_log: Vec::new(),
             background_load_ms: 0.0,
-            smoothed_suitability: None,
+            suitability: None,
             total_latency_ms: 0.0,
             hedged_frames: 0,
             latency_budget_ms: None,
@@ -794,8 +798,8 @@ impl<'a> OnlineEngine<'a> {
     /// each engine its row. Because the batched decision forward is bit-
     /// identical per row to the row-vector path, `step_with_scores(x, row)`
     /// is bit-identical to `step(x)` when `row` is the engine's own scoring
-    /// of `x`. Smoothing, ranking, cache traffic, hedging, and latency
-    /// pricing all still happen inside the engine.
+    /// of `x`. Ranking, cache traffic, hedging, and latency pricing all
+    /// still happen inside the engine.
     ///
     /// # Errors
     ///
@@ -885,11 +889,11 @@ impl<'a> OnlineEngine<'a> {
         faults
     }
 
-    /// MSS: ranks the non-excluded models by temporally smoothed
-    /// suitability. `None` when the frame must be replayed: it is unusable
-    /// (no model can run on it, not even the decision stage), a decision
-    /// anomaly hit before any trustworthy scores existed, or every model is
-    /// excluded and nothing is pinned.
+    /// MSS: ranks the non-excluded models by suitability. `None` when the
+    /// frame must be replayed: it is unusable (no model can run on it, not
+    /// even the decision stage), a decision anomaly hit before any
+    /// trustworthy scores existed, or every model is excluded and nothing is
+    /// pinned.
     ///
     /// # Errors
     ///
@@ -904,68 +908,51 @@ impl<'a> OnlineEngine<'a> {
             return Ok(None);
         }
         // A decision anomaly discards this frame's garbage scores and reuses
-        // the last smoothed vector instead of letting nonsense steer routing.
-        let smoothed = if faults.decision_anomaly {
-            match self.smoothed_suitability.take() {
-                Some(previous) => previous,
-                None => return Ok(None),
-            }
-        } else {
-            self.smooth(external_scores)?
+        // the last scored vector instead of letting nonsense steer routing.
+        if !faults.decision_anomaly {
+            self.score(external_scores)?;
+        }
+        let Some(scores) = self.suitability.as_deref() else {
+            return Ok(None);
         };
-        let mut ranking: Vec<usize> = (0..smoothed.len()).collect();
+        let mut ranking: Vec<usize> = (0..scores.len()).collect();
         ranking.sort_by(|&a, &b| {
-            smoothed[b]
-                .partial_cmp(&smoothed[a])
+            scores[b]
+                .partial_cmp(&scores[a])
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         ranking.retain(|&id| !self.is_excluded(id));
-        let choice = match ranking.first() {
-            Some(&id) => Some(Choice { requested: id, suitability: smoothed[id], ranking }),
+        match ranking.first() {
+            Some(&id) => Ok(Some(Choice { requested: id, suitability: scores[id], ranking })),
             None if self.pinned.is_none() && self.last_good.is_none() => {
-                self.smoothed_suitability = Some(smoothed);
-                return Err(AnoleError::FaultExhausted {
+                Err(AnoleError::FaultExhausted {
                     detail: format!(
                         "all {} models excluded, no pinned fallback, no last-good detections",
                         self.excluded.len()
                     ),
-                });
+                })
             }
             // Every model excluded: the pinned model serves, or last-good
             // detections are replayed.
-            None => self.pinned.map(|pinned| Choice {
+            None => Ok(self.pinned.map(|pinned| Choice {
                 requested: pinned,
                 suitability: 0.0,
                 ranking,
-            }),
-        };
-        self.smoothed_suitability = Some(smoothed);
-        Ok(choice)
+            })),
+        }
     }
 
-    /// This frame's suitability scores (the gateway's batched row, or the
-    /// engine's own decision forward), blended into the previous smoothed
-    /// vector, which it takes.
-    fn smooth(&mut self, external_scores: Option<&[f32]>) -> Result<Vec<f32>, AnoleError> {
+    /// Copies this frame's suitability scores (the gateway's batched row,
+    /// or the engine's own decision forward) into the reused buffer.
+    fn score(&mut self, external_scores: Option<&[f32]>) -> Result<(), AnoleError> {
         let current: &[f32] = match external_scores {
             Some(scores) => scores,
             None => self.system.decision().suitability_ws(&self.row, &mut self.ws)?.row(0),
         };
-        let alpha = self
-            .system
-            .config()
-            .decision
-            .suitability_smoothing
-            .clamp(0.0, 0.999);
-        Ok(match self.smoothed_suitability.take() {
-            Some(mut prev) if prev.len() == current.len() && alpha > 0.0 => {
-                for (p, &c) in prev.iter_mut().zip(current.iter()) {
-                    *p = alpha * *p + (1.0 - alpha) * c;
-                }
-                prev
-            }
-            _ => current.to_vec(),
-        })
+        let scores = self.suitability.get_or_insert_with(Vec::new);
+        scores.clear();
+        scores.extend_from_slice(current);
+        Ok(())
     }
 
     /// CMD: serves the requested model from the cache (an LFU touch), or on
@@ -1069,12 +1056,12 @@ impl<'a> OnlineEngine<'a> {
             let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
             return Ok(anole_detect::threshold_probs(probs.row(0), threshold));
         }
-        let smoothed = self.smoothed_suitability.as_ref().expect("set by mss");
+        let scores = self.suitability.as_ref().expect("set by mss");
         let mut fused: Vec<f32> = Vec::new();
         let mut weight_sum = 0.0f32;
         for &id in executed {
             let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
-            let w = smoothed[id].max(1e-6);
+            let w = scores[id].max(1e-6);
             if fused.is_empty() {
                 fused = vec![0.0; probs.cols()];
             }
@@ -1783,6 +1770,22 @@ mod tests {
         let indices: Vec<u32> = record.frames.iter().map(|f| f.frame).collect();
         assert_eq!(indices, vec![8, 9, 10, 11]);
         assert_eq!(record.drift_state, DriftState::Nominal);
+    }
+
+    #[test]
+    fn an_unbounded_flight_recorder_keeps_every_frame() {
+        let (dataset, system) = system();
+        let split = dataset.split();
+        let mut engine = OnlineEngine::new(&system, DeviceKind::JetsonTx2Nx, Seed(455))
+            .with_flight_recorder(usize::MAX);
+        for r in split.test.iter().take(20) {
+            engine.step(&dataset.frame(*r).features).unwrap();
+        }
+        let record = engine.flight_record().unwrap();
+        assert_eq!(record.capacity, usize::MAX);
+        assert_eq!(record.frames_seen, 20);
+        let indices: Vec<u32> = record.frames.iter().map(|f| f.frame).collect();
+        assert_eq!(indices, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]

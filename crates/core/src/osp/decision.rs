@@ -112,21 +112,7 @@ impl DecisionModel {
             .output(n_models)
             .build(split_seed(seed, 0));
 
-        let jittered;
-        let tiled;
-        let (inputs, targets): (Vec<&Matrix>, &Matrix) = if config.augment_noise_std > 0.0 {
-            // Feature-space jitter: unseen scenes land between the seen
-            // ones in embedding space, so training the head on perturbed
-            // inputs smooths its decision boundaries toward interpolation.
-            let mut rng = anole_tensor::rng_from_seed(split_seed(seed, 7));
-            let noise = Matrix::random_normal(x.rows(), x.cols(), config.augment_noise_std, &mut rng);
-            jittered = x + &noise;
-            tiled = Matrix::vstack(&[targets, targets]).expect("same widths");
-            (vec![x, &jittered], &tiled)
-        } else {
-            (vec![x], targets)
-        };
-        let embeddings = embed_rows(&backbone, &inputs)?;
+        let embeddings = embed_rows(&backbone, x)?;
 
         let report = Trainer::new(config.train).fit_soft_classifier(
             &mut head,
@@ -137,12 +123,10 @@ impl DecisionModel {
         let dt_ms = anole_obs::elapsed_ms(t0);
         anole_obs::gauge_set!("osp.tdm.duration_ms", dt_ms);
         anole_obs::gauge_set!("osp.tdm.final_loss", f64::from(report.final_loss));
-        anole_obs::counter_add!("osp.tdm.epochs", report.epochs_run as u64);
+        let epochs = report.epoch_losses.len();
+        anole_obs::counter_add!("osp.tdm.epochs", epochs as u64);
         if dt_ms > 0.0 {
-            anole_obs::gauge_set!(
-                "osp.tdm.epochs_per_sec",
-                report.epochs_run as f64 / (dt_ms / 1000.0)
-            );
+            anole_obs::gauge_set!("osp.tdm.epochs_per_sec", epochs as f64 / (dt_ms / 1000.0));
         }
         let frozen = backbone.layers().len();
         let mut layers = backbone.layers().to_vec();
@@ -319,28 +303,22 @@ impl DecisionModel {
 /// intermediate activation spans the whole training set.
 const EMBED_BLOCK_ROWS: usize = 256;
 
-/// The `backbone` outputs of every row of `parts`, stacked in order, computed
-/// in blocks of [`EMBED_BLOCK_ROWS`] rows through one workspace.
-fn embed_rows(backbone: &Mlp, parts: &[&Matrix]) -> Result<Matrix, AnoleError> {
-    let rows = parts.iter().map(|m| m.rows()).sum();
-    let width = backbone.output_dim();
-    let mut embeddings = Matrix::zeros(rows, width);
+/// The `backbone` outputs of every row of `x`, computed in blocks of
+/// [`EMBED_BLOCK_ROWS`] rows through one workspace.
+fn embed_rows(backbone: &Mlp, x: &Matrix) -> Result<Matrix, AnoleError> {
+    let (cols, width) = (x.cols(), backbone.output_dim());
+    let mut embeddings = Matrix::zeros(x.rows(), width);
     let mut ws = Workspace::new();
     let mut block = Matrix::default();
-    let mut out_row = 0;
-    for part in parts {
-        let cols = part.cols();
-        for start in (0..part.rows()).step_by(EMBED_BLOCK_ROWS) {
-            let n = EMBED_BLOCK_ROWS.min(part.rows() - start);
-            block.resize_scratch(n, cols);
-            block
-                .as_mut_slice()
-                .copy_from_slice(&part.as_slice()[start * cols..(start + n) * cols]);
-            let out = backbone.predict_batch(&block, &mut ws)?;
-            embeddings.as_mut_slice()[out_row * width..(out_row + n) * width]
-                .copy_from_slice(out.as_slice());
-            out_row += n;
-        }
+    for start in (0..x.rows()).step_by(EMBED_BLOCK_ROWS) {
+        let n = EMBED_BLOCK_ROWS.min(x.rows() - start);
+        block.resize_scratch(n, cols);
+        block
+            .as_mut_slice()
+            .copy_from_slice(&x.as_slice()[start * cols..(start + n) * cols]);
+        let out = backbone.predict_batch(&block, &mut ws)?;
+        embeddings.as_mut_slice()[start * width..(start + n) * width]
+            .copy_from_slice(out.as_slice());
     }
     Ok(embeddings)
 }
@@ -422,19 +400,8 @@ mod tests {
         joined.extend_from_slice(head.layers());
         let mut net = Mlp::from_layers(joined);
         net.set_frozen_prefix(backbone.len());
-        let (x, targets) = if config.augment_noise_std > 0.0 {
-            let mut rng = anole_tensor::rng_from_seed(split_seed(seed, 7));
-            let std = config.augment_noise_std;
-            let noise = Matrix::random_normal(x.rows(), x.cols(), std, &mut rng);
-            (
-                Matrix::vstack(&[x, &(x + &noise)]).unwrap(),
-                Matrix::vstack(&[targets, targets]).unwrap(),
-            )
-        } else {
-            (x.clone(), targets.clone())
-        };
         Trainer::new(config.train)
-            .fit_soft_classifier(&mut net, &x, &targets, split_seed(seed, 1))
+            .fit_soft_classifier(&mut net, x, targets, split_seed(seed, 1))
             .unwrap();
         net
     }
@@ -453,9 +420,8 @@ mod tests {
         let targets = softmax(&Matrix::random_normal(x.rows(), 5, 1.0, &mut rng));
         let mut config = AnoleConfig::fast().decision;
         config.train.epochs = 3;
-        // The last case's batches are larger than any shipped config's 64.
-        for (noise, batch) in [(0.0, 64), (0.05, 64), (0.0, 160)] {
-            config.augment_noise_std = noise;
+        // The second case's batches are larger than any shipped config's 64.
+        for batch in [64, 160] {
             config.train.batch_size = batch;
             let seed = Seed(71);
             let decision =
@@ -464,7 +430,7 @@ mod tests {
             assert_eq!(
                 weight_bits(decision.network()),
                 weight_bits(&joined),
-                "noise {noise}, batch {batch}"
+                "batch {batch}"
             );
             assert_eq!(decision.network().frozen_prefix(), joined.frozen_prefix());
             assert_eq!(decision.network(), &joined);

@@ -7,6 +7,7 @@ mod sampling;
 mod scene_model;
 
 pub use decision::DecisionModel;
+pub(crate) use repository::fit_detector;
 pub use repository::{ClusterOrigin, CompressedModel, ModelRepository};
 pub use sampling::{frame_f1_of, AdaptiveSampler, SuitabilitySets};
 pub(crate) use sampling::{boost_owner, f1_table, membership};

@@ -19,7 +19,7 @@ use anole_tensor::{split_seed, Matrix, Seed};
 
 use crate::checkpoint::TrainRecovery;
 use crate::osp::SceneModel;
-use crate::{AnoleConfig, AnoleError};
+use crate::{AnoleConfig, AnoleError, DetectorConfig};
 
 /// Where in the multi-level sweep a model came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,17 +250,11 @@ impl ModelRepository {
         let train_per_class = frames_per_class(train);
         let val_per_class = frames_per_class(val);
 
-        let max_k = if config.repository.max_k == 0 {
-            class_count
-        } else {
-            config.repository.max_k.min(class_count)
-        };
-
         let mut models = Vec::new();
         let mut accepted_groups: HashSet<Vec<usize>> = HashSet::new();
         let mut levels_examined = 0;
 
-        let sweep = MultiLevelClustering::new(&sums, split_seed(seed, 0)).with_max_k(max_k);
+        let sweep = MultiLevelClustering::new(&sums, split_seed(seed, 0));
         for level in sweep {
             if models.len() >= config.repository.target_models {
                 break;
@@ -486,13 +480,8 @@ fn train_compressed(
 ) -> Result<CompressedModel, AnoleError> {
     let x = dataset.features_matrix(refs);
     let y = dataset.truth_matrix(refs);
-    let mut net = Mlp::builder(dataset.config().world.feature_dim)
-        .hidden(config.detector.compressed_hidden, Activation::Relu)
-        .output(dataset.config().world.grid.cells())
-        .build(split_seed(seed, 0));
-    let mut train_cfg = config.detector.train;
-    train_cfg.pos_weight = config.detector.pos_weight;
-    Trainer::new(train_cfg).fit_multilabel_ws(&mut net, &x, &y, split_seed(seed, 1), ws)?;
+    let hidden = [config.detector.compressed_hidden];
+    let net = fit_detector(&x, &y, &hidden, &config.detector, seed, ws)?;
     let profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net);
     Ok(CompressedModel {
         id,
@@ -503,6 +492,34 @@ fn train_compressed(
         training_set: refs.to_vec(),
         quantized: None,
     })
+}
+
+/// Builds a detector with ReLU hidden layers of the given widths and trains
+/// it on `(x, y)` as a multi-label grid predictor with the configured
+/// positive-cell weight: the one recipe behind every compressed, expansion
+/// and baseline detector.
+pub(crate) fn fit_detector(
+    x: &Matrix,
+    y: &Matrix,
+    hidden: &[usize],
+    config: &DetectorConfig,
+    seed: Seed,
+    ws: &mut Workspace,
+) -> Result<Mlp, AnoleError> {
+    let mut builder = Mlp::builder(x.cols());
+    for &h in hidden {
+        builder = builder.hidden(h, Activation::Relu);
+    }
+    let mut net = builder.output(y.cols()).build(split_seed(seed, 0));
+    Trainer::new(config.train).fit_multilabel_ws(
+        &mut net,
+        x,
+        y,
+        config.pos_weight,
+        split_seed(seed, 1),
+        ws,
+    )?;
+    Ok(net)
 }
 
 #[cfg(test)]

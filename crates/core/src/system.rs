@@ -2,11 +2,14 @@
 
 use anole_data::DrivingDataset;
 use anole_device::DeviceKind;
+use anole_nn::Workspace;
 use anole_tensor::{split_seed, Seed};
 
 use crate::checkpoint::{OspStage, TrainRecovery};
 use crate::omi::OnlineEngine;
-use crate::osp::{AdaptiveSampler, DecisionModel, ModelRepository, SceneModel, SuitabilitySets};
+use crate::osp::{
+    fit_detector, AdaptiveSampler, DecisionModel, ModelRepository, SceneModel, SuitabilitySets,
+};
 use crate::{AnoleConfig, AnoleError};
 
 /// A fully trained Anole system: scene encoder, compressed-model repository,
@@ -158,17 +161,13 @@ impl AnoleSystem {
                 decision
             }
         };
-        let mut system = Self {
+        Ok(Self {
             config: *config,
             scene_model,
             repository,
             decision,
             suitability_sets,
-        };
-        if config.quant.enabled {
-            system.quantize_models(dataset)?;
-        }
-        Ok(system)
+        })
     }
 
     /// The configuration the system was trained with.
@@ -386,7 +385,10 @@ impl AnoleSystem {
             (x, y)
         };
         let (x_fit, y_fit) = stack(fit_frames);
-        let net = self.fit_compressed_net(&x_fit, &y_fit, seed)?;
+        let detector = &self.config.detector;
+        let hidden = [detector.compressed_hidden];
+        let mut ws = Workspace::new();
+        let net = fit_detector(&x_fit, &y_fit, &hidden, detector, seed, &mut ws)?;
         let profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net);
         let mut candidate = crate::osp::CompressedModel {
             id: 0, // assigned by push
@@ -416,26 +418,6 @@ impl AnoleSystem {
         }
         candidate.validation_f1 = counts.f1();
         Ok(candidate)
-    }
-
-    /// Builds and fits one compressed-detector MLP on stacked material.
-    fn fit_compressed_net(
-        &self,
-        x_fit: &anole_tensor::Matrix,
-        y_fit: &anole_tensor::Matrix,
-        seed: Seed,
-    ) -> Result<anole_nn::Mlp, AnoleError> {
-        use anole_nn::{Activation, Mlp, Trainer, Workspace};
-
-        let mut net = Mlp::builder(x_fit.cols())
-            .hidden(self.config.detector.compressed_hidden, Activation::Relu)
-            .output(y_fit.cols())
-            .build(split_seed(seed, 0));
-        let mut train_cfg = self.config.detector.train;
-        train_cfg.pos_weight = self.config.detector.pos_weight;
-        let mut ws = Workspace::new();
-        Trainer::new(train_cfg).fit_multilabel_ws(&mut net, x_fit, y_fit, split_seed(seed, 1), &mut ws)?;
-        Ok(net)
     }
 
     /// Guarded continual re-profiling: the incremental Algorithm 1.
@@ -569,10 +551,12 @@ impl AnoleSystem {
                         let f = &frames[fi];
                         fill(old.training_set.len() + k, &f.features, &f.truth);
                     }
-                    let net =
-                        self.fit_compressed_net(&x, &y, split_seed(seed, 100 + id as u64))?;
+                    let detector = &self.config.detector;
+                    let hidden = [detector.compressed_hidden];
+                    let model_seed = split_seed(seed, 100 + id as u64);
+                    let mut ws = Workspace::new();
                     let mut m = old.clone();
-                    m.net = net;
+                    m.net = fit_detector(&x, &y, &hidden, detector, model_seed, &mut ws)?;
                     m.profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &m.net);
                     m.quantized = None;
                     m.validation_f1 = m.evaluate_f1(dataset, val, threshold)?;
@@ -947,22 +931,6 @@ mod tests {
         // The sweep is idempotent: re-running re-derives identical verdicts.
         let again = system.quantize_models(&dataset).unwrap();
         assert_eq!(report, again);
-    }
-
-    #[test]
-    fn quant_enabled_training_equals_explicit_sweep() {
-        let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(185));
-        let mut enabled_cfg = AnoleConfig::fast();
-        enabled_cfg.quant.enabled = true;
-        let auto = AnoleSystem::train(&dataset, &enabled_cfg, Seed(186)).unwrap();
-
-        let mut manual = AnoleSystem::train(&dataset, &AnoleConfig::fast(), Seed(186)).unwrap();
-        manual.quantize_models(&dataset).unwrap();
-
-        // Quantization is deterministic post-processing, so training with
-        // the sweep enabled is exactly the fp32 pipeline plus the sweep.
-        assert_eq!(auto.repository(), manual.repository());
-        assert_eq!(auto.decision(), manual.decision());
     }
 
     fn reprofile_dir(tag: &str) -> std::path::PathBuf {

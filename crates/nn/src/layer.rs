@@ -191,15 +191,6 @@ impl Dense {
     pub(crate) fn params_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
         (&mut self.weights, &mut self.bias)
     }
-
-    /// Scales all parameters by `s` (used in tests and weight decay).
-    ///
-    /// In place — the trainer calls this every mini-batch when weight decay
-    /// is on, so it must not touch the allocator.
-    pub fn scale_parameters(&mut self, s: f32) {
-        self.weights.map_inplace(|v| v * s);
-        self.bias.map_inplace(|v| v * s);
-    }
 }
 
 #[cfg(test)]

@@ -25,24 +25,9 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Optimizer to use.
     pub optimizer: OptimizerKind,
-    /// Positive-cell weight for multi-label training (ignored by
-    /// classification).
-    pub pos_weight: f32,
-    /// Decoupled weight decay applied to non-frozen layers before each
-    /// optimizer step (`θ ← θ·(1 − weight_decay)`); `0.0` disables it.
-    pub weight_decay: f32,
-    /// Stop early once the epoch loss drops below this value; `0.0` disables.
-    pub target_loss: f32,
 }
 
-anole_json::json_struct!(TrainConfig {
-    epochs,
-    batch_size,
-    optimizer,
-    pos_weight,
-    weight_decay,
-    target_loss,
-});
+anole_json::json_struct!(TrainConfig { epochs, batch_size, optimizer });
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -50,9 +35,6 @@ impl Default for TrainConfig {
             epochs: 30,
             batch_size: 32,
             optimizer: OptimizerKind::default(),
-            pos_weight: 1.0,
-            weight_decay: 0.0,
-            target_loss: 0.0,
         }
     }
 }
@@ -60,12 +42,10 @@ impl Default for TrainConfig {
 /// Summary of a completed training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
-    /// Mean loss of each completed epoch.
+    /// Mean loss of each epoch.
     pub epoch_losses: Vec<f32>,
     /// Loss of the final epoch.
     pub final_loss: f32,
-    /// Number of epochs actually run (early stopping may cut this short).
-    pub epochs_run: usize,
 }
 
 /// Which supervision signal a training run optimises.
@@ -212,7 +192,7 @@ impl Trainer {
     }
 
     /// Trains `model` as a multi-label (sigmoid) predictor against dense 0/1
-    /// `targets` with the configured positive weight.
+    /// `targets`, weighting positive cells by `pos_weight` in the BCE loss.
     ///
     /// # Errors
     ///
@@ -223,9 +203,10 @@ impl Trainer {
         model: &mut Mlp,
         x: &Matrix,
         targets: &Matrix,
+        pos_weight: f32,
         seed: Seed,
     ) -> Result<TrainReport, NnError> {
-        self.fit_multilabel_ws(model, x, targets, seed, &mut Workspace::new())
+        self.fit_multilabel_ws(model, x, targets, pos_weight, seed, &mut Workspace::new())
     }
 
     /// [`Trainer::fit_multilabel`] reusing a caller-provided [`Workspace`].
@@ -238,6 +219,7 @@ impl Trainer {
         model: &mut Mlp,
         x: &Matrix,
         targets: &Matrix,
+        pos_weight: f32,
         seed: Seed,
         ws: &mut Workspace,
     ) -> Result<TrainReport, NnError> {
@@ -250,7 +232,6 @@ impl Trainer {
                 labels: targets.rows(),
             });
         }
-        let pos_weight = self.config.pos_weight;
         self.run(model, x, seed, LossSource::Multi { targets, pos_weight }, ws)
     }
 
@@ -281,13 +262,6 @@ impl Trainer {
                 model.forward_ws(bws)?;
                 let loss = src.loss_into(idx, bws)?;
                 model.backward_ws(bws)?;
-                if self.config.weight_decay > 0.0 {
-                    let keep = 1.0 - self.config.weight_decay;
-                    let frozen = model.frozen_prefix();
-                    for layer in model.layers_mut().iter_mut().skip(frozen) {
-                        layer.scale_parameters(keep);
-                    }
-                }
                 optimizer.step(model, &bws.grads)?;
                 epoch_loss += loss;
                 batches += 1;
@@ -303,14 +277,10 @@ impl Trainer {
                 "nn.train.grad_norm",
                 grad_frobenius_norm(&bws.grads[model.frozen_prefix()..])
             );
-            if self.config.target_loss > 0.0 && mean_loss < self.config.target_loss {
-                break;
-            }
         }
 
         let final_loss = *epoch_losses.last().unwrap_or(&f32::NAN);
         Ok(TrainReport {
-            epochs_run: epoch_losses.len(),
             epoch_losses,
             final_loss,
         })
@@ -389,22 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_cuts_epochs() {
-        let (x, y) = blobs(40, Seed(27));
-        let mut model = Mlp::builder(2).hidden(8, Activation::Relu).output(2).build(Seed(28));
-        let report = Trainer::new(TrainConfig {
-            epochs: 500,
-            batch_size: 16,
-            target_loss: 0.2,
-            ..TrainConfig::default()
-        })
-        .fit_classifier(&mut model, &x, &y, Seed(29))
-        .unwrap();
-        assert!(report.epochs_run < 500);
-        assert!(report.final_loss < 0.2);
-    }
-
-    #[test]
     fn multilabel_learns_identity_pattern() {
         // Target = which half of the input carries signal.
         let mut rng = rng_from_seed(Seed(31));
@@ -424,10 +378,9 @@ mod tests {
         let report = Trainer::new(TrainConfig {
             epochs: 60,
             batch_size: 16,
-            pos_weight: 1.0,
             ..TrainConfig::default()
         })
-        .fit_multilabel(&mut model, &x, &t, Seed(33))
+        .fit_multilabel(&mut model, &x, &t, 1.0, Seed(33))
         .unwrap();
         assert!(report.final_loss < 0.1, "loss {}", report.final_loss);
         let probs = crate::sigmoid(&model.forward(&x).unwrap());
@@ -491,32 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_parameters() {
-        let (x, y) = blobs(40, Seed(61));
-        let cfg = |decay| TrainConfig {
-            epochs: 15,
-            batch_size: 8,
-            weight_decay: decay,
-            ..TrainConfig::default()
-        };
-        let norm = |m: &Mlp| {
-            m.layers()
-                .iter()
-                .map(|l| l.weights().frobenius_norm())
-                .sum::<f32>()
-        };
-        let mut plain = Mlp::builder(2).hidden(8, Activation::Relu).output(2).build(Seed(62));
-        Trainer::new(cfg(0.0)).fit_classifier(&mut plain, &x, &y, Seed(63)).unwrap();
-        let mut decayed = Mlp::builder(2).hidden(8, Activation::Relu).output(2).build(Seed(62));
-        let report = Trainer::new(cfg(0.01))
-            .fit_classifier(&mut decayed, &x, &y, Seed(63))
-            .unwrap();
-        assert!(norm(&decayed) < norm(&plain), "{} vs {}", norm(&decayed), norm(&plain));
-        // Mild decay must not destroy the fit.
-        assert!(report.final_loss < 0.5, "loss {}", report.final_loss);
-    }
-
-    #[test]
     fn training_is_deterministic_given_seeds() {
         let (x, y) = blobs(30, Seed(41));
         let mut m1 = Mlp::builder(2).hidden(4, Activation::Relu).output(2).build(Seed(42));
@@ -549,7 +476,7 @@ mod tests {
         let mut warm = Mlp::builder(2).hidden(3, Activation::Tanh).output(2).build(Seed(73));
         let t = Matrix::zeros(x.rows(), 2);
         Trainer::new(TrainConfig { epochs: 1, ..cfg })
-            .fit_multilabel_ws(&mut warm, &x, &t, Seed(74), &mut ws)
+            .fit_multilabel_ws(&mut warm, &x, &t, 1.0, Seed(74), &mut ws)
             .unwrap();
 
         let mut fresh_model = build();

@@ -63,7 +63,7 @@ fn fit_allocs(
     let (result, allocs) = measure(|| match fit {
         Fit::Classifier => trainer.fit_classifier_ws(&mut model, x, labels, Seed(82), ws),
         Fit::SoftClassifier => trainer.fit_soft_classifier_ws(&mut model, x, targets, Seed(82), ws),
-        Fit::Multilabel => trainer.fit_multilabel_ws(&mut model, x, targets, Seed(82), ws),
+        Fit::Multilabel => trainer.fit_multilabel_ws(&mut model, x, targets, 1.0, Seed(82), ws),
     });
     result.unwrap();
     allocs

@@ -57,22 +57,11 @@ fn reference_fit(
             let cache = model.forward_cached(&bx).unwrap();
             let lv = loss_of(cache.output(), chunk, src);
             let grads = model.backward(&cache, &lv.d_logits).unwrap();
-            if cfg.weight_decay > 0.0 {
-                let keep = 1.0 - cfg.weight_decay;
-                let frozen = model.frozen_prefix();
-                for layer in model.layers_mut().iter_mut().skip(frozen) {
-                    layer.scale_parameters(keep);
-                }
-            }
             optimizer.step_reference(model, &grads).unwrap();
             epoch_loss += lv.loss;
             batches += 1;
         }
-        let mean = epoch_loss / batches.max(1) as f32;
-        epoch_losses.push(mean);
-        if cfg.target_loss > 0.0 && mean < cfg.target_loss {
-            break;
-        }
+        epoch_losses.push(epoch_loss / batches.max(1) as f32);
     }
     epoch_losses
 }
@@ -129,10 +118,7 @@ fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
                 let ref_losses = reference_fit(&cfg, &mut expect, &x, src, Seed(seed + 50));
 
                 let mut got = build_model(7, 3, seed);
-                let trainer = Trainer::new(TrainConfig {
-                    pos_weight: 1.5,
-                    ..cfg
-                });
+                let trainer = Trainer::new(cfg);
                 let report = match src {
                     RefLoss::Hard(_) => trainer
                         .fit_classifier(&mut got, &x, &labels, Seed(seed + 50))
@@ -140,8 +126,8 @@ fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
                     RefLoss::Soft(_) => trainer
                         .fit_soft_classifier(&mut got, &x, &targets, Seed(seed + 50))
                         .unwrap(),
-                    RefLoss::Multi(..) => trainer
-                        .fit_multilabel(&mut got, &x, &targets, Seed(seed + 50))
+                    RefLoss::Multi(_, pos_weight) => trainer
+                        .fit_multilabel(&mut got, &x, &targets, pos_weight, Seed(seed + 50))
                         .unwrap(),
                 };
                 let ctx = format!("{name} seed={seed} batch={batch_size}");
@@ -155,14 +141,12 @@ fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
 }
 
 #[test]
-fn workspace_trainer_matches_reference_with_sgd_momentum_and_weight_decay() {
+fn workspace_trainer_matches_reference_with_sgd_momentum() {
     let (x, labels, _) = dataset(200, 7, 3, Seed(91));
     let cfg = TrainConfig {
         epochs: 3,
         batch_size: 160,
         optimizer: OptimizerKind::Sgd { lr: 0.05, momentum: 0.9 },
-        weight_decay: 0.001,
-        ..TrainConfig::default()
     };
 
     let mut expect = build_model(7, 3, 11);

@@ -68,20 +68,6 @@ fn acceptance_sweep_enforces_the_f1_delta_gate() {
 }
 
 #[test]
-fn quant_enabled_training_matches_the_explicit_sweep() {
-    let mut quant_config = AnoleConfig::fast();
-    quant_config.quant.enabled = true;
-    let (_, auto) = world(407, 408, &quant_config);
-
-    let (dataset, mut manual) = world(407, 408, &AnoleConfig::fast());
-    manual.quantize_models(&dataset).expect("sweep");
-
-    // Same weights, same gate decisions — only the config flag differs.
-    assert_eq!(auto.repository(), manual.repository());
-    assert_eq!(auto.decision(), manual.decision());
-}
-
-#[test]
 fn quantized_specialists_pack_at_least_three_times_denser() {
     // ε = 1.0 forces the gate to accept every specialist (an F1 delta can
     // never exceed 1.0), isolating the capacity claim from gate outcomes.

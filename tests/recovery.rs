@@ -252,7 +252,6 @@ fn panicking_device_is_quarantined_without_aborting_the_fleet() {
         frames_per_day: 40,
         min_footage: 100_000,
         max_device_retries: 1,
-        ..FleetConfig::default()
     };
     // Day 0 draws panic decisions for devices 0 and 1 (draws 0, 1), then
     // for device 0's retry (draw 2): device 0 panics twice and is
