@@ -5,6 +5,7 @@
 //! machines: wall times for the naive and register-blocked matmul kernels,
 //! the transpose-fused variants, the layer shapes the serving path runs,
 //! the fp32 and int8 forwards of the serving detector and decision net, the
+//! `tanh`, `exp` and `ln` slice kernels against the plain `f32` loop, the
 //! fused-vs-reference optimizer steps, one workspace-reused training epoch,
 //! a k-means fit, and the Algorithm 1 repository training loop, the one
 //! thread fan-out, at threads = 1 vs auto.
@@ -26,7 +27,9 @@ use anole_core::{AnoleConfig, SceneModelConfig};
 use anole_data::{DatasetConfig, DrivingDataset};
 use anole_json::{ToJson, Value};
 use anole_nn::{Activation, Mlp, OptimizerKind, Predictor, TrainConfig, Trainer, Workspace};
-use anole_tensor::{rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed};
+use anole_tensor::{
+    math, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed,
+};
 
 /// Best-of-`reps` wall time in milliseconds.
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -193,6 +196,43 @@ fn main() -> ExitCode {
         }
     }
 
+    // The transcendental slice kernels against the plain `f32` loop, which
+    // calls libm per element, on 2,048 floats from each routine's domain in
+    // training: pre-activations for tanh, the non-positive arguments of the
+    // sigmoid and softmax for exp, and probabilities for ln.
+    {
+        let mut rng = rng_from_seed(Seed(9_400));
+        let pre = Matrix::random_normal(1, 2_048, 2.0, &mut rng);
+        let exp_in: Vec<f32> = pre.iter().map(|v| -4.0 * v.abs()).collect();
+        let ln_in: Vec<f32> = (0..pre.len()).map(|_| rng.f32().max(1e-7)).collect();
+        type Kernel = fn(&[f32], &mut [f32]);
+        type Scalar = fn(f32) -> f32;
+        let routines: [(&str, &[f32], Kernel, Scalar); 3] = [
+            ("math_tanh_2048", pre.as_slice(), math::tanh_into, f32::tanh),
+            ("math_exp_2048", &exp_in, math::exp_into, f32::exp),
+            ("math_ln_2048", &ln_in, math::ln_into, f32::ln),
+        ];
+        let (iters, mut out) = (2_000, vec![0.0f32; pre.len()]);
+        for (name, input, kernel, libm) in routines {
+            let ms = time_ms(reps, || {
+                for _ in 0..iters {
+                    kernel(black_box(input), &mut out);
+                }
+                black_box(&out);
+            });
+            record(name, "kernel", 1, ms / iters as f64);
+            let ms = time_ms(reps, || {
+                for _ in 0..iters {
+                    for (o, &v) in out.iter_mut().zip(black_box(input)) {
+                        *o = libm(v);
+                    }
+                }
+                black_box(&out);
+            });
+            record(name, "libm", 1, ms / iters as f64);
+        }
+    }
+
     // Fused vs reference optimizer steps on a 256->512->256 model.
     {
         let mut rng = rng_from_seed(Seed(6_600));
@@ -332,6 +372,9 @@ fn main() -> ExitCode {
             "int8_vs_fp32_detector",
             ratio("forward_detector_32x48x16", "i8", "fp32"),
         ),
+        ("math_tanh_libm_vs_kernel", ratio("math_tanh_2048", "libm", "kernel")),
+        ("math_exp_libm_vs_kernel", ratio("math_exp_2048", "libm", "kernel")),
+        ("math_ln_libm_vs_kernel", ratio("math_ln_2048", "libm", "kernel")),
         ("optim_step_sgd_reference_vs_fused", ratio("optim_step_sgd", "reference", "fused")),
         ("optim_step_adam_reference_vs_fused", ratio("optim_step_adam", "reference", "fused")),
         (
@@ -361,8 +404,8 @@ fn main() -> ExitCode {
             "note",
             Value::String(
                 "Each row is a best-of-N wall time after one warm-up, N >= reps. Rows named \
-                 matmul_MxKxN and forward_* time a loop of calls into a warm output and report \
-                 ms per call."
+                 matmul_MxKxN, forward_* and math_* time a loop of calls into a warm output and \
+                 report ms per call."
                     .into(),
             ),
         ),

@@ -19,6 +19,15 @@ fn f32_kernel_isa() -> &'static str {
     "portable"
 }
 
+/// The body `anole_tensor::math`'s slice kernels dispatch to on this host.
+fn math_kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        return "avx2+fma";
+    }
+    "scalar"
+}
+
 /// Cores the operating system offers this process.
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -27,12 +36,14 @@ fn cores() -> usize {
 }
 
 /// The host as a JSON object: CPU model, cores, the worker threads an
-/// automatic parallel config resolves to, and the f32 kernel's extension.
+/// automatic parallel config resolves to, and the extensions the f32 matrix
+/// kernels and the transcendental kernels run on.
 pub fn host_json() -> Value {
     Value::object(vec![
         ("cpu", cpu_model().unwrap_or_else(|| "unknown".into()).to_json()),
         ("cores", cores().to_json()),
         ("auto_threads", ParallelConfig::default().effective_threads().to_json()),
         ("f32_kernel", Value::String(f32_kernel_isa().into())),
+        ("math_kernel", Value::String(math_kernel_isa().into())),
     ])
 }

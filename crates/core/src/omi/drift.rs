@@ -92,7 +92,6 @@ pub struct DriftDetector {
     window: usize,
     floor: f32,
     history: VecDeque<f32>,
-    drift_events: usize,
     enter_windows: usize,
     exit_windows: usize,
     cooldown: usize,
@@ -120,7 +119,6 @@ impl DriftDetector {
             window,
             floor,
             history: VecDeque::with_capacity(window),
-            drift_events: 0,
             enter_windows: 1,
             exit_windows: 1,
             cooldown: 0,
@@ -244,12 +242,8 @@ impl DriftDetector {
         } else if self.latched && self.above_streak >= self.exit_windows {
             self.latched = false;
         }
-        let state = self.state();
-        if state == DriftState::Drifting {
-            self.drift_events += 1;
-        }
         self.observations += 1;
-        Ok(state)
+        Ok(self.state())
     }
 
     /// Convenience: observes a frame directly through a system's decision
@@ -275,11 +269,6 @@ impl DriftDetector {
         } else {
             DriftState::Nominal
         }
-    }
-
-    /// Number of observations that reported `Drifting` so far.
-    pub fn drift_events(&self) -> usize {
-        self.drift_events
     }
 
     /// Typed drift alarms emitted so far (edge-triggered, cooldown-gated).
@@ -493,7 +482,6 @@ mod tests {
         assert_eq!(d.observe(0.1).unwrap(), DriftState::Nominal);
         assert_eq!(d.observe(0.1).unwrap(), DriftState::Nominal);
         assert_eq!(d.observe(0.1).unwrap(), DriftState::Drifting);
-        assert_eq!(d.drift_events(), 1);
         assert_eq!(d.events().len(), 1);
         assert_eq!(d.events()[0].frame, 2);
         assert_eq!(d.events()[0].signal, DriftSignal::Confidence);
@@ -538,7 +526,7 @@ mod tests {
         // The window holds only the one valid observation: a second valid
         // low value cannot yet fill the window with a drifting mean.
         assert_eq!(d.observe(0.9).unwrap(), DriftState::Nominal);
-        assert_eq!(d.drift_events(), 0);
+        assert!(d.events().is_empty());
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Element-wise activation functions with their derivatives.
 
-use anole_tensor::Matrix;
+use anole_tensor::{math, Matrix};
+
+/// Elements per stack buffer in the passes that batch a transcendental call
+/// (the sigmoid here, the softmax and loss terms in `loss.rs`): nothing is
+/// allocated, and a buffer small enough to zero in a few vector stores
+/// keeps a single-row forward cheap.
+pub(crate) const CHUNK: usize = 64;
 
 /// An element-wise activation function applied after a dense layer.
 ///
@@ -31,18 +37,17 @@ anole_json::json_enum!(Activation { Relu, Sigmoid, Tanh, Identity });
 impl Activation {
     /// Applies the activation to every entry of `z`.
     pub fn forward(&self, z: &Matrix) -> Matrix {
-        match self {
-            Activation::Relu => z.map(|v| v.max(0.0)),
-            Activation::Sigmoid => z.map(stable_sigmoid),
-            Activation::Tanh => z.map(f32::tanh),
-            Activation::Identity => z.clone(),
-        }
+        let mut out = Matrix::default();
+        self.forward_into(z, &mut out);
+        out
     }
 
     /// [`Activation::forward`] writing into a caller-provided buffer.
     ///
     /// `out` is reshaped with [`Matrix::resize_scratch`] and fully
-    /// overwritten; values are bit-identical to the allocating variant.
+    /// overwritten. Tanh and the sigmoid's exponential run on the slice
+    /// kernels of [`anole_tensor::math`], which give the bits of glibc's
+    /// `tanhf` and `expf`.
     pub fn forward_into(&self, z: &Matrix, out: &mut Matrix) {
         out.resize_scratch(z.rows(), z.cols());
         let src = z.as_slice();
@@ -53,16 +58,8 @@ impl Activation {
                     *o = v.max(0.0);
                 }
             }
-            Activation::Sigmoid => {
-                for (o, &v) in dst.iter_mut().zip(src.iter()) {
-                    *o = stable_sigmoid(v);
-                }
-            }
-            Activation::Tanh => {
-                for (o, &v) in dst.iter_mut().zip(src.iter()) {
-                    *o = v.tanh();
-                }
-            }
+            Activation::Sigmoid => sigmoid_slice(src, dst),
+            Activation::Tanh => math::tanh_into(src, dst),
             Activation::Identity => dst.copy_from_slice(src),
         }
     }
@@ -128,13 +125,23 @@ impl std::fmt::Display for Activation {
     }
 }
 
-/// Numerically stable logistic sigmoid.
-fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
+/// Numerically stable logistic sigmoid of every element of `x`, written to
+/// `out`: `e = exp(−|x|)`, then `1/(1+e)` where `x ≥ 0` and `e/(1+e)`
+/// elsewhere, so the exponential never overflows.
+fn sigmoid_slice(x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(out.len(), x.len(), "sigmoid: output length");
+    let mut neg_abs = [0.0f32; CHUNK];
+    for (xs, os) in x.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+        let neg_abs = &mut neg_abs[..xs.len()];
+        for (n, &v) in neg_abs.iter_mut().zip(xs) {
+            *n = -v.abs();
+        }
+        math::exp_into(neg_abs, os);
+        for (o, &v) in os.iter_mut().zip(xs) {
+            let e = *o;
+            let numerator = if v >= 0.0 { 1.0 } else { e };
+            *o = numerator / (1.0 + e);
+        }
     }
 }
 

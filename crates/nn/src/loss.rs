@@ -1,9 +1,10 @@
 //! Loss functions: softmax cross-entropy (classification) and
 //! binary-cross-entropy-with-logits (multi-label detection heads).
 
-use anole_tensor::{Matrix, ShapeError};
+use anole_tensor::{math, Matrix, ShapeError};
 
-use crate::NnError;
+use crate::activation::CHUNK;
+use crate::{Activation, NnError};
 
 /// A scalar loss together with its gradient w.r.t. the logits.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,18 +35,23 @@ pub fn softmax(logits: &Matrix) -> Matrix {
 ///
 /// `out` is reshaped with [`Matrix::resize_scratch`] and fully overwritten;
 /// values are bit-identical to the allocating variant (which is this function
-/// on a fresh matrix).
+/// on a fresh matrix). The exponentials run on [`math::exp_into`]; each
+/// row's sum adds them in column order.
 pub fn softmax_into(logits: &Matrix, out: &mut Matrix) {
-    out.copy_from(logits);
-    for i in 0..out.rows() {
-        let row = out.row_mut(i);
+    out.resize_scratch(logits.rows(), logits.cols());
+    let mut shifted = [0.0f32; CHUNK];
+    for i in 0..logits.rows() {
+        let (row, out_row) = (logits.row(i), out.row_mut(i));
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+        for (xs, os) in row.chunks(CHUNK).zip(out_row.chunks_mut(CHUNK)) {
+            let shifted = &mut shifted[..xs.len()];
+            for (s, &v) in shifted.iter_mut().zip(xs) {
+                *s = v - max;
+            }
+            math::exp_into(shifted, os);
         }
-        for v in row.iter_mut() {
+        let sum = out_row.iter().fold(0.0f32, |sum, &v| sum + v);
+        for v in out_row.iter_mut() {
             *v /= sum;
         }
     }
@@ -61,17 +67,9 @@ pub fn sigmoid(logits: &Matrix) -> Matrix {
 /// [`sigmoid`] writing into a caller-provided buffer.
 ///
 /// Same reshape-and-overwrite contract (and bit-identity guarantee) as
-/// [`softmax_into`].
+/// [`softmax_into`]; the values are [`Activation::Sigmoid`]'s.
 pub fn sigmoid_into(logits: &Matrix, out: &mut Matrix) {
-    out.resize_scratch(logits.rows(), logits.cols());
-    for (o, &x) in out.as_mut_slice().iter_mut().zip(logits.as_slice().iter()) {
-        *o = if x >= 0.0 {
-            1.0 / (1.0 + (-x).exp())
-        } else {
-            let e = x.exp();
-            e / (1.0 + e)
-        };
-    }
+    Activation::Sigmoid.forward_into(logits, out);
 }
 
 /// Softmax cross-entropy against integer class labels (the paper's §IV-C
@@ -95,7 +93,9 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> Result<LossVa
 ///
 /// `d_logits` doubles as the softmax scratch, so the whole loss runs without
 /// allocating once the buffer has warm capacity. Bit-identical to the
-/// allocating variant, which is this function on a fresh matrix.
+/// allocating variant, which is this function on a fresh matrix. The
+/// logarithms run on [`math::ln_into`], over stack chunks of rows, and the
+/// loss adds them in row order.
 ///
 /// # Errors
 ///
@@ -120,10 +120,19 @@ pub fn softmax_cross_entropy_into(
     softmax_into(logits, d_logits);
     let batch = logits.rows().max(1) as f32;
     let mut loss = 0.0;
-    for (i, &label) in labels.iter().enumerate() {
-        let p = d_logits.get(i, label).max(1e-12);
-        loss -= p.ln();
-        d_logits.set(i, label, d_logits.get(i, label) - 1.0);
+    let (mut p, mut log_p) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+    for (c, chunk) in labels.chunks(CHUNK).enumerate() {
+        let (p, log_p) = (&mut p[..chunk.len()], &mut log_p[..chunk.len()]);
+        for (k, (&label, p)) in chunk.iter().zip(p.iter_mut()).enumerate() {
+            let i = c * CHUNK + k;
+            let prob = d_logits.get(i, label);
+            *p = prob.max(1e-12);
+            d_logits.set(i, label, prob - 1.0);
+        }
+        math::ln_into(p, log_p);
+        for &l in log_p.iter() {
+            loss -= l;
+        }
     }
     let inv_batch = 1.0 / batch;
     d_logits.map_inplace(|v| v * inv_batch);
@@ -150,6 +159,8 @@ pub fn soft_cross_entropy(logits: &Matrix, targets: &Matrix) -> Result<LossValue
 /// `d_logits` holds the softmax probabilities first, then each element is
 /// read once and replaced by its gradient `(p − t)/batch` — one buffer, no
 /// allocation with warm capacity, bit-identical to the allocating variant.
+/// The logarithms run on [`math::ln_into`] over stack chunks, and the loss
+/// adds the terms of positive targets in row-major order.
 ///
 /// # Errors
 ///
@@ -165,15 +176,22 @@ pub fn soft_cross_entropy_into(
     softmax_into(logits, d_logits);
     let batch = logits.rows().max(1) as f32;
     let mut loss = 0.0;
-    for i in 0..logits.rows() {
-        for j in 0..logits.cols() {
-            let t = targets.get(i, j);
-            let raw = d_logits.get(i, j);
-            let p = raw.max(1e-12);
+    let (mut p, mut log_p) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+    let cells = d_logits
+        .as_mut_slice()
+        .chunks_mut(CHUNK)
+        .zip(targets.as_slice().chunks(CHUNK));
+    for (ds, ts) in cells {
+        let (p, log_p) = (&mut p[..ds.len()], &mut log_p[..ds.len()]);
+        for (p, &raw) in p.iter_mut().zip(ds.iter()) {
+            *p = raw.max(1e-12);
+        }
+        math::ln_into(p, log_p);
+        for ((d, &t), &l) in ds.iter_mut().zip(ts).zip(log_p.iter()) {
             if t > 0.0 {
-                loss -= t * p.ln();
+                loss -= t * l;
             }
-            d_logits.set(i, j, (raw - t) / batch);
+            *d = (*d - t) / batch;
         }
     }
     Ok(loss / batch)
@@ -208,6 +226,10 @@ pub fn bce_with_logits(
 /// zero; that term is `-0.0`, which leaves the other term's bits unchanged,
 /// so its logarithm is skipped. Any other target takes both terms.
 ///
+/// The one logarithm a 0 or 1 target needs runs on [`math::ln_into`] over
+/// stack chunks; a fractional target's second term calls [`math::ln`]. The
+/// loss adds the cells in row-major order.
+///
 /// # Errors
 ///
 /// Same as [`bce_with_logits`].
@@ -223,20 +245,28 @@ pub fn bce_with_logits_into(
     sigmoid_into(logits, d_logits);
     let n = logits.len().max(1) as f32;
     let mut loss = 0.0;
-    for i in 0..logits.rows() {
-        for j in 0..logits.cols() {
-            let p = d_logits.get(i, j).clamp(1e-7, 1.0 - 1e-7);
-            let t = targets.get(i, j);
+    let (mut arg, mut log_arg) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+    let cells = d_logits
+        .as_mut_slice()
+        .chunks_mut(CHUNK)
+        .zip(targets.as_slice().chunks(CHUNK));
+    for (ds, ts) in cells {
+        let (arg, log_arg) = (&mut arg[..ds.len()], &mut log_arg[..ds.len()]);
+        for ((a, &s), &t) in arg.iter_mut().zip(ds.iter()).zip(ts) {
+            let p = s.clamp(1e-7, 1.0 - 1e-7);
+            *a = if t == 0.0 { 1.0 - p } else { p };
+        }
+        math::ln_into(arg, log_arg);
+        for ((d, &t), &l) in ds.iter_mut().zip(ts).zip(log_arg.iter()) {
+            let p = d.clamp(1e-7, 1.0 - 1e-7);
             let w = if t > 0.5 { pos_weight } else { 1.0 };
-            let log_likelihood = if t == 0.0 {
-                (1.0 - p).ln()
-            } else if t == 1.0 {
-                p.ln()
+            let log_likelihood = if t == 0.0 || t == 1.0 {
+                l
             } else {
-                t * p.ln() + (1.0 - t) * (1.0 - p).ln()
+                t * l + (1.0 - t) * math::ln(1.0 - p)
             };
             loss -= w * log_likelihood;
-            d_logits.set(i, j, w * (p - t) / n);
+            *d = w * (p - t) / n;
         }
     }
     Ok(loss / n)
@@ -410,7 +440,7 @@ mod tests {
         let p = sigmoid(&Matrix::row_vector(&[logit])).get(0, 0).clamp(1e-7, 1.0 - 1e-7);
         let w = if t > 0.5 { pos_weight } else { 1.0 };
         let mut loss = 0.0f32;
-        loss -= w * (t * p.ln() + (1.0 - t) * (1.0 - p).ln());
+        loss -= w * (t * math::ln(p) + (1.0 - t) * math::ln(1.0 - p));
         loss
     }
 
@@ -439,7 +469,7 @@ mod tests {
         let loss = bce_with_logits(&logits, &targets, 3.0).unwrap().loss;
         assert_eq!(loss.to_bits(), two_term_bce(logit, t, 3.0).to_bits());
         let p = p_of(logit);
-        assert_ne!(loss, -(t * p.ln()));
-        assert_ne!(loss, -((1.0 - t) * (1.0 - p).ln()));
+        assert_ne!(loss, -(t * math::ln(p)));
+        assert_ne!(loss, -((1.0 - t) * math::ln(1.0 - p)));
     }
 }

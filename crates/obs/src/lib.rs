@@ -33,10 +33,7 @@ mod snapshot;
 mod timeseries;
 
 pub use clock::{Clock, MonotonicClock, TickClock};
-pub use slo::{
-    AlertSeverity, SloAlert, SloEngine, SloObjective, SloSpec, DEFAULT_FAST_BURN,
-    DEFAULT_SLOW_BURN, DEFAULT_SLOW_WINDOWS,
-};
+pub use slo::{AlertSeverity, SloAlert, SloEngine, SloObjective, SloSpec, DEFAULT_SLOW_WINDOWS};
 pub use snapshot::{
     CounterSample, FixedHistogram, GaugeSample, HistogramSample, MetricsSnapshot, SpanSample,
 };

@@ -30,10 +30,10 @@ use crate::timeseries::SeriesRecorder;
 
 /// Default fast-burn threshold: 14.4× burn over one window consumes a
 /// 30-day budget in 2 days — the classic page threshold.
-pub const DEFAULT_FAST_BURN: f64 = 14.4;
+const DEFAULT_FAST_BURN: f64 = 14.4;
 /// Default slow-burn threshold: 6× sustained burn — the classic warn
 /// (ticket) threshold.
-pub const DEFAULT_SLOW_BURN: f64 = 6.0;
+const DEFAULT_SLOW_BURN: f64 = 6.0;
 /// Default long-window span, in captured windows.
 pub const DEFAULT_SLOW_WINDOWS: usize = 12;
 
@@ -114,12 +114,6 @@ impl SloSpec {
             slow_burn: DEFAULT_SLOW_BURN,
             slow_windows: DEFAULT_SLOW_WINDOWS,
         }
-    }
-
-    pub fn with_burn_rates(mut self, fast: f64, slow: f64) -> Self {
-        self.fast_burn = fast;
-        self.slow_burn = slow;
-        self
     }
 
     pub fn with_slow_windows(mut self, windows: usize) -> Self {
@@ -353,8 +347,8 @@ mod tests {
     #[test]
     fn slo_fast_burn_pages_once_per_edge() {
         let mut series = SeriesRecorder::new(16);
-        let spec = SloSpec::error_ratio("shed", "gw.shed", "gw.total", 0.01)
-            .with_burn_rates(10.0, 5.0);
+        let mut spec = SloSpec::error_ratio("shed", "gw.shed", "gw.total", 0.01);
+        (spec.fast_burn, spec.slow_burn) = (10.0, 5.0);
         let mut engine = SloEngine::new(vec![spec]);
 
         // Window 1: clean. Window 2+3: 50% shed (burn 50x). Window 4: clean.
@@ -386,9 +380,9 @@ mod tests {
         let mut series = SeriesRecorder::new(16);
         // 5% shed every window vs a 1% budget = sustained 5x burn: below
         // the 10x fast threshold, at the 5x slow threshold.
-        let spec = SloSpec::error_ratio("shed", "gw.shed", "gw.total", 0.01)
-            .with_burn_rates(10.0, 5.0)
-            .with_slow_windows(4);
+        let mut spec =
+            SloSpec::error_ratio("shed", "gw.shed", "gw.total", 0.01).with_slow_windows(4);
+        (spec.fast_burn, spec.slow_burn) = (10.0, 5.0);
         let mut engine = SloEngine::new(vec![spec]);
         let mut warns_at = Vec::new();
         for w in 0..6u64 {
@@ -418,7 +412,8 @@ mod tests {
     #[test]
     fn slo_latency_quantile_burns_on_above_limit_fraction() {
         let bounds = [10.0, 50.0, 100.0];
-        let spec = SloSpec::quantile("p99", "lat", 0.99, 50.0).with_burn_rates(14.4, 6.0);
+        let mut spec = SloSpec::quantile("p99", "lat", 0.99, 50.0);
+        (spec.fast_burn, spec.slow_burn) = (14.4, 6.0);
         let mut series = SeriesRecorder::new(16);
         let mut engine = SloEngine::new(vec![spec]);
 

@@ -22,6 +22,7 @@
 // check that bounds its loads and stores.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod math;
 mod matrix;
 mod parallel;
 mod quant;
