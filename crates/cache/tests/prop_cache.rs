@@ -11,29 +11,29 @@ const CASES: usize = 256;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Touch(u8),
-    Insert(u8),
-    Remove(u8),
+    Touch(usize),
+    Insert(usize),
+    Remove(usize),
 }
 
-/// A trace of 1 to 199 operations on keys below 20.
+/// A trace of 1 to 199 operations on model ids below 20.
 fn ops(rng: &mut StdRng) -> Vec<Op> {
     (0..rng.usize(1..200))
         .map(|_| {
-            let key = rng.usize(0..20) as u8;
+            let id = rng.usize(0..20);
             match rng.usize(0..3) {
-                0 => Op::Touch(key),
-                1 => Op::Insert(key),
-                _ => Op::Remove(key),
+                0 => Op::Touch(id),
+                1 => Op::Insert(id),
+                _ => Op::Remove(id),
             }
         })
         .collect()
 }
 
-/// A key sequence whose length is drawn from `lens` and whose keys are drawn
-/// from `domain`.
-fn keys(rng: &mut StdRng, lens: Range<usize>, domain: Range<usize>) -> Vec<u8> {
-    (0..rng.usize(lens)).map(|_| rng.usize(domain.clone()) as u8).collect()
+/// A model-id sequence whose length is drawn from `lens` and whose ids are
+/// drawn from `domain`.
+fn ids(rng: &mut StdRng, lens: Range<usize>, domain: Range<usize>) -> Vec<usize> {
+    (0..rng.usize(lens)).map(|_| rng.usize(domain.clone())).collect()
 }
 
 fn policies() -> [EvictionPolicy; 3] {
@@ -55,19 +55,19 @@ fn capacity_and_stats_invariants() {
             let mut inserts = 0u64;
             for op in &ops {
                 match op {
-                    Op::Touch(k) => {
-                        cache.touch(k);
+                    Op::Touch(id) => {
+                        cache.touch(*id);
                         touches += 1;
                     }
-                    Op::Insert(k) => {
-                        let evicted = cache.insert(*k);
+                    Op::Insert(id) => {
+                        let evicted = cache.insert(*id);
                         inserts += 1;
                         if capacity == 0 {
                             assert!(evicted.is_none(), "{at}");
                         }
                     }
-                    Op::Remove(k) => {
-                        cache.remove(k);
+                    Op::Remove(id) => {
+                        cache.remove(*id);
                     }
                 }
                 assert!(cache.len() <= capacity, "{at}");
@@ -87,52 +87,52 @@ fn capacity_and_stats_invariants() {
 fn insert_then_touch_hits() {
     let mut rng = rng_from_seed(Seed(0xCA_0002));
     for case in 0..CASES {
-        let (key, capacity) = (rng.usize(0..50) as u8, rng.usize(1..8));
+        let (id, capacity) = (rng.usize(0..50), rng.usize(1..8));
         for policy in policies() {
             let mut cache = SlotCache::new(capacity, policy);
-            cache.insert(key);
-            assert!(cache.touch(&key), "case {case} ({policy})");
+            cache.insert(id);
+            assert!(cache.touch(id), "case {case} ({policy})");
         }
     }
 }
 
-/// Evicted keys are no longer resident, and the evicted key differs from the
+/// Evicted ids are no longer resident, and the evicted id differs from the
 /// inserted one.
 #[test]
 fn eviction_removes_exactly_one_other_key() {
     let mut rng = rng_from_seed(Seed(0xCA_0003));
     for case in 0..CASES {
-        let keys = keys(&mut rng, 1..60, 0..30);
+        let ids = ids(&mut rng, 1..60, 0..30);
         for policy in policies() {
             let at = format!("case {case} ({policy})");
             let mut cache = SlotCache::new(3, policy);
-            for &k in &keys {
-                let was_resident = cache.contains(&k);
-                if let Some(evicted) = cache.insert(k) {
-                    assert_ne!(evicted, k, "{at}");
+            for &id in &ids {
+                let was_resident = cache.contains(id);
+                if let Some(evicted) = cache.insert(id) {
+                    assert_ne!(evicted, id, "{at}");
                     assert!(!was_resident, "{at}");
-                    assert!(!cache.contains(&evicted), "{at}");
+                    assert!(!cache.contains(evicted), "{at}");
                 }
-                assert!(cache.contains(&k) || cache.capacity() == 0, "{at}");
+                assert!(cache.contains(id) || cache.capacity() == 0, "{at}");
             }
         }
     }
 }
 
-/// LFU never evicts the strictly most-frequently-used resident key.
+/// LFU never evicts the strictly most-frequently-used resident id.
 #[test]
 fn lfu_protects_the_hottest_key() {
     let mut rng = rng_from_seed(Seed(0xCA_0004));
     for case in 0..CASES {
-        let cold = keys(&mut rng, 1..40, 1..30);
+        let cold = ids(&mut rng, 1..40, 1..30);
         let mut cache = SlotCache::new(2, EvictionPolicy::Lfu);
         cache.insert(0);
         for _ in 0..100 {
-            cache.touch(&0);
+            cache.touch(0);
         }
-        for &k in &cold {
-            assert_ne!(cache.insert(k), Some(0), "case {case}");
-            assert!(cache.contains(&0), "case {case}");
+        for &id in &cold {
+            assert_ne!(cache.insert(id), Some(0), "case {case}");
+            assert!(cache.contains(0), "case {case}");
         }
     }
 }

@@ -640,7 +640,8 @@ pub struct Gateway<'a> {
     frames_processed_run: u64,
     frames_shed_run: u64,
     sessions_quarantined_run: u64,
-    // Batched-scoring scratch.
+    // Per-window scratch: the dispatch candidates and the batched scoring.
+    candidates: Vec<Candidate>,
     batch: Matrix,
     ws: Workspace,
     score_buf: Vec<f32>,
@@ -685,6 +686,7 @@ impl<'a> Gateway<'a> {
             frames_processed_run: 0,
             frames_shed_run: 0,
             sessions_quarantined_run: 0,
+            candidates: Vec::new(),
             batch: Matrix::default(),
             ws: Workspace::new(),
             score_buf: Vec::new(),
@@ -922,9 +924,11 @@ impl<'a> Gateway<'a> {
             }
 
             self.produce(now);
-            let candidates = self.shed_and_select(now);
+            let mut candidates = std::mem::take(&mut self.candidates);
+            self.shed_and_select(now, &mut candidates);
             let scored = self.score(&candidates);
             self.dispatch(now, &candidates, scored);
+            self.candidates = candidates;
             self.retire_drained();
 
             self.tick_breaker(now);
@@ -993,11 +997,11 @@ impl<'a> Gateway<'a> {
     /// Shed and select, in session-id order: frames queued past the
     /// deadline are shed onto a last-good replay (a session that sheds
     /// `shed_session_after` in a row is shed whole), then the oldest frame
-    /// of each idle session becomes a dispatch candidate, unless an injected
-    /// stall parks the session.
-    fn shed_and_select(&mut self, now: f64) -> Vec<Candidate> {
+    /// of each idle session becomes a dispatch candidate in `candidates`,
+    /// unless an injected stall parks the session.
+    fn shed_and_select(&mut self, now: f64, candidates: &mut Vec<Candidate>) {
         let deadline_ms = self.effective_deadline();
-        let mut candidates: Vec<Candidate> = Vec::new();
+        candidates.clear();
         let ids = std::mem::take(&mut self.active_ids);
         for &idx in &ids {
             if deadline_ms.is_finite() && !self.sessions[idx].state.is_terminal() {
@@ -1025,7 +1029,6 @@ impl<'a> Gateway<'a> {
             candidates.push(Candidate { session: idx, frame, arrival_ms, slow });
         }
         self.active_ids = ids;
-        candidates
     }
 
     /// Sheds session `idx`'s frames queued past the deadline: each is

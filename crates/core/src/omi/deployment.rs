@@ -202,13 +202,61 @@ impl FlightRing {
 
 /// What MSS decided for one frame.
 struct Choice {
-    /// The best-ranked model (the pinned model on a pinned-only frame).
+    /// The best non-excluded model (the pinned model on a pinned-only frame).
     requested: usize,
     /// Suitability of `requested` (0.0 on a pinned-only frame).
     suitability: f32,
-    /// Non-excluded models, best first. Empty on a pinned-only frame: every
-    /// model is excluded, and the pinned model serves without a decision.
-    ranking: Vec<usize>,
+    /// Whether every model is excluded, so the pinned model serves without a
+    /// decision.
+    pinned_only: bool,
+}
+
+/// Whether model `a` ranks before model `b`: higher suitability first, and
+/// equal suitabilities (+0.0 and −0.0 included) by lower id. On finite
+/// scores this is the order a stable sort of the ids by descending score
+/// gives, so each consumer selects what it needs instead of sorting.
+fn ranks_before(scores: &[f32], a: usize, b: usize) -> bool {
+    scores[a] > scores[b] || (scores[a] == scores[b] && a < b)
+}
+
+/// The first of `ids` in ranking order.
+fn best_of(scores: &[f32], ids: impl Iterator<Item = usize>) -> Option<usize> {
+    ids.reduce(|best, id| if ranks_before(scores, id, best) { id } else { best })
+}
+
+/// The models that can serve a frame without a load: the cached ones and
+/// the pinned one. They are at most the cache's slots plus one, so CMD and
+/// MI scan them instead of ranking every model.
+struct Residents<'e> {
+    scores: &'e [f32],
+    excluded: &'e [bool],
+    cache: &'e SlotCache,
+    pinned: Option<usize>,
+}
+
+impl Residents<'_> {
+    /// The best non-excluded resident model not in `skip`.
+    fn best(&self, skip: &[usize]) -> Option<usize> {
+        let ids = self.cache.iter().chain(self.pinned);
+        best_of(self.scores, ids.filter(|id| !self.excluded[*id] && !skip.contains(id)))
+    }
+
+    /// CMD's miss fallback and its tier: 1 when the model is cached, 2 when
+    /// it is the pinned model.
+    fn fallback(&self) -> Option<(usize, usize)> {
+        self.best(&[]).map(|id| (id, if self.cache.contains(id) { 1 } else { 2 }))
+    }
+
+    /// MI's hedge: adds the best resident models not yet in `executed` until
+    /// it holds `limit` models or none is left.
+    fn hedge(&self, executed: &mut Vec<usize>, limit: usize) {
+        while executed.len() < limit {
+            match self.best(executed) {
+                Some(id) => executed.push(id),
+                None => break,
+            }
+        }
+    }
 }
 
 /// Which resident model CMD handed to MI, and at what fallback tier.
@@ -221,8 +269,9 @@ struct Cached {
     sync_load_ms: f32,
 }
 
-/// The on-device Anole engine: MSS (rank models per frame), CMD (LFU cache
-/// with best-cached fallback), and MI (run the chosen compressed model).
+/// The on-device Anole engine: MSS (pick the most suitable model per
+/// frame), CMD (LFU cache with best-cached fallback), and MI (run the chosen
+/// compressed model).
 ///
 /// Model loads on a miss happen in the background (the frame is served by
 /// the best cached model); their cost is tracked in
@@ -235,7 +284,7 @@ struct Cached {
 #[derive(Debug)]
 pub struct OnlineEngine<'a> {
     system: &'a AnoleSystem,
-    cache: SlotCache<usize>,
+    cache: SlotCache,
     latency: LatencyModel,
     rng: StdRng,
     usage_log: Vec<usize>,
@@ -275,6 +324,11 @@ pub struct OnlineEngine<'a> {
     ws: Workspace,
     /// Staged single-row feature matrix feeding the workspace paths.
     row: Matrix,
+    /// The models MI runs this frame, served model first; reused across
+    /// frames.
+    executed: Vec<usize>,
+    /// The fused probability map of a hedged frame; reused across frames.
+    fused: Vec<f32>,
     /// Per-session flight recorder (`None` unless
     /// [`OnlineEngine::with_flight_recorder`] armed it). Write-only on the
     /// serving path; read only by [`OnlineEngine::flight_record`].
@@ -321,6 +375,8 @@ impl<'a> OnlineEngine<'a> {
             pressure_evicted: Vec::new(),
             ws: Workspace::new(),
             row: Matrix::default(),
+            executed: Vec::new(),
+            fused: Vec::new(),
             flight: None,
         }
     }
@@ -546,9 +602,14 @@ impl<'a> OnlineEngine<'a> {
         &self.pressure_evicted
     }
 
-    /// Whether `id` can serve a frame right now without a load.
-    fn resident(&self, id: usize) -> bool {
-        self.cache.contains(&id) || self.pinned == Some(id)
+    /// The resident models, ranked by the last scored frame.
+    fn residents(&self) -> Residents<'_> {
+        Residents {
+            scores: self.suitability.as_deref().expect("set by mss"),
+            excluded: &self.excluded,
+            cache: &self.cache,
+            pinned: self.pinned,
+        }
     }
 
     /// Rejects a frame of the wrong width or with NaN/Inf values (they would
@@ -584,7 +645,7 @@ impl<'a> OnlineEngine<'a> {
         if let Some(flag) = self.excluded.get_mut(id) {
             *flag = true;
         }
-        self.cache.remove(&id);
+        self.cache.remove(id);
     }
 
     /// Attempts to load `id` into the cache, consuming any pending injected
@@ -705,7 +766,7 @@ impl<'a> OnlineEngine<'a> {
             if outcome.models_executed > 1 {
                 self.hedged_frames += 1;
             }
-            self.last_good = Some(outcome.detections.clone());
+            self.last_good.get_or_insert_with(Vec::new).clone_from(&outcome.detections);
         }
         let previous_health = self.health;
         self.climb_ladder(&outcome);
@@ -774,9 +835,7 @@ impl<'a> OnlineEngine<'a> {
     pub fn quantized_resident(&self) -> usize {
         self.cache
             .iter()
-            .filter(|&&id| {
-                self.system.repository().model(id).serving_precision() == Precision::Int8
-            })
+            .filter(|&id| self.system.repository().model(id).serving_precision() == Precision::Int8)
             .count()
     }
 
@@ -889,11 +948,11 @@ impl<'a> OnlineEngine<'a> {
         faults
     }
 
-    /// MSS: ranks the non-excluded models by suitability. `None` when the
-    /// frame must be replayed: it is unusable (no model can run on it, not
-    /// even the decision stage), a decision anomaly hit before any
-    /// trustworthy scores existed, or every model is excluded and nothing is
-    /// pinned.
+    /// MSS: scores the frame and requests the best non-excluded model.
+    /// `None` when the frame must be replayed: it is unusable (no model can
+    /// run on it, not even the decision stage), a decision anomaly hit
+    /// before any trustworthy scores existed, or every model is excluded and
+    /// nothing is pinned.
     ///
     /// # Errors
     ///
@@ -915,15 +974,12 @@ impl<'a> OnlineEngine<'a> {
         let Some(scores) = self.suitability.as_deref() else {
             return Ok(None);
         };
-        let mut ranking: Vec<usize> = (0..scores.len()).collect();
-        ranking.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        ranking.retain(|&id| !self.is_excluded(id));
-        match ranking.first() {
-            Some(&id) => Ok(Some(Choice { requested: id, suitability: scores[id], ranking })),
+        match best_of(scores, (0..scores.len()).filter(|&id| !self.is_excluded(id))) {
+            Some(id) => Ok(Some(Choice {
+                requested: id,
+                suitability: scores[id],
+                pinned_only: false,
+            })),
             None if self.pinned.is_none() && self.last_good.is_none() => {
                 Err(AnoleError::FaultExhausted {
                     detail: format!(
@@ -937,7 +993,7 @@ impl<'a> OnlineEngine<'a> {
             None => Ok(self.pinned.map(|pinned| Choice {
                 requested: pinned,
                 suitability: 0.0,
-                ranking,
+                pinned_only: true,
             })),
         }
     }
@@ -956,37 +1012,32 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// CMD: serves the requested model from the cache (an LFU touch), or on
-    /// a miss picks the best-ranked resident model and background-loads the
+    /// a miss picks the best resident model and background-loads the
     /// requested one for future frames. `None` when nothing is resident and
     /// that load failed.
     fn cmd(&mut self, choice: &Choice) -> Option<Cached> {
         let requested = choice.requested;
         let mut cached = Cached { used: requested, ..Cached::default() };
-        if choice.ranking.is_empty() {
+        if choice.pinned_only {
             // Every model is excluded: the pinned model serves directly,
             // with no cache traffic.
             cached.fallback_depth = 2;
             return Some(cached);
         }
-        if self.cache.touch(&requested) || self.pinned == Some(requested) {
+        if self.cache.touch(requested) || self.pinned == Some(requested) {
             cached.cache_hit = true;
             return Some(cached);
         }
-        // The best-ranked resident model serves the frame: tier 1 when it is
-        // cached, tier 2 when it is the pinned model. The tier is fixed here,
-        // because the background load below may evict the cached model once
-        // it has served this frame.
-        let fallback = choice
-            .ranking
-            .iter()
-            .copied()
-            .find(|&id| self.resident(id))
-            .map(|id| (id, if self.cache.contains(&id) { 1 } else { 2 }));
+        // The best resident model serves the frame: tier 1 when it is cached,
+        // tier 2 when it is the pinned model. The tier is fixed here, because
+        // the background load below may evict the cached model once it has
+        // served this frame.
+        let fallback = self.residents().fallback();
         // An injected load fault fails this load.
         let loaded = self.attempt_load(requested);
         match fallback {
             Some((id, depth)) => {
-                self.cache.refresh(&id);
+                self.cache.refresh(id);
                 cached.used = id;
                 cached.fallback_depth = depth;
             }
@@ -1005,31 +1056,27 @@ impl<'a> OnlineEngine<'a> {
     /// that no single well-fitting model exists, §II case 3) — prices the
     /// frame, and returns its per-frame record.
     fn mi(&mut self, choice: &Choice, cached: &Cached) -> Result<StepOutcome, AnoleError> {
-        let mut executed = vec![cached.used];
+        let mut executed = std::mem::take(&mut self.executed);
+        executed.clear();
+        executed.push(cached.used);
         let fuse_limit = self.models_per_frame_limit();
         let threshold = self.system.config().decision.confidence_threshold;
         if fuse_limit > 1 && choice.suitability < threshold {
-            for &id in &choice.ranking {
-                if executed.len() >= fuse_limit {
-                    break;
-                }
-                if id != cached.used && self.resident(id) {
-                    executed.push(id);
-                }
-            }
+            self.residents().hedge(&mut executed, fuse_limit);
         }
-        let detections = self.detect(&executed)?;
+        self.executed = executed;
+        let detections = self.detect()?;
         // A pinned-only frame was never ranked, so it pays no decision stage.
-        let decision_ms = if choice.ranking.is_empty() {
+        let decision_ms = if choice.pinned_only {
             0.0
         } else {
             self.latency.scene_decision_ms(&mut self.rng)
         };
         let mut latency_ms = decision_ms + cached.sync_load_ms;
-        for _ in &executed {
+        for _ in &self.executed {
             latency_ms += self.latency.inference_ms(ReferenceModel::Yolov3Tiny, &mut self.rng);
         }
-        for id in &executed[1..] {
+        for &id in &self.executed[1..] {
             self.cache.refresh(id);
         }
         Ok(StepOutcome {
@@ -1037,7 +1084,7 @@ impl<'a> OnlineEngine<'a> {
             used: cached.used,
             cache_hit: cached.cache_hit,
             detections,
-            models_executed: executed.len(),
+            models_executed: self.executed.len(),
             latency_ms,
             suitability: choice.suitability,
             health: self.health,
@@ -1047,33 +1094,34 @@ impl<'a> OnlineEngine<'a> {
         })
     }
 
-    /// Thresholded detections of one model, or of the suitability-weighted
-    /// average of several models' probability maps.
-    fn detect(&mut self, executed: &[usize]) -> Result<Vec<bool>, AnoleError> {
+    /// Thresholded detections of the one executed model, or of the
+    /// suitability-weighted average of the executed models' probability
+    /// maps.
+    fn detect(&mut self) -> Result<Vec<bool>, AnoleError> {
         let repository = self.system.repository();
         let threshold = self.system.config().detector.threshold;
-        if let [id] = *executed {
+        if let [id] = self.executed[..] {
             let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
             return Ok(anole_detect::threshold_probs(probs.row(0), threshold));
         }
-        let scores = self.suitability.as_ref().expect("set by mss");
-        let mut fused: Vec<f32> = Vec::new();
+        let scores = self.suitability.as_deref().expect("set by mss");
+        self.fused.clear();
         let mut weight_sum = 0.0f32;
-        for &id in executed {
+        for &id in &self.executed {
             let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
             let w = scores[id].max(1e-6);
-            if fused.is_empty() {
-                fused = vec![0.0; probs.cols()];
+            if self.fused.is_empty() {
+                self.fused.resize(probs.cols(), 0.0);
             }
-            for (f, &p) in fused.iter_mut().zip(probs.row(0).iter()) {
+            for (f, &p) in self.fused.iter_mut().zip(probs.row(0).iter()) {
                 *f += w * p;
             }
             weight_sum += w;
         }
-        fused.iter_mut().for_each(|f| *f /= weight_sum.max(1e-6));
+        self.fused.iter_mut().for_each(|f| *f /= weight_sum.max(1e-6));
         // Averaging dilutes the confident model's positives; compensate with
         // a slightly lower detection threshold on fused maps.
-        Ok(anole_detect::threshold_probs(&fused, threshold * 0.85))
+        Ok(anole_detect::threshold_probs(&self.fused, threshold * 0.85))
     }
 }
 
@@ -1088,6 +1136,87 @@ mod tests {
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(71));
         let system = AnoleSystem::train(&dataset, &AnoleConfig::fast(), Seed(72)).unwrap();
         (dataset, system)
+    }
+
+    /// The selection as MSS, CMD and MI made it before they selected: a
+    /// stable sort of every id by descending score, excluded ids dropped.
+    fn sorted_ranking(scores: &[f32], excluded: &[bool]) -> Vec<usize> {
+        let mut ranking: Vec<usize> = (0..scores.len()).collect();
+        ranking.sort_by(|&a, &b| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        ranking.retain(|&id| !excluded[id]);
+        ranking
+    }
+
+    #[test]
+    fn selection_matches_a_stable_sort() {
+        let mut rng = rng_from_seed(Seed(0x5E1EC7));
+        let mut hedged = 0;
+        for case in 0..4000 {
+            let width = rng.usize(1..25);
+            // Few distinct values force ties, and ±0.0 must tie with each
+            // other.
+            let pool = [0.0, -0.0, 0.25, 0.5, rng.f32_in(-1.0..1.0), rng.f32()];
+            let scores: Vec<f32> = (0..width)
+                .map(|_| if rng.gen_bool(0.6) { pool[rng.usize(0..pool.len())] } else { rng.f32() })
+                .collect();
+            let mut excluded: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.3)).collect();
+            let pinned = rng.gen_bool(0.5).then(|| rng.usize(0..width));
+            if let Some(pinned) = pinned {
+                excluded[pinned] = false; // the pinned model is never excluded
+            }
+            // Inserted in random order, so the scans do not visit the
+            // resident ids by ascending id.
+            let mut resident_ids: Vec<usize> = (0..width).filter(|_| rng.gen_bool(0.4)).collect();
+            rng.shuffle(&mut resident_ids);
+            let mut cache = SlotCache::new(width, anole_cache::EvictionPolicy::Lfu);
+            for &id in &resident_ids {
+                cache.insert(id);
+            }
+            let limit = rng.usize(1..5);
+            let at = format!("case {case}: {scores:?} excluded {excluded:?} pinned {pinned:?}");
+
+            let ranking = sorted_ranking(&scores, &excluded);
+            let requested = best_of(&scores, (0..width).filter(|&id| !excluded[id]));
+            assert_eq!(requested, ranking.first().copied(), "{at}");
+
+            let resident = |id: usize| cache.contains(id) || pinned == Some(id);
+            let residents = Residents {
+                scores: &scores,
+                excluded: &excluded,
+                cache: &cache,
+                pinned,
+            };
+            let fallback = ranking
+                .iter()
+                .copied()
+                .find(|&id| resident(id))
+                .map(|id| (id, if cache.contains(id) { 1 } else { 2 }));
+            assert_eq!(residents.fallback(), fallback, "{at}");
+
+            // MI hedges around the model that served: the fallback on a
+            // miss, or the request itself.
+            let Some(used) = fallback.map(|(id, _)| id).or(requested) else {
+                continue;
+            };
+            let mut expected = vec![used];
+            for &id in &ranking {
+                if expected.len() >= limit {
+                    break;
+                }
+                if id != used && resident(id) {
+                    expected.push(id);
+                }
+            }
+            let mut executed = vec![used];
+            residents.hedge(&mut executed, limit);
+            assert_eq!(executed, expected, "{at} limit {limit}");
+            hedged += usize::from(executed.len() > 2);
+        }
+        assert!(hedged > 100, "too few hedges of three or more models: {hedged}");
     }
 
     #[test]
@@ -1479,7 +1608,7 @@ mod tests {
         let frame = dataset.frame(split.test[0]);
         let err = external.step_with_scores(&frame.features, &[0.5]).unwrap_err();
         assert!(matches!(err, AnoleError::InvalidFrame { .. }), "{err}");
-        // So is a non-finite score, which the ranking sort cannot order.
+        // So is a non-finite score, which the ranking order cannot place.
         let n = system.repository().len();
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut scores = vec![0.5f32; n];

@@ -41,17 +41,32 @@ pub(crate) struct BatchWorkspace {
     pub nt_pack: Matrix,
     /// Per-layer `(d_weights, d_bias)` written by the backward pass.
     pub grads: Vec<(Matrix, Matrix)>,
+    /// `(z, activation)` buffers of the layers a deeper network ran beyond
+    /// the current one's depth, deepest first, kept for its next pass.
+    spare: Vec<(Matrix, Matrix)>,
 }
 
 impl BatchWorkspace {
-    /// Sizes the per-layer buffer vectors for an `n`-layer model.
+    /// Sizes the per-layer buffer vectors for an `n`-layer model, so each
+    /// lines up 1:1 with the model's layers.
     ///
     /// Growing pushes default (empty) matrices — a warm-up allocation the
-    /// first time a model shape is seen; shrinking truncates so `grads`
-    /// always lines up 1:1 with the model's layers.
+    /// first time a model shape is seen. The pre- and post-activations of
+    /// the layers a shrink drops are parked and handed back, layer by
+    /// layer, when a deeper model runs again: the serving engine alternates
+    /// its decision and detector networks, of different depths, on one
+    /// workspace without reallocating them every frame.
     pub fn ensure_layers(&mut self, n: usize) {
-        self.zs.resize_with(n, Matrix::default);
-        self.acts.resize_with(n, Matrix::default);
+        while self.zs.len() > n {
+            let z = self.zs.pop().expect("more layers than n");
+            let act = self.acts.pop().expect("acts line up with zs");
+            self.spare.push((z, act));
+        }
+        while self.zs.len() < n {
+            let (z, act) = self.spare.pop().unwrap_or_default();
+            self.zs.push(z);
+            self.acts.push(act);
+        }
         self.grads.resize_with(n, Default::default);
     }
 

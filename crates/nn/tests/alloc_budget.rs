@@ -73,13 +73,21 @@ fn fit_allocs(
 fn warm_workspace_serving_allocates_nothing() {
     let (x, _, _) = dataset(64, 7, 3);
     // The engine serves one frame at a time, through the fp32 model or its
-    // int8 twin; the gateway scores whole batches.
+    // int8 twin, and scores it with a deeper network on the same workspace;
+    // the gateway scores whole batches.
     let frame = Matrix::row_vector(x.row(0));
     let model = build_model();
     let quant = model.quantize();
+    let deeper = Mlp::builder(7)
+        .hidden(12, Activation::Relu)
+        .hidden(9, Activation::Tanh)
+        .hidden(6, Activation::Relu)
+        .output(4)
+        .build(Seed(83));
     let mut ws = Workspace::new();
     let serve = |ws: &mut Workspace| {
         for input in [&x, &frame] {
+            deeper.predict_proba_batch(input, ws).unwrap();
             model.predict_batch(input, ws).unwrap();
             model.predict_proba_batch(input, ws).unwrap();
             model.predict_sigmoid_batch(input, ws).unwrap();
