@@ -354,6 +354,25 @@ impl AnoleSystem {
         self.suitability_sets.samples.iter().map(|&(r, _)| dataset.frame(r)).collect()
     }
 
+    /// Writes the decision-training target of each stored suitability
+    /// sample `i` into row `i` of `targets`, from row `i` of `scores` (its
+    /// per-frame F1 on every model): the membership plus the owner boost on
+    /// the specialist the sample was drawn for, normalized, as
+    /// [`AdaptiveSampler::collect`] builds it. Where no score moved since
+    /// collection, each row equals the normalized stored membership.
+    fn write_stored_targets(
+        &self,
+        scores: &anole_tensor::Matrix,
+        targets: &mut anole_tensor::Matrix,
+    ) {
+        let accept = self.config.sampling.accept_f1;
+        for (i, &(_, owner)) in self.suitability_sets.samples.iter().enumerate() {
+            let mut v = crate::osp::membership(scores.row(i), accept);
+            crate::osp::boost_owner(&mut v, owner);
+            write_normalized(targets, i, &v, owner);
+        }
+    }
+
     /// Trains one compressed specialist on `frames` (4/5 fit split, 1/5
     /// validation), returning the candidate with `id` 0 — the repository
     /// assigns the real id on push.
@@ -439,7 +458,10 @@ impl AnoleSystem {
     ///    specialist is trained on them (as in repository expansion).
     /// 4. **Decision refresh** — the decision head is retrained (frozen
     ///    scene backbone) over suitability targets recomputed against the
-    ///    refreshed repository.
+    ///    refreshed repository. The recomputed targets carry the owner
+    ///    boost, as collection and expansion build them: each stored
+    ///    suitability sample on the specialist it was drawn for, each novel
+    ///    footage frame on the new specialist.
     ///
     /// Every step is checkpointed through `recovery` (when supplied) with
     /// the PR-3 envelope machinery, and each boundary is a
@@ -599,7 +621,9 @@ impl AnoleSystem {
         // Final step: retrain the decision head against the refreshed
         // repository. Suitability targets are recomputed from scratch — the
         // stale specialists' scores moved, so the stored memberships no
-        // longer describe them.
+        // longer describe them — and carry the owner boost as collection
+        // and expansion build them, so a stored sample whose scores did not
+        // move keeps its stored target.
         let decision_step = new_step + 1;
         let n_models = self.repository.len();
         let decision = match recovery
@@ -618,9 +642,8 @@ impl AnoleSystem {
                 let mut targets = Matrix::zeros(rows, n_models);
                 for (i, frame) in stored.iter().enumerate() {
                     x.row_mut(i).copy_from_slice(&frame.features);
-                    let v = crate::osp::membership(stored_scores.row(i), accept);
-                    write_normalized(&mut targets, i, &v, self.suitability_sets.samples[i].1);
                 }
+                self.write_stored_targets(&stored_scores, &mut targets);
                 for (k, frame) in frames.iter().enumerate() {
                     let row = stored.len() + k;
                     let scores = footage_scores.row(k);
@@ -1037,6 +1060,40 @@ mod tests {
             }
         }
         assert_eq!(reprofiled.decision().model_count(), reprofiled.repository().len());
+    }
+
+    #[test]
+    fn reprofile_targets_of_unmoved_samples_are_their_stored_memberships() {
+        use anole_tensor::Matrix;
+
+        let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(231));
+        let system = AnoleSystem::train(&dataset, &AnoleConfig::fast(), Seed(232)).unwrap();
+        let sets = system.suitability_sets();
+        let n_models = system.repository().len();
+
+        // Scored against the repository the samples were collected on, no
+        // score has moved: the re-profile's target rows are the stored
+        // (owner-boosted) memberships, normalized, bit for bit.
+        let stored = system.stored_sample_frames(&dataset);
+        let threshold = system.config().detector.threshold;
+        let scores =
+            crate::osp::f1_table(system.repository().models(), &stored, threshold).unwrap();
+        let mut targets = Matrix::zeros(sets.len(), n_models);
+        system.write_stored_targets(&scores, &mut targets);
+
+        let mut expected = Matrix::zeros(sets.len(), n_models);
+        for (i, (v, &(_, owner))) in sets.memberships.iter().zip(&sets.samples).enumerate() {
+            assert_eq!(v.len(), n_models);
+            write_normalized(&mut expected, i, v, owner);
+        }
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (i, &(r, owner)) in sets.samples.iter().enumerate() {
+            assert_eq!(
+                bits(targets.row(i)),
+                bits(expected.row(i)),
+                "sample {i} ({r:?}, drawn for model {owner})"
+            );
+        }
     }
 
     #[test]
