@@ -3,7 +3,8 @@
 //!
 //! It emits a small JSON file suitable for diffing across commits and
 //! machines: wall times for the naive and register-blocked matmul kernels,
-//! the transpose-fused variants, the layer shapes the serving path runs,
+//! the transpose-fused variants, the product shapes that serving, OSP
+//! training and the gateway's batched scoring run,
 //! the fp32 and int8 forwards of the serving detector and decision net, the
 //! `tanh`, `exp` and `ln` slice kernels against the plain `f32` loop, the
 //! fused-vs-reference optimizer steps, one workspace-reused training epoch,
@@ -28,7 +29,7 @@ use anole_data::{DatasetConfig, DrivingDataset};
 use anole_json::{ToJson, Value};
 use anole_nn::{Activation, Mlp, OptimizerKind, Predictor, TrainConfig, Trainer, Workspace};
 use anole_tensor::{
-    math, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed,
+    math, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed, ShapeError,
 };
 
 /// Best-of-`reps` wall time in milliseconds.
@@ -132,30 +133,42 @@ fn main() -> ExitCode {
         }
     }
 
-    // Layer shapes the serving path runs: the first layer of a single-frame
-    // decision or detector forward, the decision head's output layer, and a
-    // 64-row batch (the gateway's batched scoring, a training mini-batch).
-    // One call takes well under a microsecond, so each row times `iters`
-    // calls into a warm output buffer and reports the time per call.
-    let shapes: [(usize, usize, usize, usize); 3] =
-        [(1, 32, 64, 20_000), (1, 64, 19, 20_000), (64, 32, 64, 500)];
-    for (m, k, n, iters) in shapes {
+    // Products the serving path and OSP training run: the first layer of a
+    // single-frame decision or detector forward and the decision head's
+    // output layer; 64-row training mini-batches through a hidden layer, the
+    // detector's output layer and the decision head, and a weight gradient
+    // through `matmul_tn` (a 64×48 activation against a 64×16 gradient);
+    // and the gateway's batched decision scoring of 2,000 frames. A small
+    // call takes well under a microsecond, so each row times `iters` calls
+    // into a warm output buffer and reports the time per call.
+    let shapes: [(&str, usize, usize, usize, usize); 7] = [
+        ("matmul", 1, 32, 64, 20_000),
+        ("matmul", 1, 64, 19, 20_000),
+        ("matmul", 64, 32, 64, 500),
+        ("matmul", 64, 48, 16, 500),
+        ("matmul", 64, 64, 19, 500),
+        ("matmul_tn", 48, 64, 16, 500),
+        ("matmul", 2_000, 32, 64, 20),
+    ];
+    type Product = fn(&Matrix, &Matrix, &mut Matrix) -> Result<(), ShapeError>;
+    for (op, m, k, n, iters) in shapes {
         let mut rng = rng_from_seed(Seed(9_100 + (m * k * n) as u64));
-        let a = Matrix::random_normal(m, k, 1.0, &mut rng);
+        // `matmul_tn` reads its k×m left operand down the columns.
+        let (product, a_rows, a_cols): (Product, _, _) = if op == "matmul_tn" {
+            (Matrix::matmul_tn_into, k, m)
+        } else {
+            (Matrix::matmul_into, m, k)
+        };
+        let a = Matrix::random_normal(a_rows, a_cols, 1.0, &mut rng);
         let b = Matrix::random_normal(k, n, 1.0, &mut rng);
         let mut out = Matrix::default();
         let ms = time_ms(reps, || {
             for _ in 0..iters {
-                black_box(&a).matmul_into(black_box(&b), &mut out).unwrap();
+                product(black_box(&a), black_box(&b), &mut out).unwrap();
             }
             black_box(&out);
         });
-        record(
-            &format!("matmul_{m}x{k}x{n}"),
-            "serial",
-            1,
-            ms / iters as f64,
-        );
+        record(&format!("{op}_{m}x{k}x{n}"), "serial", 1, ms / iters as f64);
     }
 
     // Per-row symmetric quantization of a 256×256 matrix.
@@ -404,8 +417,8 @@ fn main() -> ExitCode {
             "note",
             Value::String(
                 "Each row is a best-of-N wall time after one warm-up, N >= reps. Rows named \
-                 matmul_MxKxN, forward_* and math_* time a loop of calls into a warm output and \
-                 report ms per call."
+                 matmul_MxKxN, matmul_tn_MxKxN (an M×N output of depth K), forward_* and math_* \
+                 time a loop of calls into a warm output and report ms per call."
                     .into(),
             ),
         ),

@@ -1,22 +1,13 @@
 //! The machine a snapshot ran on, recorded in every `BENCH_*.json`.
 
 use anole_json::{ToJson, Value};
-use anole_tensor::ParallelConfig;
+use anole_tensor::{Matrix, ParallelConfig};
 
 /// The CPU model named in `/proc/cpuinfo`, where there is one.
 fn cpu_model() -> Option<String> {
     let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
     let line = info.lines().find(|l| l.starts_with("model name"))?;
     Some(line.split_once(':')?.1.trim().to_string())
-}
-
-/// The vector extension the f32 kernels dispatch to on this host.
-fn f32_kernel_isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        return "avx";
-    }
-    "portable"
 }
 
 /// The body `anole_tensor::math`'s slice kernels dispatch to on this host.
@@ -43,7 +34,7 @@ pub fn host_json() -> Value {
         ("cpu", cpu_model().unwrap_or_else(|| "unknown".into()).to_json()),
         ("cores", cores().to_json()),
         ("auto_threads", ParallelConfig::default().effective_threads().to_json()),
-        ("f32_kernel", Value::String(f32_kernel_isa().into())),
+        ("f32_kernel", Value::String(Matrix::matmul_isa().into())),
         ("math_kernel", Value::String(math_kernel_isa().into())),
     ])
 }

@@ -49,10 +49,15 @@ impl std::error::Error for ShapeError {}
 
 /// `f32` lanes of one 256-bit vector.
 const LANES: usize = 8;
+/// `f32` lanes of one 512-bit vector.
+const WIDE_LANES: usize = 16;
+/// Output rows of one tile of the AVX-512 body.
+const TILE_ROWS: usize = 4;
 /// Edge of the square blocks of [`Matrix::transpose_into`]: a 64×64 f32
 /// block (16 KiB) fits in L1.
 const TRANSPOSE_BLOCK: usize = 64;
-/// Output columns of one register block: eight vectors of accumulators.
+/// Output columns of one register block: eight 256-bit or four 512-bit
+/// vectors of accumulators.
 const BLOCK_COLS: usize = 8 * LANES;
 
 /// The left operand of a product, read through strides so that `matmul`
@@ -67,47 +72,44 @@ struct Lhs<'a> {
     depth: usize,
 }
 
-/// Runs `$body` with the const `$v` bound to `$vecs` (1..=8), so a block's
-/// vector count is a compile-time constant and its accumulators stay in
-/// registers.
-macro_rules! with_vecs {
-    ($vecs:expr, $v:ident => $body:expr) => {
-        match $vecs {
-            1 => {
-                const $v: usize = 1;
+/// Runs `$body` with the const `$c` bound to `$value`, one of the listed
+/// literals, so a block's vector or row count is a compile-time constant
+/// and its accumulators stay in registers.
+macro_rules! with_const {
+    ($value:expr, $c:ident in [$($n:literal),+] => $body:expr) => {
+        match $value {
+            $($n => {
+                const $c: usize = $n;
                 $body
-            }
-            2 => {
-                const $v: usize = 2;
-                $body
-            }
-            3 => {
-                const $v: usize = 3;
-                $body
-            }
-            4 => {
-                const $v: usize = 4;
-                $body
-            }
-            5 => {
-                const $v: usize = 5;
-                $body
-            }
-            6 => {
-                const $v: usize = 6;
-                $body
-            }
-            7 => {
-                const $v: usize = 7;
-                $body
-            }
-            8 => {
-                const $v: usize = 8;
-                $body
-            }
-            _ => unreachable!("a block holds 1 to 8 vectors"),
+            })+
+            other => unreachable!("{other} is not one of {:?}", [$($n),+]),
         }
     };
+}
+
+/// The body [`gemm`] runs on this CPU, in order of preference.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Body {
+    Avx512f,
+    Avx,
+    Portable,
+}
+
+impl Body {
+    /// The first body the CPU supports; `Avx512f` means AVX as well.
+    /// `is_x86_feature_detected!` caches its CPUID probe, so this costs two
+    /// loads per call.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Body::Avx512f;
+            }
+            return Body::Avx;
+        }
+        Body::Portable
+    }
 }
 
 /// Writes the `rows × n` product `lhs · b` into `out`, where `b` is
@@ -115,27 +117,37 @@ macro_rules! with_vecs {
 ///
 /// Each output element is one accumulator that starts at `+0.0` and adds its
 /// `k` terms in ascending order, each term a separate multiply then add, so
-/// every element rounds exactly like the textbook loop. Per output row, the
-/// columns run in blocks of up to [`BLOCK_COLS`] whose accumulators stay in
-/// registers for the whole `k` loop. The AVX body is chosen at runtime; the
-/// portable body runs the same algorithm, so the two give the same bits.
+/// every element rounds exactly like the textbook loop. The bodies differ
+/// only in how they split the output into blocks whose accumulators stay in
+/// registers for the whole `k` loop: tiles of up to [`TILE_ROWS`] rows ×
+/// [`BLOCK_COLS`] columns in zmm registers (AVX-512F), or one row × up to
+/// [`BLOCK_COLS`] columns in ymm registers (AVX, and the portable body in
+/// safe code). A split of rows and columns never reorders a sum, so every
+/// body gives the same bits. The body is chosen at runtime by CPU feature,
+/// and a product of fewer rows than a tile runs the AVX body.
 ///
 /// # Panics
 ///
 /// Panics if an operand is shorter than the shapes say; the check runs in
-/// release builds too, because the AVX body reads through raw pointers.
+/// release builds too, because the SIMD bodies read through raw pointers.
 fn gemm(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert_operands(lhs, rows, b, n, out);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: AVX was detected at runtime just above, and
-        // `assert_operands` bounds every access the body makes: lhs element
-        // (i, k) for i < rows and k < depth, the `n` columns of row k of
-        // `b`, and the `n` columns of each output row.
-        unsafe { gemm_avx(lhs, rows, b, n, out) };
-        return;
+    match Body::detect() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `detect` saw AVX-512F at runtime, and `assert_operands`
+        // bounds every access the body makes: lhs element (i, k) for
+        // i < rows and k < depth, the `n` columns of row k of `b`, and the
+        // `n` columns of each output row.
+        Body::Avx512f if rows >= TILE_ROWS => unsafe { gemm_avx512(lhs, rows, b, n, out) },
+        // A product with fewer rows than a tile, such as a single frame's
+        // forward, stays on the AVX body: with the tile, the engine's
+        // per-frame step measured slower.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `detect` saw AVX at runtime, and `assert_operands` bounds
+        // every access, as above.
+        Body::Avx512f | Body::Avx => unsafe { gemm_avx(lhs, rows, b, n, out) },
+        _ => gemm_portable(lhs, rows, b, n, out),
     }
-    gemm_portable(lhs, rows, b, n, out);
 }
 
 /// Asserts that the operands of [`gemm`] hold what their shapes say.
@@ -153,6 +165,91 @@ fn assert_operands(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &[f32]) 
 #[cfg(target_arch = "x86_64")]
 static TAIL_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
+/// AVX-512F body of [`gemm`]: tiles of up to [`TILE_ROWS`] output rows ×
+/// [`BLOCK_COLS`] columns, so each vector of `b` loaded per `k` feeds every
+/// row of the tile. A tile holds up to sixteen zmm accumulators, and the
+/// last `n mod 16` columns of a block ride in a vector loaded and stored
+/// under a `__mmask16`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and the operands must pass the length
+/// assertions of [`gemm`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for i0 in (0..rows).step_by(TILE_ROWS) {
+        let tile_rows = TILE_ROWS.min(rows - i0);
+        // At depth 0 `lhs` and `b` may be empty and nothing is read through
+        // `a` or `bj`, so both are formed with `wrapping_add`, which makes no
+        // in-bounds promise.
+        let a = lhs.data.as_ptr().wrapping_add(i0 * lhs.row_stride);
+        for j0 in (0..n).step_by(BLOCK_COLS) {
+            let cols = BLOCK_COLS.min(n - j0);
+            // Every lane of the last vector when `cols` fills it.
+            let mask = u16::MAX >> ((WIDE_LANES - cols % WIDE_LANES) % WIDE_LANES);
+            let (bj, oj) = (b.as_ptr().wrapping_add(j0), out.as_mut_ptr().add(i0 * n + j0));
+            with_const!(tile_rows, R in [1, 2, 3, 4] => {
+                with_const!(cols.div_ceil(WIDE_LANES), V in [1, 2, 3, 4] => {
+                    tile_avx512::<R, V>(a, lhs, bj, n, mask, oj)
+                })
+            });
+        }
+    }
+}
+
+/// One tile of [`gemm_avx512`]: `R` output rows of `V` vectors of columns
+/// starting at `out`, the last vector of each row under `mask`. Row `r` of
+/// the tile reads the left operand at `a.add(r * lhs.row_stride)`; both
+/// `b` and `out` have row stride `ld`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `a.add(r * lhs.row_stride + k *
+/// lhs.k_stride)` for `r < R` and `k < lhs.depth`, the enabled lanes of
+/// `b.add(k * ld)` and those of `out.add(r * ld)` must be in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_avx512<const R: usize, const V: usize>(
+    a: *const f32,
+    lhs: Lhs<'_>,
+    b: *const f32,
+    ld: usize,
+    mask: std::arch::x86_64::__mmask16,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); V]; R];
+    for k in 0..lhs.depth {
+        let (a_k, b_k) = (a.add(k * lhs.k_stride), b.add(k * ld));
+        let mut a_ik = [_mm512_setzero_ps(); R];
+        for (r, a_ik) in a_ik.iter_mut().enumerate() {
+            *a_ik = _mm512_set1_ps(*a_k.add(r * lhs.row_stride));
+        }
+        for v in 0..V {
+            let b_kj = if v == V - 1 {
+                _mm512_maskz_loadu_ps(mask, b_k.add(v * WIDE_LANES))
+            } else {
+                _mm512_loadu_ps(b_k.add(v * WIDE_LANES))
+            };
+            for (acc, &a_ik) in acc.iter_mut().zip(&a_ik) {
+                acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(a_ik, b_kj));
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        let out_r = out.add(r * ld);
+        for (v, &acc) in acc.iter().enumerate() {
+            if v == V - 1 {
+                _mm512_mask_storeu_ps(out_r.add(v * WIDE_LANES), mask, acc);
+            } else {
+                _mm512_storeu_ps(out_r.add(v * WIDE_LANES), acc);
+            }
+        }
+    }
+}
+
 /// AVX body of [`gemm`]: `_mm256_mul_ps` then `_mm256_add_ps` per term, up
 /// to eight ymm accumulators per block, and a masked vector for the last
 /// `n mod 8` columns.
@@ -166,13 +263,14 @@ static TAIL_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 
 unsafe fn gemm_avx(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]) {
     use std::arch::x86_64::{__m256i, _mm256_loadu_si256};
     for i in 0..rows {
-        let a = lhs.data.as_ptr().add(i * lhs.row_stride);
+        // `a` and `bj` are formed as in `gemm_avx512`.
+        let a = lhs.data.as_ptr().wrapping_add(i * lhs.row_stride);
         for j0 in (0..n).step_by(BLOCK_COLS) {
             let cols = BLOCK_COLS.min(n - j0);
             let tail = cols % LANES;
             let mask = _mm256_loadu_si256(TAIL_MASKS[LANES - tail..].as_ptr().cast::<__m256i>());
-            let (bj, oj) = (b.as_ptr().add(j0), out.as_mut_ptr().add(i * n + j0));
-            with_vecs!(cols.div_ceil(LANES), V => if tail == 0 {
+            let (bj, oj) = (b.as_ptr().wrapping_add(j0), out.as_mut_ptr().add(i * n + j0));
+            with_const!(cols.div_ceil(LANES), V in [1, 2, 3, 4, 5, 6, 7, 8] => if tail == 0 {
                 block_avx::<V, false>(a, lhs.k_stride, lhs.depth, bj, n, mask, oj)
             } else {
                 block_avx::<V, true>(a, lhs.k_stride, lhs.depth, bj, n, mask, oj)
@@ -231,7 +329,7 @@ fn gemm_portable(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &mut [f32]
         for (p, out_block) in out_row.chunks_mut(BLOCK_COLS).enumerate() {
             let j0 = p * BLOCK_COLS;
             let cols = out_block.len();
-            with_vecs!(cols.div_ceil(LANES), V => if cols % LANES == 0 {
+            with_const!(cols.div_ceil(LANES), V in [1, 2, 3, 4, 5, 6, 7, 8] => if cols % LANES == 0 {
                 block_portable::<V, false>(lhs, i, b, n, j0, out_block)
             } else {
                 block_portable::<V, true>(lhs, i, b, n, j0, out_block)
@@ -583,13 +681,16 @@ impl Matrix {
     /// Every output element has one accumulator that starts at `+0.0` and
     /// adds its `k` terms in ascending `k`, each term a separate multiply
     /// and then an add: no fused multiply-add, so each element rounds exactly
-    /// like the textbook `acc += a[i][k] * b[k][j]` loop. The accumulators
-    /// of up to 64 output columns of a row stay in registers while `k` runs.
-    /// An AVX body is chosen at runtime when the CPU has AVX, and a portable
-    /// body with the same algorithm runs elsewhere; both give the same bits.
-    /// Zero entries need no skip: an accumulator that starts at `+0.0` never
-    /// becomes `-0.0`, so adding a zero term leaves it unchanged on finite
-    /// data.
+    /// like the textbook `acc += a[i][k] * b[k][j]` loop. One of three bodies
+    /// runs, chosen at runtime by CPU feature ([`Matrix::matmul_isa`] names
+    /// it). The AVX-512F body keeps the accumulators of a tile of four
+    /// output rows × up to 64 columns in registers while `k` runs; a product
+    /// of fewer rows runs the AVX body. The AVX body and the portable body,
+    /// its algorithm in safe code, keep those of one row × up to 64 columns.
+    /// Tiles split rows and columns, never `k`, so all three give the same
+    /// bits. Zero entries need no skip: an
+    /// accumulator that starts at `+0.0` never becomes `-0.0`, so adding a
+    /// zero term leaves it unchanged on finite data.
     ///
     /// # Errors
     ///
@@ -598,6 +699,19 @@ impl Matrix {
         let mut out = Matrix::default();
         self.matmul_into(rhs, &mut out)?;
         Ok(out)
+    }
+
+    /// The instruction set of the first product body this CPU supports, in
+    /// order of preference: `"avx512f"`, `"avx"` or `"portable"`. With
+    /// AVX-512F, a product of fewer than four rows still runs the AVX body.
+    ///
+    /// Every product gives the same bits on each; only the speed differs.
+    pub fn matmul_isa() -> &'static str {
+        match Body::detect() {
+            Body::Avx512f => "avx512f",
+            Body::Avx => "avx",
+            Body::Portable => "portable",
+        }
     }
 
     /// [`Matrix::matmul`] writing into a caller-provided buffer.
@@ -634,8 +748,8 @@ impl Matrix {
     /// Runs the [`Matrix::matmul`] kernel with `self` read down its columns,
     /// so each output element accumulates its `k` terms (the rows of `self`
     /// and `rhs`) in ascending order from `+0.0`, with no fused
-    /// multiply-add — the same rounding contract and the same runtime AVX
-    /// dispatch.
+    /// multiply-add — the same rounding contract and the same runtime
+    /// dispatch by CPU feature.
     ///
     /// # Errors
     ///
@@ -680,7 +794,7 @@ impl Matrix {
     /// Packs `rhsᵀ` into a scratch matrix with the blocked transpose and
     /// runs [`Matrix::matmul`] over it, so the backward-pass product gets
     /// the same register-blocked kernel, the same no-FMA ascending-`k`
-    /// rounding and the same runtime AVX dispatch as the forward one. The
+    /// rounding and the same runtime dispatch as the forward one. The
     /// pack costs one O(rows·cols) transpose against an O(rows·cols·n)
     /// product, and reading `rhs` row by row per output element instead
     /// would serialize each element on one accumulator chain.
@@ -1000,11 +1114,12 @@ mod tests {
 
     #[test]
     fn avx_and_portable_bodies_match_the_textbook_loop_bit_for_bit() {
-        // Run both bodies directly: dispatch alone would never reach the
-        // portable one on an AVX host.
-        const GUARD: usize = 2 * LANES;
+        // Run every body the CPU has directly: dispatch alone would reach
+        // only the first of them.
+        const GUARD: usize = WIDE_LANES;
         let mut rng = rng_from_seed(Seed(15));
-        for m in [1usize, 3] {
+        // Full four-row tiles and every remainder of one.
+        for m in 1usize..=9 {
             for depth in [0usize, 1, 7, 32, 64] {
                 // About 40% exact zeros and 7% negative zeros, like ReLU
                 // activations and their gradients.
@@ -1018,8 +1133,8 @@ mod tests {
                     }
                 });
                 let a_t = a.transpose();
-                // Every block width 1..=8 vectors, every tail 0..=7 lanes,
-                // and a second block.
+                // Every block width (1..=8 ymm or 1..=4 zmm vectors), every
+                // tail lane count of both, and a second block.
                 for n in 1..=72 {
                     let b = Matrix::random_normal(depth, n, 1.0, &mut rng);
                     // `a` read along its rows, as `matmul` does, and `aᵀ`
@@ -1038,11 +1153,18 @@ mod tests {
                     };
                     for (layout, lhs) in [("matmul", row_major), ("matmul_tn", col_read)] {
                         let want = textbook_bits(lhs, m, b.as_slice(), n);
-                        // A NaN guard past the output catches a stray store.
+                        let label = format!("{layout} m={m} k={depth} n={n}");
+                        // A NaN guard past the output catches a stray store;
+                        // it is checked after each body, before the next one
+                        // refills the buffer.
+                        let check = |buf: &[f32], body: &str| {
+                            assert_eq!(bits(&buf[..m * n]), want, "{body} {label}");
+                            let guard_intact = buf[m * n..].iter().all(|v| v.is_nan());
+                            assert!(guard_intact, "{body} guard {label}");
+                        };
                         let mut buf = vec![f32::NAN; m * n + GUARD];
                         gemm_portable(lhs, m, b.as_slice(), n, &mut buf[..m * n]);
-                        let label = format!("{layout} m={m} k={depth} n={n}");
-                        assert_eq!(bits(&buf[..m * n]), want, "portable {label}");
+                        check(&buf, "portable");
                         #[cfg(target_arch = "x86_64")]
                         if std::arch::is_x86_feature_detected!("avx") {
                             buf.fill(f32::NAN);
@@ -1052,9 +1174,19 @@ mod tests {
                             // `assert_operands` bounds every access, as in
                             // `gemm`.
                             unsafe { gemm_avx(lhs, m, b.as_slice(), n, out) };
-                            assert_eq!(bits(&buf[..m * n]), want, "avx {label}");
+                            check(&buf, "avx");
                         }
-                        assert!(buf[m * n..].iter().all(|v| v.is_nan()), "guard {label}");
+                        #[cfg(target_arch = "x86_64")]
+                        if std::arch::is_x86_feature_detected!("avx512f") {
+                            buf.fill(f32::NAN);
+                            let out = &mut buf[..m * n];
+                            assert_operands(lhs, m, b.as_slice(), n, out);
+                            // SAFETY: AVX-512F was detected just above, and
+                            // `assert_operands` bounds every access, as in
+                            // `gemm`.
+                            unsafe { gemm_avx512(lhs, m, b.as_slice(), n, out) };
+                            check(&buf, "avx512f");
+                        }
                     }
                 }
             }
