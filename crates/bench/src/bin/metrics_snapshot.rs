@@ -182,7 +182,7 @@ fn main() -> ExitCode {
     ]);
     let names = metric_names.iter().map(|n| Value::String(n.to_string())).collect();
     let report = Value::object(vec![
-        ("schema", Value::String("anole-obs-snapshot/3".into())),
+        ("schema", Value::String("anole-obs-snapshot/4".into())),
         ("host", host_json()),
         ("frames", frames.to_json()),
         ("metric_names", Value::Array(names)),

@@ -17,7 +17,7 @@ pub enum Scale {
 
 impl Scale {
     /// Dataset configuration at this scale.
-    pub fn dataset_config(&self) -> DatasetConfig {
+    fn dataset_config(&self) -> DatasetConfig {
         match self {
             Scale::Paper => DatasetConfig::default(),
             Scale::Small => DatasetConfig::small(),

@@ -1,7 +1,6 @@
 //! Figure 4: (a) cold-start inference latency; (b) model utility
 //! distribution.
 
-use anole_core::eval::evaluate_refs;
 use anole_device::{DeviceKind, LatencyModel};
 use anole_nn::ReferenceModel;
 use anole_tensor::{rng_from_seed, split_seed};
@@ -43,11 +42,15 @@ pub fn fig4b(ctx: &Context) -> String {
         .system
         .online_engine(DeviceKind::JetsonTx2Nx, split_seed(ctx.seed, 402));
     engine.warm(&(0..ctx.system.repository().len()).collect::<Vec<_>>());
-    evaluate_refs(&mut engine, &ctx.dataset, &split.test, 10).expect("test stream");
 
     let mut counts = vec![0usize; ctx.system.repository().len()];
-    for &used in engine.usage_log() {
-        counts[used] += 1;
+    for &r in &split.test {
+        let out = engine
+            .step(&ctx.dataset.frame(r).features)
+            .expect("test stream");
+        if out.models_executed > 0 {
+            counts[out.used] += 1;
+        }
     }
     let total: usize = counts.iter().sum();
     let mut items: Vec<(String, f64)> = counts

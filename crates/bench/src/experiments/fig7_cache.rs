@@ -37,10 +37,14 @@ pub fn fig7a(ctx: &Context) -> String {
             .system
             .online_engine(DeviceKind::JetsonTx2Nx, split_seed(ctx.seed, 702));
         engine.warm(&(0..ctx.system.repository().len()).collect::<Vec<_>>());
+        let mut used = Vec::new();
         for &r in &clip.frames {
-            engine.step(&ctx.dataset.frame(r).features).expect("step");
+            let out = engine.step(&ctx.dataset.frame(r).features).expect("step");
+            if out.models_executed > 0 {
+                used.push(out.used);
+            }
         }
-        let stats = SwitchStats::of(engine.usage_log());
+        let stats = SwitchStats::of(&used);
         rows.push(vec![
             clip.name.clone(),
             format!("{}", clip.frames.len()),

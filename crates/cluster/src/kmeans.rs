@@ -32,6 +32,9 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// Lloyd iterations stop once no centroid moves by this much or more.
+const TOLERANCE: f32 = 1e-4;
+
 /// k-means configuration.
 ///
 /// # Examples
@@ -39,14 +42,13 @@ impl std::error::Error for ClusterError {}
 /// ```
 /// use anole_cluster::KMeans;
 ///
-/// let km = KMeans::new(3).with_max_iterations(50).with_tolerance(1e-5);
+/// let km = KMeans::new(3).with_max_iterations(50);
 /// assert_eq!(km.k(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeans {
     k: usize,
     max_iterations: usize,
-    tolerance: f32,
 }
 
 /// Result of a k-means fit.
@@ -68,7 +70,6 @@ impl KMeans {
         Self {
             k,
             max_iterations: 100,
-            tolerance: 1e-4,
         }
     }
 
@@ -80,12 +81,6 @@ impl KMeans {
     /// Sets the maximum number of Lloyd iterations (default 100).
     pub fn with_max_iterations(mut self, iterations: usize) -> Self {
         self.max_iterations = iterations;
-        self
-    }
-
-    /// Sets the centroid-movement convergence tolerance (default 1e-4).
-    pub fn with_tolerance(mut self, tolerance: f32) -> Self {
-        self.tolerance = tolerance;
         self
     }
 
@@ -141,7 +136,7 @@ impl KMeans {
                 movement = movement.max(l2_distance(centroids.row(c), &new_row));
                 centroids.row_mut(c).copy_from_slice(&new_row);
             }
-            if movement < self.tolerance {
+            if movement < TOLERANCE {
                 break;
             }
         }

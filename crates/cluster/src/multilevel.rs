@@ -19,7 +19,7 @@ pub struct ClusterLevel {
     pub fit: KMeansFit,
 }
 
-/// Iterator over k-means fits with increasing k (k = `start_k`, `start_k`+1, …).
+/// Iterator over k-means fits with increasing k (k = 2, 3, …).
 ///
 /// Each level reuses the same embedding matrix and derives its RNG stream
 /// from the base seed and k, so any level is reproducible in isolation.
@@ -55,22 +55,6 @@ impl<'a> MultiLevelClustering<'a> {
             seed,
             next_k: 2,
         }
-    }
-
-    /// Overrides the first k of the sweep (default 2, per Algorithm 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn starting_at(mut self, k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        self.next_k = k;
-        self
-    }
-
-    /// The k the next call to `next` will use.
-    pub fn next_k(&self) -> usize {
-        self.next_k
     }
 }
 
@@ -112,14 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_can_start_later() {
-        let emb = line_points(8);
-        let mut sweep = MultiLevelClustering::new(&emb, Seed(1)).starting_at(5);
-        assert_eq!(sweep.next_k(), 5);
-        assert_eq!(sweep.next().unwrap().unwrap().k, 5);
-    }
-
-    #[test]
     fn each_level_is_a_valid_partition() {
         let emb = line_points(9);
         for level in MultiLevelClustering::new(&emb, Seed(2)).take(4) {
@@ -138,13 +114,12 @@ mod tests {
         let all: Vec<ClusterLevel> = MultiLevelClustering::new(&emb, Seed(5))
             .map(|l| l.unwrap())
             .collect();
-        // Jump straight to k = 4 with the same base seed.
-        let level4 = MultiLevelClustering::new(&emb, Seed(5))
-            .starting_at(4)
-            .next()
-            .unwrap()
+        // Level k is the k-means fit at the base seed split by k, so it can
+        // be rebuilt alone.
+        let fit = KMeans::new(4)
+            .fit(&emb, anole_tensor::split_seed(Seed(5), 4))
             .unwrap();
-        assert_eq!(level4, all[2]);
+        assert_eq!(ClusterLevel { k: 4, fit }, all[2]);
     }
 
     #[test]

@@ -318,11 +318,6 @@ impl Cdg {
             threshold: config.detector.threshold,
         })
     }
-
-    /// Number of domains.
-    pub fn domains(&self) -> usize {
-        self.models.len()
-    }
 }
 
 impl InferenceMethod for Cdg {
@@ -518,7 +513,7 @@ mod tests {
     fn cdg_routes_to_nearest_cluster() {
         let (dataset, config, train) = setup();
         let cdg = Cdg::train(&dataset, &train, 3, &config, Seed(94)).unwrap();
-        assert_eq!(cdg.domains(), 3);
+        assert_eq!(cdg.models.len(), 3);
         let split = dataset.split();
         let frame = dataset.frame(split.val[0]);
         let cluster = cdg.clustering.predict(&frame.features);

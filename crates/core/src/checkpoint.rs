@@ -306,7 +306,7 @@ pub fn specialist_key(k: usize, cluster: usize) -> String {
 /// ([`AnoleSystem::reprofile_with_frames`](crate::AnoleSystem::reprofile_with_frames)).
 /// Steps are numbered in execution order, so a resumed re-profile replays
 /// the same sequence.
-pub fn reprofile_key(step: usize) -> String {
+fn reprofile_key(step: usize) -> String {
     format!("reprofile_step{step:03}")
 }
 

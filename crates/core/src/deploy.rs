@@ -377,7 +377,7 @@ pub fn download_resumable(
 /// # Errors
 ///
 /// Surfaces routing and inference errors from the substrates.
-pub fn routed_validation_f1(
+fn routed_validation_f1(
     system: &AnoleSystem,
     dataset: &DrivingDataset,
     refs: &[anole_data::FrameRef],

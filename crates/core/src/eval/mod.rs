@@ -24,17 +24,6 @@ pub struct StreamResult {
     pub windowed: Vec<f32>,
 }
 
-impl StreamResult {
-    /// Mean of the windowed F1 series; 0.0 when empty.
-    pub fn mean_windowed(&self) -> f32 {
-        if self.windowed.is_empty() {
-            0.0
-        } else {
-            self.windowed.iter().sum::<f32>() / self.windowed.len() as f32
-        }
-    }
-}
-
 /// Evaluates a method over referenced dataset frames in order.
 ///
 /// # Errors
@@ -98,20 +87,6 @@ mod tests {
     use anole_tensor::Seed;
 
     #[test]
-    fn stream_result_aggregates_windows() {
-        let r = StreamResult {
-            overall_f1: 0.5,
-            windowed: vec![0.4, 0.6],
-        };
-        assert!((r.mean_windowed() - 0.5).abs() < 1e-6);
-        let empty = StreamResult {
-            overall_f1: 0.0,
-            windowed: vec![],
-        };
-        assert_eq!(empty.mean_windowed(), 0.0);
-    }
-
-    #[test]
     fn evaluate_refs_and_frames_agree_for_the_same_stream() {
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(1));
         let split = dataset.split();
@@ -139,7 +114,6 @@ mod tests {
         let result = evaluate_refs(&mut ssm, &dataset, &[], 10).unwrap();
         assert_eq!(result.overall_f1, 0.0);
         assert!(result.windowed.is_empty());
-        assert_eq!(result.mean_windowed(), 0.0);
         let result =
             evaluate_frames(&mut ssm, &[], anole_data::DatasetSource::Shd, 10).unwrap();
         assert_eq!(result.overall_f1, 0.0);

@@ -416,7 +416,7 @@ impl GatewayReport {
     }
 
     /// Fleet-wide detection counts (all sessions merged).
-    pub fn fleet_counts(&self) -> DetectionCounts {
+    fn fleet_counts(&self) -> DetectionCounts {
         let mut total = DetectionCounts::default();
         for s in &self.sessions {
             total.merge(&s.counts);
@@ -424,24 +424,14 @@ impl GatewayReport {
         total
     }
 
-    /// Fleet-wide F1 over [`GatewayReport::fleet_counts`].
+    /// Fleet-wide F1 over every session's merged detection counts.
     pub fn fleet_f1(&self) -> f32 {
         self.fleet_counts().f1()
-    }
-
-    /// Drift episodes emitted across every session's detector.
-    pub fn fleet_drift_events(&self) -> usize {
-        self.sessions.iter().map(|s| s.drift_events).sum()
     }
 
     /// Page-severity SLO alerts fired over the run.
     pub fn slo_pages(&self) -> usize {
         self.slo_violations.iter().filter(|a| a.severity == AlertSeverity::Page).count()
-    }
-
-    /// Warn-severity SLO alerts fired over the run.
-    pub fn slo_warns(&self) -> usize {
-        self.slo_violations.iter().filter(|a| a.severity == AlertSeverity::Warn).count()
     }
 }
 
@@ -548,15 +538,6 @@ enum Retirement {
     Failed(AnoleError),
 }
 
-/// Shed tiers the SLO escalation ladder can climb: each tier halves the
-/// effective frame deadline, so tier 3 serves at 1/8th of the configured
-/// budget.
-const MAX_SHED_TIER: u32 = 3;
-
-/// Consecutive clean windows (no active page) before escalation steps one
-/// tier back down.
-const SLO_DEESCALATE_WINDOWS: u32 = 8;
-
 /// SLO evaluation state attached by [`Gateway::with_slos`].
 ///
 /// The recorder is fed a *synthetic* snapshot built from the gateway's own
@@ -566,11 +547,6 @@ const SLO_DEESCALATE_WINDOWS: u32 = 8;
 struct SloRuntime {
     series: SeriesRecorder,
     engine: SloEngine,
-    /// When set ([`Gateway::with_slo_escalation`]), a page tightens the
-    /// effective deadline breaker-style instead of only reporting.
-    escalate: bool,
-    shed_tier: u32,
-    clean_windows: u32,
 }
 
 /// The serving gateway. See the [module docs](self) for the full model.
@@ -712,10 +688,9 @@ impl<'a> Gateway<'a> {
     /// `gateway.frames.shed`, `gateway.frames.total`,
     /// `gateway.sessions.quarantined`; histograms `gateway.step.latency_ms`
     /// and `gateway.queue.depth`. Fired alerts land in
-    /// [`GatewayReport::slo_violations`]. Without
-    /// [`Gateway::with_slo_escalation`] this is strictly passive: serving
-    /// decisions and every pre-existing report field stay bit-identical to
-    /// an unarmed run.
+    /// [`GatewayReport::slo_violations`]. This is strictly passive: serving
+    /// decisions and every other report field stay bit-identical to an
+    /// unarmed run.
     pub fn with_slos(mut self, specs: Vec<SloSpec>) -> Self {
         let horizon = specs
             .iter()
@@ -726,21 +701,7 @@ impl<'a> Gateway<'a> {
         self.slo = Some(SloRuntime {
             series: SeriesRecorder::new(horizon),
             engine: SloEngine::new(specs),
-            escalate: false,
-            shed_tier: 0,
-            clean_windows: 0,
         });
-        self
-    }
-
-    /// Turns pages into load-shedding pressure: each page climbs one shed
-    /// tier (halving the effective frame deadline, up to 1/8th of the
-    /// configured budget) and 8 clean windows climb back down. No-op unless
-    /// [`Gateway::with_slos`] armed the SLO runtime first.
-    pub fn with_slo_escalation(mut self) -> Self {
-        if let Some(slo) = &mut self.slo {
-            slo.escalate = true;
-        }
         self
     }
 
@@ -751,7 +712,7 @@ impl<'a> Gateway<'a> {
 
     /// Sessions admitted and not yet terminal. O(1): maintained on every
     /// session state transition, never recomputed by scanning the roster.
-    pub fn active_sessions(&self) -> usize {
+    fn active_sessions(&self) -> usize {
         self.active_count
     }
 
@@ -759,19 +720,6 @@ impl<'a> Gateway<'a> {
     /// background time) summed over every admitted session's engine.
     pub fn fleet_load_attempts(&self) -> usize {
         self.sessions.iter().map(|s| s.engine.load_attempt_count()).sum()
-    }
-
-    /// The SLO runtime's time-series rings: one window per executed
-    /// scheduling window, queryable for rates, deltas, and merged-histogram
-    /// quantiles. `None` unless [`Gateway::with_slos`] armed it.
-    pub fn slo_series(&self) -> Option<&SeriesRecorder> {
-        self.slo.as_ref().map(|slo| &slo.series)
-    }
-
-    /// Current SLO escalation shed tier (0 = serving at the configured
-    /// deadline). Always 0 without [`Gateway::with_slo_escalation`].
-    pub fn slo_shed_tier(&self) -> u32 {
-        self.slo.as_ref().map_or(0, |slo| slo.shed_tier)
     }
 
     /// Typed errors from quarantined sessions, drained in the order the
@@ -1000,7 +948,7 @@ impl<'a> Gateway<'a> {
     /// of each idle session becomes a dispatch candidate in `candidates`,
     /// unless an injected stall parks the session.
     fn shed_and_select(&mut self, now: f64, candidates: &mut Vec<Candidate>) {
-        let deadline_ms = self.effective_deadline();
+        let deadline_ms = self.config.deadline_ms;
         candidates.clear();
         let ids = std::mem::take(&mut self.active_ids);
         for &idx in &ids {
@@ -1327,19 +1275,6 @@ impl<'a> Gateway<'a> {
         }
     }
 
-    /// Frame deadline for the current window: the configured budget, halved
-    /// once per SLO escalation shed tier. Identical to `deadline_ms` unless
-    /// escalation is armed and a page has climbed the ladder, so unarmed
-    /// (and passive-SLO) runs keep their exact shedding behaviour.
-    fn effective_deadline(&self) -> f64 {
-        match &self.slo {
-            Some(slo) if slo.escalate && slo.shed_tier > 0 => {
-                self.config.deadline_ms / f64::from(1u32 << slo.shed_tier.min(MAX_SHED_TIER))
-            }
-            _ => self.config.deadline_ms,
-        }
-    }
-
     /// Synthetic metrics snapshot over the gateway's own run counters —
     /// the SLO recorder's input. Deliberately *not* the process-global obs
     /// registry: these values are per-gateway, deterministic, and present
@@ -1381,9 +1316,7 @@ impl<'a> Gateway<'a> {
 
     /// Captures this window into the SLO time series and evaluates burn
     /// rates. Hiccup windows skip this (with the rest of the window), so
-    /// one recorder window == one executed scheduling window. With
-    /// escalation armed, each fired page climbs one shed tier and
-    /// [`SLO_DEESCALATE_WINDOWS`] page-free windows climb back down.
+    /// one recorder window == one executed scheduling window.
     fn tick_slo(&mut self, now: f64) {
         let Some(mut slo) = self.slo.take() else {
             return;
@@ -1398,20 +1331,6 @@ impl<'a> Gateway<'a> {
         }
         if warns > 0 {
             anole_obs::counter_add!("gateway.slo.warns", warns as u64);
-        }
-        if slo.escalate {
-            if pages > 0 {
-                slo.shed_tier = (slo.shed_tier + 1).min(MAX_SHED_TIER);
-                slo.clean_windows = 0;
-                anole_obs::counter_add!("gateway.slo.escalations", 1);
-            } else if slo.shed_tier > 0 && !slo.engine.page_active() {
-                slo.clean_windows += 1;
-                if slo.clean_windows >= SLO_DEESCALATE_WINDOWS {
-                    slo.shed_tier -= 1;
-                    slo.clean_windows = 0;
-                }
-            }
-            anole_obs::gauge_set!("gateway.slo.shed_tier", f64::from(slo.shed_tier));
         }
         self.slo = Some(slo);
     }
@@ -1556,7 +1475,6 @@ mod tests {
         let hot_report = hot.run();
         assert_eq!(hot_report.sessions[0].drift_state, DriftState::Drifting);
         assert_eq!(hot_report.sessions[0].drift_events, 1);
-        assert_eq!(hot_report.fleet_drift_events(), 1);
         // Observation is passive: serving outcomes are untouched.
         assert_eq!(hot_report.sessions[0].counts, plain_report.sessions[0].counts);
         assert_eq!(hot_report.sessions[0].processed, plain_report.sessions[0].processed);
@@ -1923,38 +1841,16 @@ mod tests {
         // The budget is blown every window, so both the fast page and (once
         // the long window fills) the slow warn fire.
         assert!(instrumented.slo_pages() >= 1, "no page: {:?}", instrumented.slo_violations);
-        assert!(instrumented.slo_warns() >= 1, "no warn: {:?}", instrumented.slo_violations);
-        // Without escalation the runtime is strictly passive: everything
-        // except the alert list is bit-identical to the unarmed run.
+        let warns = instrumented.slo_violations.len() - instrumented.slo_pages();
+        assert!(warns >= 1, "no warn: {:?}", instrumented.slo_violations);
+        // The runtime is strictly passive: everything except the alert list
+        // is bit-identical to the unarmed run.
         let mut stripped = instrumented.clone();
         stripped.slo_violations.clear();
         assert_eq!(stripped, plain);
         // Deterministic: a rerun produces identical alerts.
         let rerun = run(Some(slo_world().2));
         assert_eq!(rerun.slo_violations, instrumented.slo_violations);
-    }
-
-    #[test]
-    fn slo_escalation_climbs_shed_tiers_and_tightens_the_deadline() {
-        let (dataset, system) = world();
-        let frames = test_frames(&dataset, 30);
-        let (config, plan, specs) = slo_world();
-        let mut gateway = Gateway::new(&system, config)
-            .unwrap()
-            .with_fault_plan(plan)
-            .with_slos(specs)
-            .with_slo_escalation();
-        gateway.admit(SessionSpec::new(frames, Seed(7))).unwrap();
-        let report = gateway.run();
-        assert_eq!(report.lost_sessions(), 0);
-        assert!(report.slo_pages() >= 1);
-        // Pages kept firing, so the ladder climbed and stayed up.
-        assert!(gateway.slo_shed_tier() > 0, "tier: {}", gateway.slo_shed_tier());
-        // The recorder saw every executed window and its rings answer
-        // windowed queries.
-        let series = gateway.slo_series().unwrap();
-        assert_eq!(series.total_windows(), report.windows as u64);
-        assert!(series.delta("gateway.frames.shed", report.windows) > 0);
     }
 
     #[test]
@@ -1979,7 +1875,7 @@ mod tests {
         assert_eq!(report.quarantined.len(), 2);
         // One recorder window per executed scheduling window, all retained,
         // so each counter's deltas sum to the run total the report shows.
-        let series = gateway.slo_series().unwrap();
+        let series = &gateway.slo.as_ref().unwrap().series;
         let windows = report.windows;
         assert_eq!(series.total_windows(), windows as u64);
         assert_eq!(series.windows(), windows);

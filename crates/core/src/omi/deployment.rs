@@ -274,9 +274,9 @@ struct Cached {
 /// compressed model).
 ///
 /// Model loads on a miss happen in the background (the frame is served by
-/// the best cached model); their cost is tracked in
-/// [`OnlineEngine::background_load_ms`]. Only when the cache is completely
-/// empty does a synchronous load stall the frame.
+/// the best cached model), and their cost is tracked apart from the frame's
+/// latency. Only when the cache is completely empty does a synchronous load
+/// stall the frame.
 ///
 /// Attaching a [`FaultInjector`] ([`OnlineEngine::with_fault_injector`])
 /// subjects the engine to that plan's faults; a zero-fault plan leaves
@@ -287,7 +287,10 @@ pub struct OnlineEngine<'a> {
     cache: SlotCache,
     latency: LatencyModel,
     rng: StdRng,
-    usage_log: Vec<usize>,
+    /// Frames a model served (replayed frames ran none).
+    served_frames: usize,
+    /// The model that served the last such frame.
+    last_used: Option<usize>,
     background_load_ms: f32,
     /// The last scored frame's suitability vector, reused across frames.
     /// `None` until a frame is scored.
@@ -351,7 +354,8 @@ impl<'a> OnlineEngine<'a> {
             cache,
             latency: LatencyModel::for_device(device),
             rng: rng_from_seed(seed),
-            usage_log: Vec::new(),
+            served_frames: 0,
+            last_used: None,
             background_load_ms: 0.0,
             suitability: None,
             total_latency_ms: 0.0,
@@ -460,19 +464,19 @@ impl<'a> OnlineEngine<'a> {
 
     /// Mean end-to-end frame latency so far (0.0 before any step).
     pub fn mean_latency_ms(&self) -> f32 {
-        if self.usage_log.is_empty() {
+        if self.served_frames == 0 {
             0.0
         } else {
-            (self.total_latency_ms / self.usage_log.len() as f64) as f32
+            (self.total_latency_ms / self.served_frames as f64) as f32
         }
     }
 
     /// Fraction of frames that took the low-confidence hedged path.
     pub fn hedge_rate(&self) -> f32 {
-        if self.usage_log.is_empty() {
+        if self.served_frames == 0 {
             0.0
         } else {
-            self.hedged_frames as f32 / self.usage_log.len() as f32
+            self.hedged_frames as f32 / self.served_frames as f32
         }
     }
 
@@ -486,54 +490,9 @@ impl<'a> OnlineEngine<'a> {
         }
     }
 
-    /// Pre-loads models through the fault machinery: excluded models and
-    /// loads that exhaust their bounded retries surface as
-    /// [`AnoleError::ModelLoadFailed`] instead of being papered over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnoleError::ModelLoadFailed`] for the first model that
-    /// cannot be made resident.
-    pub fn try_warm(&mut self, model_ids: &[usize]) -> Result<(), AnoleError> {
-        for &id in model_ids {
-            if self.is_excluded(id) {
-                return Err(AnoleError::ModelLoadFailed {
-                    model: id,
-                    attempts: (self.load_strikes.get(id).copied().unwrap_or(0)
-                        * MAX_LOAD_ATTEMPTS) as usize,
-                });
-            }
-            if !self.attempt_load(id) {
-                return Err(AnoleError::ModelLoadFailed {
-                    model: id,
-                    attempts: MAX_LOAD_ATTEMPTS as usize,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Cache statistics so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// The model used on each past step, in order (for Fig. 4b/7a).
-    /// Frames served from last-good detections (fallback depth 3) ran no
-    /// model and are not logged.
-    pub fn usage_log(&self) -> &[usize] {
-        &self.usage_log
-    }
-
-    /// Total background model-load time incurred by misses (including
-    /// retry backoff under fault injection).
-    pub fn background_load_ms(&self) -> f32 {
-        self.background_load_ms
-    }
-
-    /// The engine's latency model (device).
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
     }
 
     /// Current health state.
@@ -542,7 +501,7 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// Whether `model_id` has been permanently excluded.
-    pub fn is_excluded(&self, model_id: usize) -> bool {
+    fn is_excluded(&self, model_id: usize) -> bool {
         self.excluded.get(model_id).copied().unwrap_or(false)
     }
 
@@ -577,11 +536,6 @@ impl<'a> OnlineEngine<'a> {
     /// pinned → last-good). Used by the serving gateway's circuit breaker.
     pub fn set_loads_enabled(&mut self, enabled: bool) {
         self.loads_enabled = enabled;
-    }
-
-    /// Whether model loads are currently enabled.
-    pub fn loads_enabled(&self) -> bool {
-        self.loads_enabled
     }
 
     /// Real load attempts made so far (excludes attempts suppressed while
@@ -738,7 +692,7 @@ impl<'a> OnlineEngine<'a> {
     fn replay_outcome(&self) -> StepOutcome {
         let cells = self.system.repository().model(0).net.output_dim();
         let detections = self.last_good.clone().unwrap_or_else(|| vec![false; cells]);
-        let reference = self.usage_log.last().copied().or(self.pinned).unwrap_or(0);
+        let reference = self.last_used.or(self.pinned).unwrap_or(0);
         StepOutcome {
             requested: reference,
             used: reference,
@@ -755,13 +709,14 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// Writes every per-frame fact, all derived from the finished outcome:
-    /// the usage log, latency sum, hedge count and last-good detections of
-    /// a frame a model served, the health ladder and its counters, the obs
+    /// the served count, last model, latency sum, hedge count and last-good
+    /// detections of a frame a model served, the health ladder and its counters, the obs
     /// metrics, and the flight ring. Stamps the final health state into the
     /// outcome.
     fn finish_step(&mut self, mut outcome: StepOutcome) -> StepOutcome {
         if outcome.models_executed > 0 {
-            self.usage_log.push(outcome.used);
+            self.served_frames += 1;
+            self.last_used = Some(outcome.used);
             self.total_latency_ms += outcome.latency_ms as f64;
             if outcome.models_executed > 1 {
                 self.hedged_frames += 1;
@@ -1233,7 +1188,7 @@ mod tests {
         assert!(out.suitability > 0.0 && out.suitability <= 1.0);
         assert_eq!(out.health, HealthState::Healthy);
         assert_eq!(out.faults, 0);
-        assert_eq!(engine.usage_log().len(), 1);
+        assert_eq!(engine.served_frames, 1);
     }
 
     #[test]
@@ -1289,7 +1244,7 @@ mod tests {
         let stats = engine.cache_stats();
         assert!(fallbacks > 0, "fallback path never exercised: {stats}");
         assert_eq!(stats.lookups(), test.len() as u64);
-        assert!(engine.background_load_ms() > 0.0);
+        assert!(engine.background_load_ms > 0.0);
         let report = engine.health_report();
         assert_eq!(report.fallback_depths[1], fallbacks);
         assert_eq!(report.frames_by_state, [report.frames, 0, 0]);
@@ -1353,15 +1308,16 @@ mod tests {
     }
 
     #[test]
-    fn usage_log_tracks_every_step() {
+    fn served_frame_count_tracks_every_step() {
         let (dataset, system) = system();
         let mut engine = OnlineEngine::new(&system, DeviceKind::Laptop, Seed(77));
         let split = dataset.split();
         for r in split.test.iter().take(20) {
-            engine.step(&dataset.frame(*r).features).unwrap();
+            let out = engine.step(&dataset.frame(*r).features).unwrap();
+            assert!(out.used < system.repository().len());
+            assert_eq!(engine.last_used, Some(out.used));
         }
-        assert_eq!(engine.usage_log().len(), 20);
-        assert!(engine.usage_log().iter().all(|&id| id < system.repository().len()));
+        assert_eq!(engine.served_frames, 20);
     }
 
     #[test]
@@ -1384,7 +1340,7 @@ mod tests {
         inf[0] = f32::INFINITY;
         assert!(engine.step(&inf).is_err());
         // Rejected frames leave no trace in the engine.
-        assert_eq!(engine.usage_log().len(), 0);
+        assert_eq!(engine.served_frames, 0);
         assert_eq!(engine.health_report().frames, 0);
     }
 
@@ -1402,7 +1358,7 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(plain.cache_stats(), chaos.cache_stats());
-        assert_eq!(plain.background_load_ms(), chaos.background_load_ms());
+        assert_eq!(plain.background_load_ms, chaos.background_load_ms);
         assert_eq!(chaos.health(), HealthState::Healthy);
         assert_eq!(chaos.health_report().faults.total(), 0);
     }
@@ -1424,7 +1380,7 @@ mod tests {
         assert_eq!(dropped.health, HealthState::Critical);
         assert_eq!(dropped.faults, 1);
         // The dropped frame ran no model.
-        assert_eq!(engine.usage_log().len(), 1);
+        assert_eq!(engine.served_frames, 1);
         let report = engine.health_report();
         assert_eq!(report.faults.sensor_dropout, 1);
         assert_eq!(report.fallback_depths[3], 1);
@@ -1549,21 +1505,20 @@ mod tests {
         assert_eq!(report.load_strikes, 0, "the retry should have succeeded");
         // Retry backoff is priced into background load time: it must exceed
         // what the same number of clean loads would cost.
-        let clean_cost = engine.latency_model().load_ms(ReferenceModel::Yolov3Tiny)
+        let clean_cost = engine.latency.load_ms(ReferenceModel::Yolov3Tiny)
             * engine.cache_stats().insertions as f32;
         assert!(
-            engine.background_load_ms() > clean_cost,
+            engine.background_load_ms > clean_cost,
             "backoff not priced: {} vs {}",
-            engine.background_load_ms(),
+            engine.background_load_ms,
             clean_cost
         );
     }
 
     #[test]
-    fn try_warm_surfaces_load_failures() {
+    fn corrupt_first_load_serves_no_model_and_excludes_it() {
         let (dataset, system) = system();
         let split = dataset.split();
-        // Exclude a model via a scheduled corruption on the first load.
         let plan = FaultPlan::new(Seed(260)).at(0, FaultKind::BundleCorruption);
         let mut engine = OnlineEngine::new(&system, DeviceKind::JetsonTx2Nx, Seed(261))
             .with_fault_injector(plan.injector());
@@ -1571,13 +1526,8 @@ mod tests {
         assert_eq!(first.models_executed, 0, "corrupt first load must not serve a model");
         let report = engine.health_report();
         assert_eq!(report.faults.bundle_corruption, 1);
-        let excluded = report.excluded_models[0];
-        let err = engine.try_warm(&[excluded]).unwrap_err();
-        assert!(matches!(err, AnoleError::ModelLoadFailed { model, .. } if model == excluded));
-        // Non-excluded models warm fine.
-        let ok_ids: Vec<usize> =
-            (0..system.repository().len()).filter(|&id| id != excluded).collect();
-        engine.try_warm(&ok_ids).unwrap();
+        assert_eq!(report.excluded_models.len(), 1);
+        assert!(engine.is_excluded(report.excluded_models[0]));
     }
 
     #[test]
@@ -1602,7 +1552,10 @@ mod tests {
         }
         assert_eq!(plain.cache_stats(), external.cache_stats());
         assert_eq!(plain.mean_latency_ms(), external.mean_latency_ms());
-        assert_eq!(plain.usage_log(), external.usage_log());
+        assert_eq!(
+            (plain.served_frames, plain.last_used),
+            (external.served_frames, external.last_used)
+        );
 
         // A wrong-width score vector is rejected, not misread.
         let frame = dataset.frame(split.test[0]);
@@ -1618,7 +1571,10 @@ mod tests {
             assert!(err.to_string().contains(&format!("score {}", n - 1)), "{err}");
         }
         // Rejected frames leave no trace in the engine.
-        assert_eq!(external.usage_log(), plain.usage_log());
+        assert_eq!(
+            (external.served_frames, external.last_used),
+            (plain.served_frames, plain.last_used)
+        );
         assert_eq!(external.cache_stats(), plain.cache_stats());
     }
 
@@ -1628,7 +1584,7 @@ mod tests {
         let split = dataset.split();
         let mut engine = OnlineEngine::new(&system, DeviceKind::JetsonTx2Nx, Seed(310))
             .with_pinned_fallback(0);
-        assert!(engine.loads_enabled());
+        assert!(engine.loads_enabled);
         engine.set_loads_enabled(false);
         // Cold cache + loads disabled: every frame is served by the pinned
         // fallback (directly, or at depth 0 when the pinned model is the
@@ -1644,19 +1600,15 @@ mod tests {
         }
         assert_eq!(engine.load_attempt_count(), 0);
         assert_eq!(engine.load_failure_count(), 0);
-        assert_eq!(engine.background_load_ms(), 0.0);
+        assert_eq!(engine.background_load_ms, 0.0);
         assert_eq!(engine.cache_stats().insertions, 0);
-        // Warming through the fault machinery surfaces the suppression as a
-        // typed load failure rather than papering over it.
-        if system.repository().len() >= 2 {
-            let err = engine.try_warm(&[1]).unwrap_err();
-            assert!(matches!(err, AnoleError::ModelLoadFailed { model: 1, .. }), "{err}");
-            // Re-enabling loads resumes normal operation.
-            engine.set_loads_enabled(true);
-            engine.try_warm(&[1]).unwrap();
-            assert!(engine.load_attempt_count() > 0);
-            assert!(engine.background_load_ms() > 0.0);
+        // Re-enabling loads resumes normal operation.
+        engine.set_loads_enabled(true);
+        for r in split.test.iter().take(20) {
+            engine.step(&dataset.frame(*r).features).unwrap();
         }
+        assert!(engine.load_attempt_count() > 0);
+        assert!(engine.cache_stats().insertions > 0);
     }
 
     #[test]
@@ -1833,11 +1785,12 @@ mod tests {
         assert_eq!(report.fallback_depths, depths);
         assert_eq!(report.frames_by_state, states);
 
-        // Model-served frames feed the usage log, latency mean, hedge rate
-        // and last-good detections; replayed frames feed none of them.
+        // Model-served frames feed the served count, last model, latency
+        // mean, hedge rate and last-good detections; replayed frames feed
+        // none of them.
         let served: Vec<&StepOutcome> = outcomes.iter().filter(|o| o.models_executed > 0).collect();
-        let used: Vec<usize> = served.iter().map(|o| o.used).collect();
-        assert_eq!(engine.usage_log(), used.as_slice());
+        assert_eq!(engine.served_frames, served.len());
+        assert_eq!(engine.last_used, served.last().map(|o| o.used));
         let total_ms: f64 = served.iter().map(|o| o.latency_ms as f64).sum();
         assert_eq!(engine.mean_latency_ms(), (total_ms / served.len() as f64) as f32);
         let hedged = served.iter().filter(|o| o.models_executed > 1).count();

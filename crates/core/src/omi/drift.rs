@@ -153,7 +153,7 @@ impl DriftDetector {
     /// Tags the detector (and its emitted events) with the signal it
     /// watches.
     #[must_use]
-    pub fn with_signal(mut self, signal: DriftSignal) -> Self {
+    fn with_signal(mut self, signal: DriftSignal) -> Self {
         self.signal = signal;
         self
     }

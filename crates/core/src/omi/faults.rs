@@ -209,8 +209,6 @@ pub struct FaultPlan {
     slow_consumer_rate: f32,
     session_stall_rate: f32,
     scheduler_hiccup_rate: f32,
-    stale_bundle_rate: f32,
-    regressed_update_rate: f32,
     scheduled: Vec<FaultEvent>,
 }
 
@@ -232,8 +230,6 @@ impl FaultPlan {
             slow_consumer_rate: 0.0,
             session_stall_rate: 0.0,
             scheduler_hiccup_rate: 0.0,
-            stale_bundle_rate: 0.0,
-            regressed_update_rate: 0.0,
             scheduled: Vec::new(),
         }
     }
@@ -331,22 +327,6 @@ impl FaultPlan {
         self
     }
 
-    /// Per-delivery probability that a device receives a stale bundle during
-    /// a rollout.
-    #[must_use]
-    pub fn with_stale_bundle_rate(mut self, rate: f32) -> Self {
-        self.stale_bundle_rate = clamp_rate(rate);
-        self
-    }
-
-    /// Per-candidate probability that a rollout candidate is silently
-    /// regressed.
-    #[must_use]
-    pub fn with_regressed_update_rate(mut self, rate: f32) -> Self {
-        self.regressed_update_rate = clamp_rate(rate);
-        self
-    }
-
     /// Schedules `kind` at exact `frame`.
     ///
     /// For the server-side kinds the index counts occurrences of that
@@ -384,8 +364,6 @@ impl FaultPlan {
             && self.slow_consumer_rate == 0.0
             && self.session_stall_rate == 0.0
             && self.scheduler_hiccup_rate == 0.0
-            && self.stale_bundle_rate == 0.0
-            && self.regressed_update_rate == 0.0
             && self.scheduled.is_empty()
     }
 
@@ -477,11 +455,6 @@ impl FaultInjector {
     /// The plan this injector executes.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Frames drawn so far.
-    pub fn frames_drawn(&self) -> usize {
-        self.frame
     }
 
     /// Draws the faults for the next frame. Exactly five Bernoulli draws are
@@ -649,23 +622,21 @@ impl FaultInjector {
 
     /// Whether the next bundle delivery during a rollout is stale (the
     /// device got an outdated manifest and must be re-served last-good).
-    /// One draw per call; scheduled [`FaultKind::StaleBundle`] events fire
-    /// by delivery index.
+    /// Purely scheduled, like [`FaultInjector::reprofile_abort_after`]:
+    /// [`FaultKind::StaleBundle`] events fire by delivery index and no
+    /// randomness is consumed.
     pub fn bundle_is_stale(&mut self) -> bool {
         let index = bump(&mut self.delivery_draws);
-        self.draw(self.plan.stale_bundle_rate, FaultKind::StaleBundle, index)
+        self.scheduled_at(FaultKind::StaleBundle, index)
     }
 
     /// Whether the next rollout candidate is silently regressed (the canary
-    /// gate must detect and reject it). One draw per call; scheduled
-    /// [`FaultKind::RegressedUpdate`] events fire by candidate index.
+    /// gate must detect and reject it). Purely scheduled:
+    /// [`FaultKind::RegressedUpdate`] events fire by candidate index and no
+    /// randomness is consumed.
     pub fn update_regresses(&mut self) -> bool {
         let index = bump(&mut self.candidate_draws);
-        self.draw(
-            self.plan.regressed_update_rate,
-            FaultKind::RegressedUpdate,
-            index,
-        )
+        self.scheduled_at(FaultKind::RegressedUpdate, index)
     }
 
     /// Whether a [`FaultKind::ReprofileAbort`] is scheduled right after the
@@ -777,17 +748,6 @@ pub struct HealthReport {
     pub pressure_evicted: Vec<usize>,
 }
 
-impl HealthReport {
-    /// Fraction of steps spent outside `Healthy`; 0.0 for an empty run.
-    pub fn degraded_fraction(&self) -> f32 {
-        if self.frames == 0 {
-            0.0
-        } else {
-            (self.frames_by_state[1] + self.frames_by_state[2]) as f32 / self.frames as f32
-        }
-    }
-}
-
 impl std::fmt::Display for HealthReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -817,7 +777,7 @@ mod tests {
             assert_eq!(faults.count(), 0);
         }
         assert!(injector.plan().is_zero_fault());
-        assert_eq!(injector.frames_drawn(), 500);
+        assert_eq!(injector.frame, 500);
     }
 
     #[test]
@@ -990,22 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn rollout_rates_draw_proportionally() {
-        let mut injector = FaultPlan::new(Seed(17))
-            .with_stale_bundle_rate(0.2)
-            .with_regressed_update_rate(0.15)
-            .injector();
-        assert!(!injector.plan().is_zero_fault());
-        let n = 2000;
-        let stale = (0..n).filter(|_| injector.bundle_is_stale()).count();
-        let rate = stale as f32 / n as f32;
-        assert!((rate - 0.2).abs() < 0.04, "observed {rate}");
-        let regressed = (0..n).filter(|_| injector.update_regresses()).count();
-        let rate = regressed as f32 / n as f32;
-        assert!((rate - 0.15).abs() < 0.04, "observed {rate}");
-    }
-
-    #[test]
     fn scheduled_write_failure_dominates_truncation() {
         let mut injector = FaultPlan::new(Seed(12))
             .at(0, FaultKind::TruncatedArtifact)
@@ -1047,7 +991,6 @@ mod tests {
             fallback_depths: [7, 1, 1, 1],
             pressure_evicted: Vec::new(),
         };
-        assert!((report.degraded_fraction() - 0.4).abs() < 1e-6);
         let text = report.to_string();
         assert!(text.contains("degraded after 10 frames"));
         assert!(text.contains("2 faults"));

@@ -11,7 +11,7 @@ use anole_detect::DetectionCounts;
 use anole_nn::Precision;
 use anole_obs::FixedHistogram;
 
-use crate::omi::{DriftState, FlightFrame, HealthState, StepOutcome};
+use crate::omi::{FlightFrame, HealthState, StepOutcome};
 
 /// One telemetry record: the frame's [`FlightFrame`] event plus what the
 /// engine cannot know about it.
@@ -23,9 +23,6 @@ pub struct TelemetryRecord {
     /// (0 when observability is disabled), linking the record to the span
     /// trace.
     pub span_id: u64,
-    /// Drift judgement in force while this frame was served (as reported to
-    /// [`Telemetry::note_drift`]; `Nominal` when no detector is wired in).
-    pub drift_state: DriftState,
     /// Per-frame F1 against ground truth, when truth was supplied.
     pub f1: Option<f32>,
 }
@@ -44,7 +41,6 @@ pub struct TelemetryRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     records: Vec<TelemetryRecord>,
-    current_drift: DriftState,
 }
 
 impl Telemetry {
@@ -78,23 +74,8 @@ impl Telemetry {
         self.records.push(TelemetryRecord {
             event: FlightFrame::new(self.records.len(), outcome),
             span_id: anole_obs::last_root_span_id(),
-            drift_state: self.current_drift,
             f1,
         });
-    }
-
-    /// Notes the detector's current judgement; subsequent [`Telemetry::record`]
-    /// calls stamp it on their rows until the next note. Feed it from a
-    /// [`DriftDetector`](crate::omi::DriftDetector) alongside the engine loop.
-    pub fn note_drift(&mut self, state: DriftState) {
-        self.current_drift = state;
-        anole_obs::gauge_set!(
-            "omi.engine.drift.state",
-            match state {
-                DriftState::Nominal => 0.0,
-                DriftState::Drifting => 1.0,
-            }
-        );
     }
 
     /// Frames recorded while the engine was not `Healthy`.
@@ -120,7 +101,7 @@ impl Telemetry {
 
         const HEADER: &str =
             "frame,requested,used,cache_hit,models_executed,latency_ms,suitability,health,\
-             fallback_depth,faults,span_id,precision,drift_state,f1\n";
+             fallback_depth,faults,span_id,precision,f1\n";
         // Generous per-row estimate: twelve numeric/enum fields plus
         // separators stay well under this for realistic runs, so growth is
         // rare.
@@ -135,7 +116,7 @@ impl Telemetry {
             let e = &r.event;
             let _ = write!(
                 out,
-                "{},{},{},{},{},{:?},{:?},{},{},{},{},{},{},",
+                "{},{},{},{},{},{:?},{:?},{},{},{},{},{},",
                 e.frame,
                 e.requested,
                 e.used,
@@ -148,7 +129,6 @@ impl Telemetry {
                 e.faults,
                 r.span_id,
                 e.precision,
-                r.drift_state,
             );
             if let Some(f1) = r.f1 {
                 let _ = write!(out, "{f1:?}");
@@ -183,16 +163,6 @@ impl Telemetry {
         } else {
             scored.iter().sum::<f32>() / scored.len() as f32
         };
-        // Rising edges of the drift state: distinct drift episodes, not
-        // frames spent drifting.
-        let mut drift_events = 0usize;
-        let mut prev = DriftState::Nominal;
-        for r in &self.records {
-            if prev == DriftState::Nominal && r.drift_state == DriftState::Drifting {
-                drift_events += 1;
-            }
-            prev = r.drift_state;
-        }
         TelemetrySummary {
             frames: self.records.len(),
             mean_latency_ms,
@@ -203,7 +173,6 @@ impl Telemetry {
             mean_fallback_depth,
             mean_f1,
             i8_frame_fraction: i8_frames as f32 / n,
-            drift_events,
         }
     }
 }
@@ -230,8 +199,6 @@ pub struct TelemetrySummary {
     pub mean_f1: f32,
     /// Fraction of frames served by an int8 model.
     pub i8_frame_fraction: f32,
-    /// Distinct drift episodes (Nominal→Drifting edges) across the log.
-    pub drift_events: usize,
 }
 
 anole_json::json_struct!(write TelemetrySummary {
@@ -244,7 +211,6 @@ anole_json::json_struct!(write TelemetrySummary {
     mean_fallback_depth,
     mean_f1,
     i8_frame_fraction,
-    drift_events,
 });
 
 #[cfg(test)]
@@ -272,13 +238,12 @@ mod tests {
         assert_eq!(telemetry.len(), 25);
         let csv = telemetry.to_csv();
         assert_eq!(csv.lines().count(), 26);
-        assert!(csv.lines().nth(1).unwrap().split(',').count() == 14);
+        assert!(csv.lines().nth(1).unwrap().split(',').count() == 13);
         assert!(csv.lines().nth(1).unwrap().contains("fp32"));
         // A fault-free run stays healthy throughout.
         assert_eq!(telemetry.degraded_frames(), 0);
         assert_eq!(telemetry.fault_total(), 0);
         assert!(csv.lines().nth(1).unwrap().contains("healthy"));
-        assert!(csv.lines().nth(1).unwrap().contains(",nominal,"));
 
         let summary = telemetry.summary();
         assert_eq!(summary.frames, 25);
@@ -288,7 +253,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&summary.hit_rate));
         assert!((0.0..=1.0).contains(&summary.mean_f1));
         assert!(summary.mean_fallback_depth >= 0.0);
-        assert_eq!(summary.drift_events, 0);
         // Frame indices are sequential.
         for (i, r) in telemetry.records().iter().enumerate() {
             assert_eq!(r.event.frame as usize, i);
@@ -349,40 +313,6 @@ mod tests {
         assert_eq!(cols[5].parse::<f32>().unwrap(), outcome.latency_ms);
         assert_eq!(cols[6].parse::<f32>().unwrap(), outcome.suitability);
         assert_eq!(cols[11], "fp32");
-        assert_eq!(cols[12], "nominal");
-        assert_eq!(cols[13].parse::<f32>().unwrap(), t.records()[0].f1.unwrap());
-    }
-
-    #[test]
-    fn noted_drift_state_stamps_rows_and_counts_episodes() {
-        let outcome = StepOutcome {
-            requested: 0,
-            used: 0,
-            cache_hit: true,
-            detections: vec![true],
-            models_executed: 1,
-            latency_ms: 5.0,
-            suitability: 0.9,
-            health: HealthState::Healthy,
-            fallback_depth: 0,
-            faults: 0,
-            precision: Precision::Fp32,
-        };
-        let mut t = Telemetry::new();
-        t.record(&outcome, None);
-        t.note_drift(DriftState::Drifting);
-        t.record(&outcome, None);
-        t.record(&outcome, None);
-        t.note_drift(DriftState::Nominal);
-        t.record(&outcome, None);
-        t.note_drift(DriftState::Drifting);
-        t.record(&outcome, None);
-
-        let csv = t.to_csv();
-        assert!(csv.lines().next().unwrap().ends_with("drift_state,f1"));
-        assert!(csv.lines().nth(1).unwrap().contains(",nominal,"));
-        assert!(csv.lines().nth(2).unwrap().contains(",drifting,"));
-        // Two distinct episodes despite three drifting frames.
-        assert_eq!(t.summary().drift_events, 2);
+        assert_eq!(cols[12].parse::<f32>().unwrap(), t.records()[0].f1.unwrap());
     }
 }

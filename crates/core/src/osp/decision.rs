@@ -3,10 +3,7 @@
 
 use anole_data::{DrivingDataset, Frame, FrameRef};
 use anole_detect::ConfusionMatrix;
-use anole_nn::{
-    softmax, Activation, Mlp, ModelProfile, Precision, QuantizedMlp, ReferenceModel, Trainer,
-    Workspace,
-};
+use anole_nn::{softmax, Activation, Mlp, Precision, QuantizedMlp, Trainer, Workspace};
 use anole_tensor::{argmax, split_seed, Matrix, Seed};
 
 use crate::osp::{f1_table, ModelRepository, SceneModel, SuitabilitySets};
@@ -148,12 +145,6 @@ impl DecisionModel {
     /// The underlying network.
     pub fn network(&self) -> &Mlp {
         &self.net
-    }
-
-    /// Cost profile of the decision *head* (the backbone is priced as
-    /// `M_scene`): the paper's 2-layer MLP (Table II).
-    pub fn head_profile(&self) -> ModelProfile {
-        ModelProfile::of_mlp(ReferenceModel::DecisionMlp, &self.net)
     }
 
     /// The model allocation vector `v^x` for a batch: suitability
@@ -499,10 +490,6 @@ mod tests {
             assert_eq!(bits(ours), bits(theirs));
             assert_eq!(ours.activation(), theirs.activation());
         }
-        assert_eq!(
-            decision.head_profile().reference,
-            ReferenceModel::DecisionMlp
-        );
     }
 
     #[test]

@@ -17,12 +17,11 @@ use anole_tensor::{Matrix, Seed};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Frames run before measuring. The engine's usage log grows by doubling:
-/// after 65 frames it holds 128, so the measured frames stay clear of its
-/// next reallocation.
-const WARM_FRAMES: usize = 65;
-/// Frames measured, one step at a time.
-const MEASURED_FRAMES: usize = 60;
+/// Frames run before measuring.
+const WARM_FRAMES: usize = 64;
+/// Frames measured, one step at a time: enough that a per-frame store
+/// growing by doubling would reallocate within them.
+const MEASURED_FRAMES: usize = 200;
 
 fn system(cache_slots: usize) -> (DrivingDataset, AnoleSystem) {
     let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(91));
@@ -64,6 +63,7 @@ fn check_steps<P>(
         let input = prepare(frame);
         let evictions = engine.cache_stats().evictions;
         let (out, allocs) = measure(|| step(engine, frame, &input));
+        assert!(out.models_executed > 0, "frame {i} ran no model: {out:?}");
         let stretch = if i < WARM_FRAMES {
             &mut warm
         } else {
@@ -77,11 +77,6 @@ fn check_steps<P>(
             assert_eq!(allocs, 1, "frame {i} allocated {allocs} times: {out:?}");
         }
     }
-    assert_eq!(
-        engine.usage_log().len(),
-        frames.len(),
-        "every frame ran a model"
-    );
     for (name, stretch) in [("warm-up", &warm), ("measured", &measured)] {
         assert!(
             stretch.hits > 0 && stretch.hedged > 0 && stretch.evicting_misses > 0,
@@ -148,15 +143,14 @@ fn gateway_run(
 #[test]
 fn a_gateway_window_allocates_nothing_of_its_own() {
     let (dataset, system) = system(5);
-    // Both runs keep every session's usage log at 32 slots (it holds 32
-    // after its 17th frame), and each engine's one-time warm-ups (its first
-    // detections, first hedged frame and so on) fall in the frames both
-    // runs serve, so the difference is the extra frames alone.
+    // Each engine's one-time warm-ups (its first detections, first hedged
+    // frame and so on) fall in the frames both runs serve, so the
+    // difference is the extra frames alone.
     // With the `obs` feature on, the first run to reach a metric registers
     // it in the process-wide registry, so an unmeasured run goes first.
-    gateway_run(&system, &dataset, 32);
+    gateway_run(&system, &dataset, 64);
     let (short, short_allocs) = gateway_run(&system, &dataset, 17);
-    let (long, long_allocs) = gateway_run(&system, &dataset, 32);
+    let (long, long_allocs) = gateway_run(&system, &dataset, 64);
     for report in [&short, &long] {
         assert_eq!(report.frames_processed, report.frames_offered);
         assert_eq!(report.frames_shed, 0);

@@ -192,14 +192,6 @@ impl SceneAttributes {
     pub fn all() -> impl Iterator<Item = SceneAttributes> {
         (0..SEMANTIC_SCENE_COUNT).map(SceneAttributes::from_scene_index)
     }
-
-    /// Number of attribute values shared with `other` (0–3), a crude
-    /// semantic similarity used by tests and diagnostics.
-    pub fn shared_attributes(&self, other: &SceneAttributes) -> usize {
-        usize::from(self.weather == other.weather)
-            + usize::from(self.location == other.location)
-            + usize::from(self.time == other.time)
-    }
 }
 
 impl std::fmt::Display for SceneAttributes {
@@ -256,17 +248,6 @@ mod tests {
         for (i, t) in TimeOfDay::ALL.iter().enumerate() {
             assert_eq!(t.index(), i);
         }
-    }
-
-    #[test]
-    fn shared_attributes_counts_matches() {
-        let a = SceneAttributes::new(Weather::Clear, Location::Urban, TimeOfDay::Daytime);
-        let b = SceneAttributes::new(Weather::Clear, Location::Urban, TimeOfDay::Night);
-        let c = SceneAttributes::new(Weather::Foggy, Location::Tunnel, TimeOfDay::Night);
-        assert_eq!(a.shared_attributes(&a), 3);
-        assert_eq!(a.shared_attributes(&b), 2);
-        assert_eq!(a.shared_attributes(&c), 0);
-        assert_eq!(b.shared_attributes(&c), 1);
     }
 
     #[test]

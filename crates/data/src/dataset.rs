@@ -81,7 +81,7 @@ impl SourceProfile {
     }
 
     /// Samples clip attributes according to this source's distribution.
-    pub fn sample_attributes(&self, rng: &mut StdRng) -> SceneAttributes {
+    fn sample_attributes(&self, rng: &mut StdRng) -> SceneAttributes {
         SceneAttributes::new(
             Weather::ALL[weighted_choice(&self.weather_weights, rng)],
             Location::ALL[weighted_choice(&self.location_weights, rng)],
@@ -163,7 +163,7 @@ impl DatasetConfig {
     }
 
     /// Total clip count.
-    pub fn total_clips(&self) -> usize {
+    fn total_clips(&self) -> usize {
         self.kitti_clips + self.bdd_clips + self.shd_clips
     }
 }

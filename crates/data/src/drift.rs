@@ -108,16 +108,6 @@ impl DriftPhase {
             (frame - start) as f32 / (end - start) as f32
         }
     }
-
-    /// First frame at which the phase has any effect.
-    pub fn onset(&self) -> usize {
-        match *self {
-            DriftPhase::Gradual { start, .. } | DriftPhase::SensorDegradation { start, .. } => {
-                start
-            }
-            DriftPhase::Abrupt { at, .. } | DriftPhase::NovelScene { at, .. } => at,
-        }
-    }
 }
 
 /// A seeded, composable drift schedule. Applying the same schedule to the
@@ -145,13 +135,8 @@ impl DriftSchedule {
     }
 
     /// Whether the schedule can alter any frame.
-    pub fn is_stationary(&self) -> bool {
+    fn is_stationary(&self) -> bool {
         self.phases.is_empty()
-    }
-
-    /// Earliest frame at which any phase begins (`None` when stationary).
-    pub fn first_onset(&self) -> Option<usize> {
-        self.phases.iter().map(DriftPhase::onset).min()
     }
 
     /// Applies the schedule to `clip` in place. Frames before every phase's
@@ -409,18 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn phase_progress_and_onset() {
+    fn phase_progress_starts_at_onset() {
         let g = DriftPhase::Gradual { target: foggy_night(), start: 10, end: 30, strength: 1.0 };
         assert_eq!(g.progress(9), 0.0);
         assert_eq!(g.progress(20), 0.5);
         assert_eq!(g.progress(30), 1.0);
-        assert_eq!(g.onset(), 10);
         let a = DriftPhase::Abrupt { target: foggy_night(), at: 5, strength: 1.0 };
         assert_eq!(a.progress(4), 0.0);
         assert_eq!(a.progress(5), 1.0);
-        assert_eq!(a.onset(), 5);
-        let s = DriftSchedule::new(vec![g, a], Seed(1));
-        assert_eq!(s.first_onset(), Some(5));
-        assert!(DriftSchedule::stationary(Seed(1)).first_onset().is_none());
     }
 }

@@ -213,7 +213,7 @@ impl WorldModel {
     }
 
     /// Mean brightness of a scene, in `[0, 1]`.
-    pub fn brightness_of(&self, attrs: &SceneAttributes) -> f32 {
+    fn brightness_of(&self, attrs: &SceneAttributes) -> f32 {
         let time: f32 = match attrs.time {
             TimeOfDay::Daytime => 0.75,
             TimeOfDay::DawnDusk => 0.48,
@@ -235,7 +235,7 @@ impl WorldModel {
     }
 
     /// Mean contrast of a scene, in `[0, 1]`.
-    pub fn contrast_of(&self, attrs: &SceneAttributes) -> f32 {
+    fn contrast_of(&self, attrs: &SceneAttributes) -> f32 {
         let weather: f32 = match attrs.weather {
             Weather::Clear => 0.72,
             Weather::Overcast => 0.55,

@@ -28,20 +28,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Builds a matrix from parallel true/predicted label slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length or any label is out of range.
-    pub fn from_labels(classes: usize, truth: &[usize], predicted: &[usize]) -> Self {
-        assert_eq!(truth.len(), predicted.len(), "label count mismatch");
-        let mut cm = Self::new(classes);
-        for (&t, &p) in truth.iter().zip(predicted.iter()) {
-            cm.record(t, p);
-        }
-        cm
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
@@ -84,7 +70,7 @@ impl ConfusionMatrix {
 
     /// Row-normalized matrix: `P(predicted | true)`. Rows with no
     /// observations are all-zero.
-    pub fn row_normalized(&self) -> Vec<Vec<f32>> {
+    fn row_normalized(&self) -> Vec<Vec<f32>> {
         (0..self.classes)
             .map(|t| {
                 let row_sum: u64 = (0..self.classes).map(|p| self.count(t, p)).sum();
@@ -99,33 +85,6 @@ impl ConfusionMatrix {
                     .collect()
             })
             .collect()
-    }
-
-    /// Per-class recall (diagonal of the row-normalized matrix).
-    pub fn per_class_recall(&self) -> Vec<f32> {
-        self.row_normalized()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| row[i])
-            .collect()
-    }
-
-    /// Fraction of observations on the diagonal or one of the `band`
-    /// nearest off-diagonals — useful for judging "near miss" structure.
-    pub fn band_accuracy(&self, band: usize) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut near = 0u64;
-        for t in 0..self.classes {
-            for p in 0..self.classes {
-                if t.abs_diff(p) <= band {
-                    near += self.count(t, p);
-                }
-            }
-        }
-        near as f32 / total as f32
     }
 }
 
@@ -148,6 +107,18 @@ impl std::fmt::Display for ConfusionMatrix {
 mod tests {
     use super::*;
 
+    impl ConfusionMatrix {
+        /// A matrix over parallel true/predicted label slices.
+        fn from_labels(classes: usize, truth: &[usize], predicted: &[usize]) -> Self {
+            assert_eq!(truth.len(), predicted.len(), "label count mismatch");
+            let mut cm = Self::new(classes);
+            for (&t, &p) in truth.iter().zip(predicted) {
+                cm.record(t, p);
+            }
+            cm
+        }
+    }
+
     #[test]
     fn records_and_counts() {
         let mut cm = ConfusionMatrix::new(3);
@@ -157,14 +128,6 @@ mod tests {
         assert_eq!(cm.count(1, 2), 2);
         assert_eq!(cm.total(), 3);
         assert!((cm.accuracy() - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn from_labels_matches_manual_recording() {
-        let cm = ConfusionMatrix::from_labels(2, &[0, 1, 1], &[0, 1, 0]);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(1, 1), 1);
-        assert_eq!(cm.count(1, 0), 1);
     }
 
     #[test]
@@ -178,26 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn per_class_recall_diagonal() {
-        let cm = ConfusionMatrix::from_labels(2, &[0, 0, 1, 1], &[0, 1, 1, 1]);
-        let recall = cm.per_class_recall();
-        assert!((recall[0] - 0.5).abs() < 1e-6);
-        assert!((recall[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn band_accuracy_grows_with_band() {
-        let cm = ConfusionMatrix::from_labels(4, &[0, 1, 2, 3], &[1, 0, 3, 0]);
-        assert!(cm.band_accuracy(0) <= cm.band_accuracy(1));
-        assert!((cm.band_accuracy(1) - 0.75).abs() < 1e-6);
-        assert_eq!(cm.band_accuracy(3), 1.0);
-    }
-
-    #[test]
     fn empty_matrix_metrics_are_zero() {
         let cm = ConfusionMatrix::new(4);
         assert_eq!(cm.accuracy(), 0.0);
-        assert_eq!(cm.band_accuracy(1), 0.0);
     }
 
     #[test]

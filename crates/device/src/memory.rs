@@ -32,12 +32,6 @@ impl GpuMemoryModel {
         (self.spec.gpu_memory_bytes as f64 * self.usable_fraction as f64) as u64
     }
 
-    /// Resident cost of keeping `n` models of a class loaded (Table IV's
-    /// `weights × n` column).
-    pub fn loaded_bytes(&self, model: ReferenceModel, n: usize) -> u64 {
-        model.weight_bytes() * n as u64
-    }
-
     /// Peak execution footprint of a model class (Table IV "Execution").
     pub fn execution_bytes(&self, model: ReferenceModel) -> u64 {
         model.execution_bytes()
@@ -53,7 +47,7 @@ impl GpuMemoryModel {
     /// Byte budget left for cached compressed models once the pipeline's
     /// fixed residents (scene encoder, decision model, one executing
     /// compressed model's workspace) are charged.
-    pub fn cache_byte_budget(&self) -> u64 {
+    fn cache_byte_budget(&self) -> u64 {
         let budget = self.usable_bytes() as i64
             - self.execution_bytes(ReferenceModel::Yolov3Tiny) as i64
             - ReferenceModel::Resnet18.weight_bytes() as i64
@@ -98,15 +92,6 @@ mod tests {
             nano.max_cached_models()
         );
         assert!(tx2.max_cached_models() > nano.max_cached_models());
-    }
-
-    #[test]
-    fn loaded_bytes_scale_linearly() {
-        let m = GpuMemoryModel::for_device(DeviceKind::Laptop);
-        assert_eq!(
-            m.loaded_bytes(ReferenceModel::Yolov3Tiny, 19),
-            19 * 34_000_000
-        );
     }
 
     #[test]

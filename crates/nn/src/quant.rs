@@ -79,7 +79,7 @@ anole_json::json_struct!(QuantizedDense { weights_t, bias, activation });
 
 impl QuantizedDense {
     /// Quantizes a trained dense layer (weights transposed, bias copied).
-    pub fn from_dense(layer: &Dense) -> Self {
+    fn from_dense(layer: &Dense) -> Self {
         Self {
             weights_t: QuantMatrix::quantize(&layer.weights().transpose()),
             bias: layer.bias().clone(),

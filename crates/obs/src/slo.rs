@@ -322,11 +322,6 @@ impl SloEngine {
             .filter(|a| a.severity == AlertSeverity::Warn)
             .count()
     }
-
-    /// Whether any spec's fast-burn condition held at the last evaluation.
-    pub fn page_active(&self) -> bool {
-        self.state.iter().any(|s| s.fast_active)
-    }
 }
 
 #[cfg(test)]
@@ -372,7 +367,7 @@ mod tests {
         assert!(fired[3].is_empty());
         assert_eq!(fired[4].len(), 1, "re-armed after the clean window");
         assert_eq!(engine.pages(), 2);
-        assert!(engine.page_active());
+        assert!(engine.state.iter().any(|s| s.fast_active));
     }
 
     #[test]
@@ -406,7 +401,7 @@ mod tests {
             assert!(engine.evaluate(&series).is_empty());
         }
         assert_eq!(engine.alerts().len(), 0);
-        assert!(!engine.page_active());
+        assert!(!engine.state.iter().any(|s| s.fast_active));
     }
 
     #[test]

@@ -29,8 +29,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use anole_json::{ToJson, Value};
-
 use crate::snapshot::{FixedHistogram, MetricsSnapshot};
 
 /// Per-window deltas of one counter.
@@ -56,9 +54,8 @@ struct HistogramSeries {
 }
 
 /// Bounded per-metric rings of fixed-interval registry deltas, with
-/// windowed rate/delta/quantile queries and JSON / Prometheus-range
-/// exports. The private `timeseries` module's docs describe the capture
-/// model.
+/// windowed rate/delta/quantile queries. The private `timeseries` module's
+/// docs describe the capture model.
 ///
 /// # Examples
 ///
@@ -191,11 +188,6 @@ impl SeriesRecorder {
         }
     }
 
-    /// Ring capacity in windows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Windows currently retained (≤ capacity).
     pub fn windows(&self) -> usize {
         self.ticks.len()
@@ -204,11 +196,6 @@ impl SeriesRecorder {
     /// Total captures taken, including windows evicted from the rings.
     pub fn total_windows(&self) -> u64 {
         self.total_windows
-    }
-
-    /// Clock ticks of the retained windows, oldest first.
-    pub fn ticks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ticks.iter().copied()
     }
 
     /// Distinct metric names with a series, sorted.
@@ -240,16 +227,6 @@ impl SeriesRecorder {
         self.delta(name, n_windows) as f64 / span as f64
     }
 
-    /// A counter's per-window deltas, oldest first (for sparklines).
-    pub fn counter_deltas(&self, name: &str) -> Option<Vec<u64>> {
-        self.counters.get(name).map(|s| s.deltas.iter().copied().collect())
-    }
-
-    /// A gauge's last captured value.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).and_then(|s| s.values.back().copied())
-    }
-
     /// Merge of a histogram's delta windows over the last `n_windows`
     /// windows. `None` for unknown metrics.
     pub fn merged_over(&self, name: &str, n_windows: usize) -> Option<FixedHistogram> {
@@ -267,93 +244,6 @@ impl SeriesRecorder {
     pub fn quantile_over(&self, name: &str, n_windows: usize, q: f64) -> f64 {
         self.merged_over(name, n_windows).map_or(0.0, |h| h.quantile(q))
     }
-
-    /// Pretty-printed JSON export of every retained window: capacity,
-    /// window count, ticks, and each metric's baseline and ring, by name.
-    pub fn to_json(&self) -> String {
-        fn ring<T: ToJson>(values: &VecDeque<T>) -> Value {
-            Value::Array(values.iter().map(ToJson::to_json).collect())
-        }
-        fn by_name<T>(series: &BTreeMap<String, T>, each: impl Fn(&T) -> Value) -> Value {
-            Value::Object(series.iter().map(|(name, s)| (name.clone(), each(s))).collect())
-        }
-        anole_json::to_string_pretty(&Value::object(vec![
-            ("capacity", self.capacity.to_json()),
-            ("total_windows", self.total_windows.to_json()),
-            ("ticks", ring(&self.ticks)),
-            (
-                "counters",
-                by_name(&self.counters, |s| {
-                    Value::object(vec![("last_total", s.last_total.to_json()), ("deltas", ring(&s.deltas))])
-                }),
-            ),
-            ("gauges", by_name(&self.gauges, |s| Value::object(vec![("values", ring(&s.values))]))),
-            (
-                "histograms",
-                by_name(&self.histograms, |s| {
-                    Value::object(vec![("last", s.last.to_json()), ("deltas", ring(&s.deltas))])
-                }),
-            ),
-        ]))
-    }
-
-    /// Prometheus `query_range`-style matrix export: one result entry per
-    /// series, values as `[tick, value]` pairs over the retained windows.
-    /// Counters export reconstructed cumulative totals, gauges their raw
-    /// values, histograms synthetic `_p50`/`_p99`/`_count` series.
-    pub fn to_prometheus_range(&self) -> String {
-        let mut result = Vec::new();
-        let mut push = |name: &str, values: Vec<String>| {
-            let pairs = (self.ticks.iter().zip(values))
-                .map(|(t, v)| Value::Array(vec![t.to_json(), Value::String(v)]))
-                .collect();
-            let metric = Value::object(vec![("__name__", Value::String(name.replace(['.', '-'], "_")))]);
-            result.push(Value::object(vec![("metric", metric), ("values", Value::Array(pairs))]));
-        };
-        for (name, series) in &self.counters {
-            let in_ring: u64 = series.deltas.iter().sum();
-            let mut running = series.last_total - in_ring.min(series.last_total);
-            let values = (series.deltas.iter())
-                .map(|&d| {
-                    running += d;
-                    running.to_string()
-                })
-                .collect();
-            push(name, values);
-        }
-        for (name, series) in &self.gauges {
-            push(name, series.values.iter().map(f64::to_string).collect());
-        }
-        for (name, series) in &self.histograms {
-            for (suffix, sample) in [
-                ("_p50", Quantity::Quantile(0.5)),
-                ("_p99", Quantity::Quantile(0.99)),
-                ("_count", Quantity::Count),
-            ] {
-                let values = (series.deltas.iter())
-                    .map(|h| match sample {
-                        Quantity::Quantile(q) => h.quantile(q).to_string(),
-                        Quantity::Count => h.count().to_string(),
-                    })
-                    .collect();
-                push(&format!("{name}{suffix}"), values);
-            }
-        }
-        let data = Value::object(vec![
-            ("resultType", Value::String("matrix".into())),
-            ("result", Value::Array(result)),
-        ]);
-        anole_json::to_string_pretty(&Value::object(vec![
-            ("status", Value::String("success".into())),
-            ("data", data),
-        ]))
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Quantity {
-    Quantile(f64),
-    Count,
 }
 
 /// Bucket-wise difference `current − last` of two cumulative histograms.
@@ -378,6 +268,13 @@ fn histogram_delta(last: &FixedHistogram, current: &FixedHistogram) -> FixedHist
 mod tests {
     use super::*;
     use crate::snapshot::{CounterSample, GaugeSample, HistogramSample};
+
+    impl SeriesRecorder {
+        /// A counter's per-window deltas, oldest first.
+        fn counter_deltas(&self, name: &str) -> Option<Vec<u64>> {
+            self.counters.get(name).map(|s| s.deltas.iter().copied().collect())
+        }
+    }
 
     fn snap_with(
         counters: &[(&str, u64)],
@@ -414,7 +311,7 @@ mod tests {
         assert_eq!(rec.delta("a.b", 100), 17);
         assert_eq!(rec.rate("a.b", 2), 6.0);
         assert_eq!(rec.delta("missing", 4), 0);
-        assert_eq!(rec.ticks().collect::<Vec<_>>(), vec![0, 33, 66, 99]);
+        assert_eq!(rec.ticks, [0, 33, 66, 99]);
     }
 
     #[test]
@@ -434,7 +331,7 @@ mod tests {
         assert_eq!(rec.counter_deltas("steady").unwrap().len(), 3);
         assert_eq!(rec.counter_deltas("late").unwrap().len(), 3);
         assert_eq!(rec.counter_deltas("late").unwrap(), vec![1, 1, 1]);
-        assert_eq!(rec.gauge_last("g"), Some(9.0));
+        assert_eq!(rec.gauges["g"].values.back(), Some(&9.0));
     }
 
     #[test]
@@ -468,27 +365,5 @@ mod tests {
         assert_eq!(rec.quantile_over("lat", 2, 0.99), 10.0);
         assert_eq!(rec.merged_over("lat", 2).unwrap().count(), 20);
         assert_eq!(rec.quantile_over("missing", 2, 0.5), 0.0);
-    }
-
-    #[test]
-    fn timeseries_exports_round_trip_and_render() {
-        let mut h = FixedHistogram::new(&[1.0, 2.0]);
-        h.record(0.5);
-        let mut rec = SeriesRecorder::new(4);
-        rec.capture(10, &snap_with(&[("c.x", 2)], &[("g-y", 1.5)], &[("h.z", h)]));
-        let json = anole_json::parse(&rec.to_json()).unwrap();
-        let get = |path: &[&str]| path.iter().try_fold(&json, |v, key| v.get(key)).cloned();
-        let number = |n: &str| Some(Value::Number(n.into()));
-        assert_eq!(get(&["capacity"]), number("4"));
-        assert_eq!(get(&["ticks"]), Some(Value::Array(vec![Value::Number("10".into())])));
-        assert_eq!(get(&["counters", "c.x", "last_total"]), number("2"));
-        assert_eq!(get(&["gauges", "g-y", "values"]), Some(Value::Array(vec![Value::Number("1.5".into())])));
-        assert_eq!(get(&["histograms", "h.z", "last", "sum_micros"]), number("500000"));
-        let range = rec.to_prometheus_range();
-        assert!(range.contains("\"resultType\": \"matrix\""));
-        assert!(range.contains("c_x"));
-        assert!(range.contains("g_y"));
-        assert!(range.contains("h_z_p99"));
-        assert!(range.contains("h_z_count"));
     }
 }

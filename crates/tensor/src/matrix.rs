@@ -858,17 +858,6 @@ impl Matrix {
         }
     }
 
-    /// Adds `row` (a 1×cols matrix, typically a bias) to every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `row` is not a single row of matching width.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut out = self.clone();
-        out.add_row_broadcast_assign(row)?;
-        Ok(out)
-    }
-
     /// Adds `row` (a 1×cols matrix, typically a bias) to every row in place.
     ///
     /// # Errors
@@ -1261,10 +1250,10 @@ mod tests {
 
     #[test]
     fn add_row_broadcast_adds_bias_to_each_row() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap();
+        let mut a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]).unwrap();
         let b = Matrix::row_vector(&[10.0, 20.0]);
-        let c = a.add_row_broadcast(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[11.0, 21.0], &[12.0, 22.0]]).unwrap());
+        a.add_row_broadcast_assign(&b).unwrap();
+        assert_eq!(a, Matrix::from_rows(&[&[11.0, 21.0], &[12.0, 22.0]]).unwrap());
     }
 
     #[test]

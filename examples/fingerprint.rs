@@ -102,14 +102,22 @@ fn serving_hash(mut report: GatewayReport) -> u64 {
 }
 
 /// Steps `engine` over `n` test frames (cycling) and prints the hash of
-/// every step result and of the final health report.
+/// every step result, of the models that served them and of the final
+/// health report.
 fn stream(name: &str, engine: &mut OnlineEngine<'_>, dataset: &DrivingDataset, n: usize) {
     let test = dataset.split().test;
     let mut h = Fnv::new();
+    let mut used = Vec::new();
     for i in 0..n {
-        h.step(&engine.step(&dataset.frame(test[i % test.len()]).features));
+        let step = engine.step(&dataset.frame(test[i % test.len()]).features);
+        h.step(&step);
+        used.extend(
+            step.iter()
+                .filter(|o| o.models_executed > 0)
+                .map(|o| o.used),
+        );
     }
-    h.debug(&engine.usage_log());
+    h.debug(&used);
     println!(
         "{name} steps {:016x} health {:016x} cache {}",
         h.0,

@@ -43,17 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let split = dataset.split();
     let mut counts = DetectionCounts::default();
     let mut telemetry = Telemetry::new();
+    let mut served = 0;
     for &r in split.test.iter().take(200) {
         let frame = dataset.frame(r);
         let outcome = engine.step(&frame.features)?;
         counts.accumulate(&outcome.detections, &frame.truth);
         telemetry.record(&outcome, Some(&frame.truth));
+        served += usize::from(outcome.models_executed > 0);
     }
-    println!(
-        "online inference over {} frames: {}",
-        engine.usage_log().len(),
-        counts
-    );
+    println!("online inference over {served} frames: {counts}");
     println!(
         "mean latency {:.1} ms | cache {} | hedge rate {:.2}",
         engine.mean_latency_ms(),

@@ -54,6 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.warm(&(0..system.config().cache.capacity).collect::<Vec<_>>());
 
     let mut total = DetectionCounts::default();
+    // The model that served each frame, in order (replayed frames ran none).
+    let mut used = Vec::new();
     for (i, leg) in route().iter().enumerate() {
         // Fresh footage from the same world: never part of training.
         let clip = dataset.world().generate_clip(
@@ -65,16 +67,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             split_seed(seed, 100 + i as u64),
         );
         let mut leg_counts = DetectionCounts::default();
-        let start_frames = engine.usage_log().len();
+        let start_frames = used.len();
         for frame in &clip.frames {
             let outcome = engine.step(&frame.features)?;
             leg_counts.accumulate(&outcome.detections, &frame.truth);
             total.accumulate(&outcome.detections, &frame.truth);
+            if outcome.models_executed > 0 {
+                used.push(outcome.used);
+            }
         }
-        let used = &engine.usage_log()[start_frames..];
         let top_model = {
             let mut counts = std::collections::HashMap::new();
-            for &m in used {
+            for &m in &used[start_frames..] {
                 *counts.entry(m).or_insert(0usize) += 1;
             }
             counts.into_iter().max_by_key(|&(_, c)| c).map(|(m, _)| m).unwrap_or(0)
@@ -87,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let switches = SwitchStats::of(engine.usage_log());
+    let switches = SwitchStats::of(&used);
     println!("\n== patrol summary ==");
     println!("  overall detection: {total}");
     println!(

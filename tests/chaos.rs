@@ -210,19 +210,38 @@ fn zero_fault_plan_is_bit_identical_through_run_realtime() {
     let (dataset, system) = world();
     let frames = test_frames(dataset, 100);
 
-    let mut plain = system.online_engine(DeviceKind::JetsonTx2Nx, Seed(51));
-    plain.warm(&(0..system.repository().len()).collect::<Vec<_>>());
+    let mut plain = TelemetryProcessor {
+        engine: system.online_engine(DeviceKind::JetsonTx2Nx, Seed(51)),
+        telemetry: Telemetry::new(),
+    };
+    plain
+        .engine
+        .warm(&(0..system.repository().len()).collect::<Vec<_>>());
     let plain_report = run_realtime(&mut plain, &frames, DatasetSource::Shd, 30.0).unwrap();
 
     // Same engine seed, zero-fault injector, no pinned fallback.
-    let mut instrumented = system
-        .online_engine(DeviceKind::JetsonTx2Nx, Seed(51))
-        .with_fault_injector(FaultPlan::new(Seed(52)).injector());
-    instrumented.warm(&(0..system.repository().len()).collect::<Vec<_>>());
-    let chaos_report = run_realtime(&mut instrumented, &frames, DatasetSource::Shd, 30.0).unwrap();
+    let mut chaos = TelemetryProcessor {
+        engine: system
+            .online_engine(DeviceKind::JetsonTx2Nx, Seed(51))
+            .with_fault_injector(FaultPlan::new(Seed(52)).injector()),
+        telemetry: Telemetry::new(),
+    };
+    chaos
+        .engine
+        .warm(&(0..system.repository().len()).collect::<Vec<_>>());
+    let chaos_report = run_realtime(&mut chaos, &frames, DatasetSource::Shd, 30.0).unwrap();
 
     assert_eq!(plain_report, chaos_report);
-    assert_eq!(plain.usage_log(), instrumented.usage_log());
+    // The models that served each frame, in order.
+    let served = |p: &TelemetryProcessor<'_>| -> Vec<u16> {
+        let events = p.telemetry.records().iter().map(|r| &r.event);
+        events
+            .filter(|e| e.models_executed > 0)
+            .map(|e| e.used)
+            .collect()
+    };
+    assert_eq!(served(&plain), served(&chaos));
+    let (plain, instrumented) = (plain.engine, chaos.engine);
     assert_eq!(plain.cache_stats(), instrumented.cache_stats());
     assert_eq!(plain.mean_latency_ms(), instrumented.mean_latency_ms());
     assert_eq!(instrumented.health(), HealthState::Healthy);

@@ -24,8 +24,10 @@ fn full_pipeline_produces_working_online_engine() {
     // An untrained random detector on ~2 occupied cells of 16 scores far
     // below 0.3; the trained pipeline must clear it.
     assert!(result.overall_f1 > 0.3, "online F1 {}", result.overall_f1);
-    // Engine bookkeeping is consistent.
-    assert_eq!(engine.usage_log().len(), split.test.len());
+    // Engine bookkeeping is consistent: a model served every frame.
+    let health = engine.health_report();
+    assert_eq!(health.frames, split.test.len());
+    assert_eq!(health.fallback_depths[3], 0);
     assert!(engine.mean_latency_ms() > 0.0);
     assert_eq!(
         engine.cache_stats().lookups(),
