@@ -1,7 +1,7 @@
 //! The machine a snapshot ran on, recorded in every `BENCH_*.json`.
 
 use anole_json::{ToJson, Value};
-use anole_tensor::{Matrix, ParallelConfig};
+use anole_tensor::{Matrix, ParallelConfig, QuantRows};
 
 /// The CPU model named in `/proc/cpuinfo`, where there is one.
 fn cpu_model() -> Option<String> {
@@ -28,13 +28,14 @@ fn cores() -> usize {
 
 /// The host as a JSON object: CPU model, cores, the worker threads an
 /// automatic parallel config resolves to, and the extensions the f32 matrix
-/// kernels and the transcendental kernels run on.
+/// kernels, the int8 kernels and the transcendental kernels run on.
 pub fn host_json() -> Value {
     Value::object(vec![
         ("cpu", cpu_model().unwrap_or_else(|| "unknown".into()).to_json()),
         ("cores", cores().to_json()),
         ("auto_threads", ParallelConfig::default().effective_threads().to_json()),
         ("f32_kernel", Value::String(Matrix::matmul_isa().into())),
+        ("int8_kernel", Value::String(QuantRows::matmul_isa().into())),
         ("math_kernel", Value::String(math_kernel_isa().into())),
     ])
 }

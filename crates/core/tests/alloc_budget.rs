@@ -1,6 +1,7 @@
 //! Allocation budget of serving: once warm, an engine step allocates
 //! exactly once — the `Vec<bool>` of detections it returns — and a gateway
-//! window allocates nothing of its own.
+//! window allocates nothing of its own, at fp32 and with every model int8
+//! under a cache byte budget that holds one model.
 //!
 //! This binary installs the counting allocator, which counts the
 //! allocations of the measuring thread only.
@@ -11,7 +12,7 @@ use anole_core::{AnoleConfig, AnoleSystem};
 use anole_data::{DatasetConfig, DrivingDataset, Frame};
 use anole_device::DeviceKind;
 use anole_nn::alloc_count::{measure, CountingAllocator};
-use anole_nn::Workspace;
+use anole_nn::{Precision, Workspace};
 use anole_tensor::{Matrix, Seed};
 
 #[global_allocator]
@@ -32,6 +33,32 @@ fn system(cache_slots: usize) -> (DrivingDataset, AnoleSystem) {
     (dataset, system)
 }
 
+/// A system of `system`'s world trained with every int8 twin accepted (an
+/// ε of 1) and converted, served from a cache whose byte budget holds one
+/// model: the setting of perfbench's `fleet-int8`, where every model and
+/// decision forward runs the int8 kernels and a model switch evicts.
+fn quantized_system() -> (DrivingDataset, AnoleSystem) {
+    let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(91));
+    let mut config = AnoleConfig::fast();
+    config.quant.epsilon_f1 = 1.0;
+    let mut system = AnoleSystem::train(&dataset, &config, Seed(92)).unwrap();
+    let report = system.quantize_models(&dataset).unwrap();
+    assert!(
+        report.rejected.is_empty(),
+        "every twin is accepted: {report:?}"
+    );
+    let largest = system
+        .repository()
+        .models()
+        .iter()
+        .map(|m| m.serving_bytes())
+        .max();
+    let mut cache = system.config().cache;
+    cache.byte_budget = largest;
+    system.set_cache_config(cache);
+    (dataset, system)
+}
+
 fn test_frames(dataset: &DrivingDataset, count: usize) -> Vec<Frame> {
     let test = dataset.split().test;
     (0..count)
@@ -45,6 +72,7 @@ struct Stretch {
     hits: usize,
     hedged: usize,
     evicting_misses: usize,
+    int8: usize,
 }
 
 /// Warms `engine` on the first `WARM_FRAMES` frames, then steps it through
@@ -73,6 +101,7 @@ fn check_steps<P>(
         stretch.hedged += usize::from(out.models_executed > 1);
         let evicted = engine.cache_stats().evictions > evictions;
         stretch.evicting_misses += usize::from(!out.cache_hit && evicted);
+        stretch.int8 += usize::from(out.precision == Precision::Int8);
         if i >= WARM_FRAMES {
             assert_eq!(allocs, 1, "frame {i} allocated {allocs} times: {out:?}");
         }
@@ -86,12 +115,11 @@ fn check_steps<P>(
     measured
 }
 
-#[test]
-fn a_warm_engine_step_allocates_only_its_detections() {
-    // Two slots for six models: a quarter of the frames or more miss and
-    // evict.
-    let (dataset, system) = system(2);
-    let frames = test_frames(&dataset, WARM_FRAMES + MEASURED_FRAMES);
+/// Checks, through [`check_steps`], that a warm engine's own step and the
+/// gateway's step on externally computed scores each allocate only their
+/// detections over the same frames, and that both serve alike.
+fn check_engine(dataset: &DrivingDataset, system: &AnoleSystem) -> Stretch {
+    let frames = test_frames(dataset, WARM_FRAMES + MEASURED_FRAMES);
     let all: Vec<usize> = (0..system.repository().len()).collect();
 
     let mut engine = system.online_engine(DeviceKind::JetsonTx2Nx, Seed(93));
@@ -123,6 +151,21 @@ fn a_warm_engine_step_allocates_only_its_detections() {
         |engine, frame, scores| engine.step_with_scores(&frame.features, scores).unwrap(),
     );
     assert_eq!(format!("{own:?}"), format!("{external:?}"));
+    own
+}
+
+#[test]
+fn a_warm_engine_step_allocates_only_its_detections() {
+    // Two slots for six models: a quarter of the frames or more miss and
+    // evict.
+    let (dataset, system) = system(2);
+    assert_eq!(check_engine(&dataset, &system).int8, 0);
+}
+
+#[test]
+fn a_warm_int8_engine_step_allocates_only_its_detections() {
+    let (dataset, system) = quantized_system();
+    assert_eq!(check_engine(&dataset, &system).int8, MEASURED_FRAMES);
 }
 
 /// A gateway of six warm sessions streaming the first `frames` test frames
@@ -140,17 +183,17 @@ fn gateway_run(
     measure(|| gateway.run())
 }
 
-#[test]
-fn a_gateway_window_allocates_nothing_of_its_own() {
-    let (dataset, system) = system(5);
+/// Checks that a gateway run over more frames allocates exactly one more
+/// time per extra frame, the detections each step returns.
+fn check_gateway(dataset: &DrivingDataset, system: &AnoleSystem) {
     // Each engine's one-time warm-ups (its first detections, first hedged
     // frame and so on) fall in the frames both runs serve, so the
     // difference is the extra frames alone.
     // With the `obs` feature on, the first run to reach a metric registers
     // it in the process-wide registry, so an unmeasured run goes first.
-    gateway_run(&system, &dataset, 64);
-    let (short, short_allocs) = gateway_run(&system, &dataset, 17);
-    let (long, long_allocs) = gateway_run(&system, &dataset, 64);
+    gateway_run(system, dataset, 64);
+    let (short, short_allocs) = gateway_run(system, dataset, 17);
+    let (long, long_allocs) = gateway_run(system, dataset, 64);
     for report in [&short, &long] {
         assert_eq!(report.frames_processed, report.frames_offered);
         assert_eq!(report.frames_shed, 0);
@@ -167,4 +210,16 @@ fn a_gateway_window_allocates_nothing_of_its_own() {
         "{extra_frames} more frames over {} more windows",
         long.windows - short.windows
     );
+}
+
+#[test]
+fn a_gateway_window_allocates_nothing_of_its_own() {
+    let (dataset, system) = system(5);
+    check_gateway(&dataset, &system);
+}
+
+#[test]
+fn an_int8_gateway_window_allocates_nothing_of_its_own() {
+    let (dataset, system) = quantized_system();
+    check_gateway(&dataset, &system);
 }

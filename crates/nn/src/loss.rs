@@ -35,14 +35,15 @@ pub fn softmax(logits: &Matrix) -> Matrix {
 ///
 /// `out` is reshaped with [`Matrix::resize_scratch`] and fully overwritten;
 /// values are bit-identical to the allocating variant (which is this function
-/// on a fresh matrix). The exponentials run on [`math::exp_into`]; each
-/// row's sum adds them in column order.
+/// on a fresh matrix). Each row's max is found in vector lanes, with the
+/// value of a serial `f32::max` fold; the exponentials run on
+/// [`math::exp_into`], and each row's sum adds them in column order.
 pub fn softmax_into(logits: &Matrix, out: &mut Matrix) {
     out.resize_scratch(logits.rows(), logits.cols());
     let mut shifted = [0.0f32; CHUNK];
     for i in 0..logits.rows() {
         let (row, out_row) = (logits.row(i), out.row_mut(i));
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let max = row_max(row);
         for (xs, os) in row.chunks(CHUNK).zip(out_row.chunks_mut(CHUNK)) {
             let shifted = &mut shifted[..xs.len()];
             for (s, &v) in shifted.iter_mut().zip(xs) {
@@ -55,6 +56,30 @@ pub fn softmax_into(logits: &Matrix, out: &mut Matrix) {
             *v /= sum;
         }
     }
+}
+
+/// The largest value of `row`, or `-inf` for a row of NaN or no values, in
+/// eight lanes that the compiler vectorises.
+///
+/// `f32::max` skips NaN, so this is the value of the serial
+/// `fold(f32::NEG_INFINITY, f32::max)` except for the sign of a zero maximum:
+/// a tie of `+0.0` and `-0.0` may resolve either way. In [`softmax_into`]
+/// that changes only `v - max` for a zero `v`, to a zero of the other sign,
+/// which `exp` maps to 1 all the same.
+fn row_max(row: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(v);
+        }
+    }
+    for (m, &v) in lanes.iter_mut().zip(tail) {
+        *m = m.max(v);
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, f32::max)
 }
 
 /// Element-wise logistic sigmoid of a matrix.
@@ -285,6 +310,55 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-6);
         }
         assert!(p.iter().all(|&v| v > 0.0));
+    }
+
+    /// Softmax with each row's max found by the serial fold.
+    fn softmax_by_serial_fold(logits: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(logits.rows(), logits.cols());
+        for i in 0..logits.rows() {
+            let row = logits.row(i);
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let shifted: Vec<f32> = row.iter().map(|&v| v - max).collect();
+            math::exp_into(&shifted, out.row_mut(i));
+            let sum = out.row(i).iter().fold(0.0f32, |sum, &v| sum + v);
+            for v in out.row_mut(i) {
+                *v /= sum;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lane_max_gives_the_bits_of_the_serial_fold() {
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut rng = anole_tensor::rng_from_seed(anole_tensor::Seed(17));
+        for width in 1..=70 {
+            let mut logits = Matrix::random_normal(12, width, 3.0, &mut rng);
+            // Row 0 stays random; row r holds special r - 1 every few
+            // columns, rows 6 and up mix all of them, and the last row holds
+            // only zeros of both signs, so its max is a ±0 tie.
+            for r in 1..12 {
+                for (k, v) in logits.row_mut(r).iter_mut().enumerate() {
+                    let special = match r {
+                        1..=5 => (k % 3 == 1).then_some(specials[r - 1]),
+                        11 => Some(specials[k % 2]),
+                        _ => (k % (r - 3) == 0).then_some(specials[(k + r) % 5]),
+                    };
+                    if let Some(special) = special {
+                        *v = special;
+                    }
+                }
+            }
+            for i in 0..logits.rows() {
+                let row = logits.row(i);
+                let fold = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                // Equal as values: a ±0 tie may differ in sign only.
+                assert_eq!(row_max(row), fold, "width {width} row {i}");
+            }
+            let (got, want) = (softmax(&logits), softmax_by_serial_fold(&logits));
+            let bits = |m: &Matrix| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "width {width}");
+        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! z[i][j] = acc[i][j] * x_scale[i] * w_scale[j] + b[j]
 //! ```
 //!
-//! where `acc[i][j]` is the dot product of the i8 codes of input row `i` and
-//! output neuron `j`. The codes are held as integer-valued f32 and the
-//! product runs on the f32 kernel, whose sums are exact while the input
-//! width is at most [`MAX_EXACT_DEPTH`] (1 040), so `acc` equals the `i32`
-//! dot product bit for bit. [`Mlp::quantize`] asserts that bound. Biases
-//! and activations stay f32: everything after the product is identical to
-//! the f32 path.
+//! where `acc[i][j]` is the `i32` dot product of the i8 codes of input row
+//! `i` and output neuron `j`, summed on an integer kernel (AVX-512 VNNI,
+//! AVX2 or portable, chosen by CPU feature; every body gives the same
+//! bits). `acc as f32` is exact while the input width is at most
+//! [`MAX_EXACT_DEPTH`] (1 040), which [`Mlp::quantize`] asserts. Biases and
+//! activations stay f32: everything after the product is identical to the
+//! f32 path.
 //!
 //! Both serving entry points — the allocating [`QuantizedMlp::forward`] and
 //! the workspace-threaded `predict_*_batch` family — run the same code and
@@ -29,8 +29,8 @@
 //!
 //! A layer charges its i8 payload plus f32 per-output scales and f32 biases,
 //! so the 32→48→16 serving detector takes 2,816 bytes against 9,472 at f32
-//! (3.4× smaller). The f32 levels the host derives for the product are not
-//! charged.
+//! (3.4× smaller). The packed copy of the codes the host derives for the
+//! integer kernel is not charged.
 
 use std::fmt;
 

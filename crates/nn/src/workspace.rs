@@ -132,7 +132,7 @@ pub struct Workspace {
     pub(crate) infer_out: Matrix,
     /// Row-quantization scratch for the int8 serving path
     /// ([`QuantizedMlp`](crate::QuantizedMlp)): each quantized layer
-    /// overwrites it with the levels and scales of its input batch.
+    /// overwrites it with the codes and scales of its input batch.
     pub(crate) quant_in: QuantRows,
 }
 

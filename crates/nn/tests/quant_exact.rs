@@ -1,18 +1,19 @@
 //! The int8 serving path against a naive `i32` reference, bit for bit.
 //!
-//! `QuantizedMlp` runs its products on the f32 kernel over integer-valued
-//! levels. The reference here writes out what an integer kernel computes:
-//! `i8` codes from libm rounding (`round().clamp(-127, 127) as i8`, so NaN
-//! codes to 0), exact `i32` dot products, then `acc · x_scale · w_scale`,
-//! the bias and the activation. Both must agree on every output bit,
-//! including the rows that stress the rounding and the scales.
+//! `QuantizedMlp` runs its products on `anole_tensor`'s integer kernel,
+//! whichever body the CPU selects. The reference here writes the same steps
+//! out in scalar code: `i8` codes from libm rounding
+//! (`round().clamp(-127, 127) as i8`, so NaN codes to 0), exact `i32` dot
+//! products, then `acc · x_scale · w_scale`, the bias and the activation.
+//! Both must agree on every output bit, including the rows that stress the
+//! rounding and the scales.
 
 use anole_nn::{sigmoid, softmax, Activation, Mlp, Workspace};
 use anole_tensor::{rng_from_seed, Matrix, Seed, MAX_EXACT_DEPTH};
 
 /// The int8 forward pass with the `i8` codes, libm rounding and `i32`
 /// sums written out, quantizing the weights from the f32 model itself:
-/// the reference the f32-kernel path must match bit for bit.
+/// the reference the integer kernel must match bit for bit.
 fn reference_forward(m: &Mlp, x: &Matrix) -> Matrix {
     fn codes(row: &[f32]) -> (Vec<i32>, f32) {
         let max_abs = row.iter().fold(0.0f32, |m, v| m.max(v.abs()));

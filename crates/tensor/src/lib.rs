@@ -22,6 +22,21 @@
 // check that bounds its loads and stores.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+/// Runs `$body` with the const `$c` bound to `$value`, one of the listed
+/// literals, so a block's vector or row count is a compile-time constant
+/// and its accumulators stay in registers.
+macro_rules! with_const {
+    ($value:expr, $c:ident in [$($n:literal),+] => $body:expr) => {
+        match $value {
+            $($n => {
+                const $c: usize = $n;
+                $body
+            })+
+            other => unreachable!("{other} is not one of {:?}", [$($n),+]),
+        }
+    };
+}
+
 pub mod math;
 mod matrix;
 mod parallel;

@@ -48,7 +48,7 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// `f32` lanes of one 256-bit vector.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 /// `f32` lanes of one 512-bit vector.
 const WIDE_LANES: usize = 16;
 /// Output rows of one tile of the AVX-512 body.
@@ -70,21 +70,6 @@ struct Lhs<'a> {
     row_stride: usize,
     k_stride: usize,
     depth: usize,
-}
-
-/// Runs `$body` with the const `$c` bound to `$value`, one of the listed
-/// literals, so a block's vector or row count is a compile-time constant
-/// and its accumulators stay in registers.
-macro_rules! with_const {
-    ($value:expr, $c:ident in [$($n:literal),+] => $body:expr) => {
-        match $value {
-            $($n => {
-                const $c: usize = $n;
-                $body
-            })+
-            other => unreachable!("{other} is not one of {:?}", [$($n),+]),
-        }
-    };
 }
 
 /// The body [`gemm`] runs on this CPU, in order of preference.
@@ -163,7 +148,8 @@ fn assert_operands(lhs: Lhs<'_>, rows: usize, b: &[f32], n: usize, out: &[f32]) 
 /// Lane masks for the last, partial vector of a block: entries
 /// `LANES - tail .. 2·LANES - tail` enable the first `tail` lanes.
 #[cfg(target_arch = "x86_64")]
-static TAIL_MASKS: [i32; 2 * LANES] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+pub(crate) static TAIL_MASKS: [i32; 2 * LANES] =
+    [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
 
 /// AVX-512F body of [`gemm`]: tiles of up to [`TILE_ROWS`] output rows ×
 /// [`BLOCK_COLS`] columns, so each vector of `b` loaded per `k` feeds every

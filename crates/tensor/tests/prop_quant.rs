@@ -2,9 +2,9 @@
 //! closeness of the quantized product ([`QuantRows::matmul_nt_into`]) to its
 //! f32 reference, and exact equality with an integer reference.
 //!
-//! The quantized product sums integer levels on the f32 kernel, and those
-//! sums are exact, so it must equal, bit for bit, a naive `i32` reference
-//! computed here by hand.
+//! The quantized product sums `i8` codes in `i32` on an integer kernel, and
+//! those sums are exact, so it must equal, bit for bit, a naive `i32`
+//! reference computed here by hand.
 
 use anole_tensor::{rng_from_seed, Matrix, QuantMatrix, QuantRows, Seed};
 
@@ -111,8 +111,8 @@ fn quantized_product_equals_the_exact_i32_reference() {
             let bq = QuantMatrix::quantize(&b);
 
             // Naive scalar reference: the exact i32 dot, dequantized the
-            // same way the product does. The f32 sums of integer levels are
-            // exact, so the product must match it bit for bit.
+            // same way the product does. The kernel's i32 sums are exact in
+            // any order, so the product must match it bit for bit.
             let mut want = Matrix::zeros(rows, cols);
             for i in 0..rows {
                 for j in 0..cols {
