@@ -7,6 +7,8 @@
 //! ```
 //!
 //! With no `--only`, all tables and figures are regenerated in paper order.
+//! `--only` also selects among the `--ablations` runners by id (for example
+//! `--ablations --only ext:lifecycle` prints the fleet week alone).
 //! Run with `--release` for the paper scale.
 
 use std::process::ExitCode;
@@ -56,7 +58,9 @@ fn parse_args() -> Result<Args, String> {
                     "repro: regenerate the Anole paper's tables and figures\n\
                      options: --scale paper|small, --seed N, --only <ids>, --ablations\n\
                      ids: tab1 tab2 tab3 tab4 fig3 fig4a fig4b fig5 fig6 fig7a fig7b fig8 fig10 fig11\n\
-                     --ablations adds: cache-policy, delta, theta, latency-budget, realtime, repository-size, offload"
+                     --ablations adds: ablation:cache-policy ablation:delta ablation:theta\n\
+                     ablation:latency-budget ext:realtime ext:lifecycle ablation:repository-size\n\
+                     ablation:offload (--only selects among these too)"
                 );
                 std::process::exit(0);
             }
@@ -93,10 +97,22 @@ fn main() -> ExitCode {
         println!("{}", experiments::fig11());
     }
 
+    type Runner = fn(&Context) -> String;
+    let ablations: [(&str, Runner); 8] = [
+        ("ablation:cache-policy", experiments::cache_policy_ablation as Runner),
+        ("ablation:delta", experiments::delta_sweep_ablation),
+        ("ablation:theta", experiments::theta_sweep_ablation),
+        ("ablation:latency-budget", experiments::latency_budget_sweep),
+        ("ext:realtime", experiments::realtime_streaming),
+        ("ext:lifecycle", experiments::fleet_lifecycle_week),
+        ("ablation:repository-size", experiments::repository_size_sweep),
+        ("ablation:offload", experiments::offload_ablation),
+    ];
+    let ablation_wanted = |id: &str| args.ablations && wanted(&args.only, id);
     let needs_ctx = ["tab2", "tab3", "fig3", "fig4a", "fig4b", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig10"]
         .iter()
         .any(|id| wanted(&args.only, id))
-        || args.ablations;
+        || ablations.iter().any(|(id, _)| ablation_wanted(id));
     if !needs_ctx {
         return ExitCode::SUCCESS;
     }
@@ -120,7 +136,6 @@ fn main() -> ExitCode {
         start.elapsed().as_secs_f32()
     );
 
-    type Runner = fn(&Context) -> String;
     let runners: [(&str, Runner); 11] = [
         ("fig3", experiments::fig3 as Runner),
         ("fig4a", experiments::fig4a),
@@ -142,17 +157,8 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.ablations {
-        for (id, run) in [
-            ("ablation:cache-policy", experiments::cache_policy_ablation as Runner),
-            ("ablation:delta", experiments::delta_sweep_ablation),
-            ("ablation:theta", experiments::theta_sweep_ablation),
-            ("ablation:latency-budget", experiments::latency_budget_sweep),
-            ("ext:realtime", experiments::realtime_streaming),
-            ("ext:lifecycle", experiments::fleet_lifecycle_week),
-            ("ablation:repository-size", experiments::repository_size_sweep),
-            ("ablation:offload", experiments::offload_ablation),
-        ] {
+    for (id, run) in ablations {
+        if ablation_wanted(id) {
             let t = std::time::Instant::now();
             println!("{}", run(&ctx));
             eprintln!("[repro] {id} done in {:.1}s", t.elapsed().as_secs_f32());

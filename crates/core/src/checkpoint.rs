@@ -302,14 +302,6 @@ pub fn specialist_key(k: usize, cluster: usize) -> String {
     format!("specialist_k{k:03}_c{cluster:03}")
 }
 
-/// Key for one step of an incremental re-profile
-/// ([`AnoleSystem::reprofile_with_frames`](crate::AnoleSystem::reprofile_with_frames)).
-/// Steps are numbered in execution order, so a resumed re-profile replays
-/// the same sequence.
-fn reprofile_key(step: usize) -> String {
-    format!("reprofile_step{step:03}")
-}
-
 /// What a resumable training run recovered, stage by stage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -361,120 +353,7 @@ impl TrainRecovery {
         &self.store
     }
 
-    /// Loads a completed stage, recording the resume in the report.
-    pub fn load_stage<T: FromJson>(&mut self, stage: OspStage) -> Option<T> {
-        let value = self.store.load(stage.key());
-        if value.is_some() {
-            self.report.resumed_stages.push(stage.name());
-        }
-        value
-    }
-
-    /// Saves a completed stage (write faults are absorbed; see
-    /// [`CheckpointStore::save`]), recording the first trained stage.
-    ///
-    /// # Errors
-    ///
-    /// [`AnoleError::Checkpoint`] on real I/O failures.
-    pub fn save_stage<T: ToJson>(&mut self, stage: OspStage, value: &T) -> Result<(), AnoleError> {
-        if self.report.first_trained_stage.is_none() {
-            self.report.first_trained_stage = Some(stage.name());
-        }
-        self.store.save(stage.key(), value, self.injector.as_mut())?;
-        Ok(())
-    }
-
-    /// Loads a specialist-candidate checkpoint (model plus validation F1).
-    pub fn load_specialist<T: FromJson>(&mut self, k: usize, cluster: usize) -> Option<T> {
-        let value = self.store.load(&specialist_key(k, cluster));
-        if value.is_some() {
-            self.report.resumed_specialists += 1;
-        }
-        value
-    }
-
-    /// Saves a specialist-candidate checkpoint as it passes (or fails) the
-    /// δ gate; write faults are absorbed.
-    ///
-    /// # Errors
-    ///
-    /// [`AnoleError::Checkpoint`] on real I/O failures.
-    pub fn save_specialist<T: ToJson>(
-        &mut self,
-        k: usize,
-        cluster: usize,
-        value: &T,
-    ) -> Result<(), AnoleError> {
-        self.store
-            .save(&specialist_key(k, cluster), value, self.injector.as_mut())?;
-        Ok(())
-    }
-
-    /// Loads a completed re-profile step, recording the resume.
-    pub fn load_reprofile<T: FromJson>(&mut self, step: usize) -> Option<T> {
-        let value = self.store.load(&reprofile_key(step));
-        if value.is_some() {
-            self.report.resumed_reprofile_steps += 1;
-        }
-        value
-    }
-
-    /// Saves a completed re-profile step; write faults are absorbed.
-    ///
-    /// # Errors
-    ///
-    /// [`AnoleError::Checkpoint`] on real I/O failures.
-    pub fn save_reprofile<T: ToJson>(&mut self, step: usize, value: &T) -> Result<(), AnoleError> {
-        self.store
-            .save(&reprofile_key(step), value, self.injector.as_mut())?;
-        Ok(())
-    }
-
-    /// Checks for an injected kill right after re-profile step `step`
-    /// completed (its checkpoint is already durable), mirroring
-    /// [`TrainRecovery::abort_point`] for the incremental pipeline.
-    ///
-    /// # Errors
-    ///
-    /// [`AnoleError::Aborted`] when the plan schedules a
-    /// [`crate::omi::FaultKind::ReprofileAbort`] at this step index.
-    pub fn reprofile_abort_point(
-        &mut self,
-        step: usize,
-        name: &'static str,
-    ) -> Result<(), AnoleError> {
-        self.sync_stats();
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(|i| i.reprofile_abort_after(step))
-        {
-            return Err(AnoleError::Aborted { stage: name });
-        }
-        Ok(())
-    }
-
-    /// Checks for an injected kill right after `stage` completed (its
-    /// checkpoint is already durable). Returns [`AnoleError::Aborted`] so
-    /// the caller unwinds like a crash would.
-    ///
-    /// # Errors
-    ///
-    /// [`AnoleError::Aborted`] when the plan schedules a
-    /// [`crate::omi::FaultKind::TrainAbort`] at this stage's index.
-    pub fn abort_point(&mut self, stage: OspStage) -> Result<(), AnoleError> {
-        self.sync_stats();
-        if self
-            .injector
-            .as_ref()
-            .is_some_and(|i| i.train_abort_after(stage.index()))
-        {
-            return Err(AnoleError::Aborted { stage: stage.name() });
-        }
-        Ok(())
-    }
-
-    /// Copies the store counters into the report (called at stage
+    /// Copies the store counters into the report (called at step
     /// boundaries and by `finish`).
     fn sync_stats(&mut self) {
         self.report.checkpoints = self.store.stats.clone();
@@ -483,6 +362,103 @@ impl TrainRecovery {
     /// Finalizes the report after a successful run.
     pub fn finish(&mut self) {
         self.sync_stats();
+    }
+}
+
+/// One checkpointed step of a training run: an OSP stage, one of
+/// Algorithm 1's specialist candidates, or a step of an incremental
+/// re-profile.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// A stage of the OSP pipeline.
+    Stage(OspStage),
+    /// The specialist candidate at Algorithm 1's `(k, cluster)`.
+    Specialist { k: usize, cluster: usize },
+    /// Step `index` of
+    /// [`AnoleSystem::reprofile_with_frames`](crate::AnoleSystem::reprofile_with_frames),
+    /// numbered in execution order so a resumed re-profile replays the same
+    /// sequence; `name` is the stage an abort after it reports.
+    Reprofile { index: usize, name: &'static str },
+}
+
+impl Step {
+    /// The artifact key (also the file stem).
+    fn key(self) -> String {
+        match self {
+            Step::Stage(stage) => stage.key().to_string(),
+            Step::Specialist { k, cluster } => specialist_key(k, cluster),
+            Step::Reprofile { index, .. } => format!("reprofile_step{index:03}"),
+        }
+    }
+
+    /// Loads this step's checkpoint, recording the resume in the report.
+    pub(crate) fn load<T: FromJson>(self, recovery: &mut TrainRecovery) -> Option<T> {
+        let value = recovery.store.load(&self.key());
+        if value.is_some() {
+            let report = &mut recovery.report;
+            match self {
+                Step::Stage(stage) => report.resumed_stages.push(stage.name()),
+                Step::Specialist { .. } => report.resumed_specialists += 1,
+                Step::Reprofile { .. } => report.resumed_reprofile_steps += 1,
+            }
+        }
+        value
+    }
+
+    /// Saves this step's checkpoint (write faults are absorbed; see
+    /// [`CheckpointStore::save`]), recording the first trained OSP stage.
+    ///
+    /// # Errors
+    ///
+    /// [`AnoleError::Checkpoint`] on real I/O failures.
+    pub(crate) fn save<T: ToJson>(
+        self,
+        recovery: &mut TrainRecovery,
+        value: &T,
+    ) -> Result<(), AnoleError> {
+        if let Step::Stage(stage) = self {
+            recovery.report.first_trained_stage.get_or_insert(stage.name());
+        }
+        recovery.store.save(&self.key(), value, recovery.injector.as_mut())?;
+        Ok(())
+    }
+
+    /// Runs this step through `recovery`: reloads a valid checkpoint, or
+    /// runs `train`, saves its result and stops at the step's abort point.
+    /// The abort point sits *after* the save, so an injected kill always
+    /// lands at a step boundary with that step's checkpoint durable; a
+    /// reloaded step skips its abort point (the kill already happened).
+    /// `train` receives the recovery back, for steps that checkpoint inside.
+    ///
+    /// # Errors
+    ///
+    /// `train`'s error, [`AnoleError::Checkpoint`] on real I/O failures, and
+    /// [`AnoleError::Aborted`] when the fault plan schedules a
+    /// [`TrainAbort`](crate::omi::FaultKind::TrainAbort) at this OSP stage's
+    /// index or a [`ReprofileAbort`](crate::omi::FaultKind::ReprofileAbort)
+    /// at this re-profile step's index.
+    pub(crate) fn run<T: ToJson + FromJson>(
+        self,
+        mut recovery: Option<&mut TrainRecovery>,
+        train: impl FnOnce(Option<&mut TrainRecovery>) -> Result<T, AnoleError>,
+    ) -> Result<T, AnoleError> {
+        if let Some(value) = recovery.as_deref_mut().and_then(|r| self.load(r)) {
+            return Ok(value);
+        }
+        let value = train(recovery.as_deref_mut())?;
+        if let Some(rec) = recovery {
+            self.save(rec, &value)?;
+            rec.sync_stats();
+            let aborted = rec.injector.as_ref().and_then(|i| match self {
+                Step::Stage(stage) => i.train_abort_after(stage.index()).then_some(stage.name()),
+                Step::Reprofile { index, name } => i.reprofile_abort_after(index).then_some(name),
+                Step::Specialist { .. } => None,
+            });
+            if let Some(stage) = aborted {
+                return Err(AnoleError::Aborted { stage });
+            }
+        }
+        Ok(value)
     }
 }
 
@@ -664,9 +640,16 @@ mod tests {
                 .at(OspStage::Repository.index(), FaultKind::TrainAbort)
                 .injector(),
         );
-        assert!(recovery.abort_point(OspStage::SceneModel).is_ok());
-        let err = recovery.abort_point(OspStage::Repository).unwrap_err();
+        let train = |_: Option<&mut TrainRecovery>| Ok(7u8);
+        let scene = Step::Stage(OspStage::SceneModel).run(Some(&mut recovery), train);
+        assert_eq!(scene, Ok(7));
+        let err = Step::Stage(OspStage::Repository).run(Some(&mut recovery), train).unwrap_err();
         assert_eq!(err, AnoleError::Aborted { stage: "model repository" });
+        // The killed stage's checkpoint is durable: a rerun reloads it and
+        // skips its abort point.
+        let resumed = Step::Stage(OspStage::Repository).run(Some(&mut recovery), train);
+        assert_eq!(resumed, Ok(7));
+        assert_eq!(recovery.report.resumed_stages, vec!["model repository"]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

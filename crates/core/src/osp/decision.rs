@@ -60,16 +60,9 @@ impl DecisionModel {
         // Suitability sets lacking membership vectors fall back to one-hot
         // targets on the arm the sample was drawn for.
         let mut targets = Matrix::zeros(refs.len(), n_models);
-        for i in 0..refs.len() {
-            let v = sets.memberships.get(i);
-            let mass: f32 = v.map(|v| v.iter().sum()).unwrap_or(0.0);
-            if let (Some(v), true) = (v, mass > 0.0) {
-                for (j, &m) in v.iter().enumerate().take(n_models) {
-                    targets.set(i, j, m / mass);
-                }
-            } else {
-                targets.set(i, sets.samples[i].1, 1.0);
-            }
+        for (i, &(_, arm)) in sets.samples.iter().enumerate() {
+            let v = sets.memberships.get(i).map_or(&[][..], Vec::as_slice);
+            write_normalized(&mut targets, i, v, arm);
         }
 
         Self::train_from_features(scene_model, &x, &targets, config, seed)
@@ -78,9 +71,12 @@ impl DecisionModel {
     /// Trains a decision model directly from a feature matrix and soft
     /// per-model target distributions (one row each, rows summing to 1).
     ///
-    /// This is the workhorse behind [`DecisionModel::train`]; it is public
-    /// so that repository expansion can retrain the head with an extended
-    /// target width after a new specialist is added online.
+    /// This is the workhorse behind every `M_decision` training: OSP's
+    /// [`DecisionModel::train`], and the retrains of repository expansion
+    /// ([`AnoleSystem::extend_with_frames`](crate::AnoleSystem::extend_with_frames))
+    /// and re-profiling
+    /// ([`AnoleSystem::reprofile_with_frames`](crate::AnoleSystem::reprofile_with_frames)),
+    /// whose targets span the repository as it stands after the change.
     ///
     /// The frozen backbone runs once over the training rows, in fixed-size
     /// row blocks; the head then trains alone on those embeddings.
@@ -273,20 +269,40 @@ impl DecisionModel {
         let frames: Vec<&Frame> = refs.iter().map(|&r| dataset.frame(r)).collect();
         let f1 = f1_table(repository.models(), &frames, threshold)?;
         for i in 0..refs.len() {
-            let mut best = (0usize, 0.0f32);
-            for (id, &score) in f1.row(i).iter().enumerate() {
-                if score > best.1 {
-                    best = (id, score);
-                }
-            }
-            if best.1 <= 0.0 {
+            let (best, score) = best_scoring(f1.row(i));
+            if score <= 0.0 {
                 continue;
             }
             let predicted = argmax(suitability.row(i)).expect("non-empty suitability row");
-            cm.record(best.0, predicted);
+            cm.record(best, predicted);
         }
         Ok(cm)
     }
+}
+
+/// Writes `v` into `targets` row `row`, normalized to sum 1; falls back to a
+/// one-hot on `fallback` when `v` is all-zero.
+pub(crate) fn write_normalized(targets: &mut Matrix, row: usize, v: &[f32], fallback: usize) {
+    let mass: f32 = v.iter().sum();
+    if mass > 0.0 {
+        for (j, &m) in v.iter().enumerate() {
+            targets.set(row, j, m / mass);
+        }
+    } else {
+        targets.set(row, fallback, 1.0);
+    }
+}
+
+/// The model with the highest of one frame's per-model `scores` (the first
+/// on ties; model 0 when none is positive) and its score.
+pub(crate) fn best_scoring(scores: &[f32]) -> (usize, f32) {
+    let mut best = (0, 0.0);
+    for (id, &score) in scores.iter().enumerate() {
+        if score > best.1 {
+            best = (id, score);
+        }
+    }
+    best
 }
 
 /// Rows per forward when [`DecisionModel::train_from_features`] embeds its

@@ -7,7 +7,8 @@ mod sampling;
 mod scene_model;
 
 pub use decision::DecisionModel;
-pub(crate) use repository::fit_detector;
+pub(crate) use decision::{best_scoring, write_normalized};
+pub(crate) use repository::{fit_detector, fit_specialist, stack_frames};
 pub use repository::{ClusterOrigin, CompressedModel, ModelRepository};
 pub use sampling::{frame_f1_of, AdaptiveSampler, SuitabilitySets};
 pub(crate) use sampling::{boost_owner, f1_table, membership};

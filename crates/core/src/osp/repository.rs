@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use anole_cluster::MultiLevelClustering;
-use anole_data::{DrivingDataset, FrameRef};
+use anole_data::{DrivingDataset, Frame, FrameRef};
 use anole_detect::{threshold_probs, DetectionCounts};
 use anole_nn::{
     sigmoid, Activation, Mlp, ModelProfile, Precision, QuantizedMlp, ReferenceModel, Trainer,
@@ -17,7 +17,7 @@ use anole_nn::{
 };
 use anole_tensor::{split_seed, Matrix, Seed};
 
-use crate::checkpoint::TrainRecovery;
+use crate::checkpoint::{Step, TrainRecovery};
 use crate::osp::SceneModel;
 use crate::{AnoleConfig, AnoleError, DetectorConfig};
 
@@ -139,14 +139,20 @@ impl CompressedModel {
         refs: &[FrameRef],
         threshold: f32,
     ) -> Result<f32, AnoleError> {
-        if refs.is_empty() {
+        let frames: Vec<&Frame> = refs.iter().map(|&r| dataset.frame(r)).collect();
+        self.frames_f1(&frames, threshold)
+    }
+
+    /// F1 of this model over `frames`, pooled over every cell, from one
+    /// batched forward; 0 for no frames.
+    fn frames_f1(&self, frames: &[&Frame], threshold: f32) -> Result<f32, AnoleError> {
+        if frames.is_empty() {
             return Ok(0.0);
         }
-        let probs = self.detect_probs(&dataset.features_matrix(refs))?;
+        let probs = self.detect_probs(&stack_frames(frames).0)?;
         let mut counts = DetectionCounts::default();
-        for (i, r) in refs.iter().enumerate() {
-            let pred = threshold_probs(probs.row(i), threshold);
-            counts.accumulate(&pred, &dataset.frame(*r).truth);
+        for (i, frame) in frames.iter().enumerate() {
+            counts.accumulate(&threshold_probs(probs.row(i), threshold), &frame.truth);
         }
         Ok(counts.f1())
     }
@@ -306,27 +312,32 @@ impl ModelRepository {
             // candidate. Seeds are keyed by (k, cluster), not acceptance
             // order, and results are collected in cluster order, so the
             // output is identical to a sequential run for any thread count.
-            let threshold = config.detector.threshold;
             let train_candidate = |c: &Candidate,
                                    ws: &mut Workspace|
              -> Result<(CompressedModel, f32), AnoleError> {
                 let _span = anole_obs::span!("osp.tcm.train_candidate");
                 anole_obs::counter_add!("osp.tcm.candidates_trained", 1);
                 let model_seed = split_seed(seed, 100 + level.k as u64 * 131 + c.cluster as u64);
-                let candidate = train_compressed(
-                    dataset,
-                    &c.train,
-                    config,
-                    0, // ids are assigned at acceptance time
-                    ClusterOrigin {
-                        k: level.k,
-                        cluster: c.cluster,
-                        scenes: c.scenes.clone(),
-                    },
+                let frames = |refs: &[FrameRef]| -> Vec<&Frame> {
+                    refs.iter().map(|&r| dataset.frame(r)).collect()
+                };
+                let origin = ClusterOrigin {
+                    k: level.k,
+                    cluster: c.cluster,
+                    scenes: c.scenes.clone(),
+                };
+                let candidate = fit_specialist(
+                    &frames(&c.train),
+                    &frames(&c.val),
+                    &config.detector,
+                    origin,
+                    c.train.clone(),
                     model_seed,
                     ws,
                 )?;
-                let f1 = candidate.evaluate_f1(dataset, &c.val, threshold)?;
+                // Checkpoints hold `(model, F1)` pairs and acceptance reads
+                // the pair's F1, so stores whose models hold 0 still resume.
+                let f1 = candidate.validation_f1;
                 Ok((candidate, f1))
             };
             // Reload candidates checkpointed by an earlier, interrupted run
@@ -335,7 +346,8 @@ impl ModelRepository {
                 (0..candidates.len()).map(|_| None).collect();
             if let Some(rec) = recovery.as_mut() {
                 for (slot, c) in slots.iter_mut().zip(&candidates) {
-                    *slot = rec.load_specialist(level.k, c.cluster);
+                    let step = Step::Specialist { k: level.k, cluster: c.cluster };
+                    *slot = step.load(rec);
                 }
             }
             let misses: Vec<usize> = slots
@@ -384,7 +396,8 @@ impl ModelRepository {
             for (i, result) in trained {
                 let pair = result?;
                 if let Some(rec) = recovery.as_mut() {
-                    rec.save_specialist(level.k, candidates[i].cluster, &pair)?;
+                    let step = Step::Specialist { k: level.k, cluster: candidates[i].cluster };
+                    step.save(rec, &pair)?;
                 }
                 slots[i] = Some(pair);
             }
@@ -469,29 +482,50 @@ impl ModelRepository {
     }
 }
 
-fn train_compressed(
-    dataset: &DrivingDataset,
-    refs: &[FrameRef],
-    config: &AnoleConfig,
-    id: usize,
+/// Trains one compressed specialist on the `fit` frames and scores its
+/// validation F1 on the `val` frames with one batched forward: the recipe
+/// behind Algorithm 1's candidates, expansion's new specialist and the
+/// re-profile's refreshed ones. The model's id is 0 until the repository
+/// assigns one.
+pub(crate) fn fit_specialist(
+    fit: &[&Frame],
+    val: &[&Frame],
+    config: &DetectorConfig,
     origin: ClusterOrigin,
+    training_set: Vec<FrameRef>,
     seed: Seed,
     ws: &mut Workspace,
 ) -> Result<CompressedModel, AnoleError> {
-    let x = dataset.features_matrix(refs);
-    let y = dataset.truth_matrix(refs);
-    let hidden = [config.detector.compressed_hidden];
-    let net = fit_detector(&x, &y, &hidden, &config.detector, seed, ws)?;
-    let profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net);
-    Ok(CompressedModel {
-        id,
+    let (x, y) = stack_frames(fit);
+    let net = fit_detector(&x, &y, &[config.compressed_hidden], config, seed, ws)?;
+    let mut model = CompressedModel {
+        id: 0,
+        profile: ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net),
         net,
-        profile,
         validation_f1: 0.0,
         origin,
-        training_set: refs.to_vec(),
+        training_set,
         quantized: None,
-    })
+    };
+    model.validation_f1 = model.frames_f1(val, config.threshold)?;
+    Ok(model)
+}
+
+/// Stacks `frames` into a feature matrix and a 0/1 ground-truth matrix,
+/// one row per frame.
+pub(crate) fn stack_frames(frames: &[&Frame]) -> (Matrix, Matrix) {
+    let (dim, cells) = frames.first().map_or((0, 0), |f| (f.features.len(), f.truth.len()));
+    let mut x = Matrix::zeros(frames.len(), dim);
+    let mut y = Matrix::zeros(frames.len(), cells);
+    for (i, frame) in frames.iter().enumerate() {
+        x.row_mut(i).copy_from_slice(&frame.features);
+        for (j, &t) in frame.truth.iter().enumerate() {
+            if t {
+                y.set(i, j, 1.0);
+            }
+        }
+    }
+    (x, y)
 }
 
 /// Builds a detector with ReLU hidden layers of the given widths and trains

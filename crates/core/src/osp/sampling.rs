@@ -16,9 +16,15 @@ pub struct SuitabilitySets {
     /// Accepted `(frame, model id)` pairs: frame ∈ Ψᵢ^sub for model i (the
     /// id is the arm whose training set the frame was drawn from).
     pub samples: Vec<(FrameRef, usize)>,
-    /// Per accepted frame, the full model-allocation vector `v^x` of §IV-C:
-    /// `memberships[s][i]` is 1.0 when the frame also lies in Ψᵢ^sub of
-    /// model i. Runs parallel to `samples`.
+    /// Per accepted frame, its model-allocation vector `v^x` of §IV-C
+    /// before normalization, scored against the repository it was collected
+    /// on: `memberships[s][i]` is model i's per-frame F1 squared when that
+    /// F1 clears `accept_f1` (else 0), and the owner arm of an
+    /// [`AdaptiveSampler::collect`] sample carries twice the larger of the
+    /// row's peak and 1 on top. Runs parallel to `samples`. Only OSP's first
+    /// [`DecisionModel::train`](crate::osp::DecisionModel::train) reads it;
+    /// expansion and re-profiling rescore the samples against the current
+    /// repository.
     pub memberships: Vec<Vec<f32>>,
     /// Accepted samples per model (|Ψᵢ^sub|).
     pub accepted_counts: Vec<usize>,

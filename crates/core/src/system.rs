@@ -1,14 +1,16 @@
 //! The assembled Anole system: one call trains the whole offline pipeline.
 
-use anole_data::DrivingDataset;
+use anole_data::{DrivingDataset, Frame};
 use anole_device::DeviceKind;
 use anole_nn::Workspace;
-use anole_tensor::{split_seed, Seed};
+use anole_tensor::{split_seed, Matrix, Seed};
 
-use crate::checkpoint::{OspStage, TrainRecovery};
+use crate::checkpoint::{OspStage, Step, TrainRecovery};
 use crate::omi::OnlineEngine;
 use crate::osp::{
-    fit_detector, AdaptiveSampler, DecisionModel, ModelRepository, SceneModel, SuitabilitySets,
+    best_scoring, boost_owner, f1_table, fit_specialist, membership, stack_frames,
+    write_normalized, AdaptiveSampler, ClusterOrigin, CompressedModel, DecisionModel,
+    ModelRepository, SceneModel, SuitabilitySets,
 };
 use crate::{AnoleConfig, AnoleError};
 
@@ -84,83 +86,35 @@ impl AnoleSystem {
         let _span = anole_obs::span!("osp.train");
         anole_obs::counter_add!("osp.train.runs", 1);
         let split = dataset.split();
-        // Each stage: reload a valid checkpoint, or train and checkpoint.
-        // The abort point sits *after* the save, so an injected kill always
-        // lands at a stage boundary with that stage's checkpoint durable;
-        // resumed stages skip their abort point (the kill already happened).
-        let scene_model = match recovery
-            .as_mut()
-            .and_then(|r| r.load_stage::<SceneModel>(OspStage::SceneModel))
-        {
-            Some(model) => model,
-            None => {
-                let model =
-                    SceneModel::train(dataset, &split.train, &config.scene, split_seed(seed, 0))?;
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_stage(OspStage::SceneModel, &model)?;
-                    rec.abort_point(OspStage::SceneModel)?;
-                }
-                model
-            }
-        };
-        let repository = match recovery
-            .as_mut()
-            .and_then(|r| r.load_stage::<ModelRepository>(OspStage::Repository))
-        {
-            Some(repo) => repo,
-            None => {
-                let repo = ModelRepository::train_with_recovery(
-                    dataset,
-                    &scene_model,
-                    &split.train,
-                    &split.val,
-                    config,
-                    split_seed(seed, 1),
-                    recovery.as_deref_mut(),
-                )?;
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_stage(OspStage::Repository, &repo)?;
-                    rec.abort_point(OspStage::Repository)?;
-                }
-                repo
-            }
-        };
-        let suitability_sets = match recovery
-            .as_mut()
-            .and_then(|r| r.load_stage::<SuitabilitySets>(OspStage::Suitability))
-        {
-            Some(sets) => sets,
-            None => {
+        let scene_model = Step::Stage(OspStage::SceneModel).run(recovery.as_deref_mut(), |_| {
+            SceneModel::train(dataset, &split.train, &config.scene, split_seed(seed, 0))
+        })?;
+        let repository = Step::Stage(OspStage::Repository).run(recovery.as_deref_mut(), |rec| {
+            ModelRepository::train_with_recovery(
+                dataset,
+                &scene_model,
+                &split.train,
+                &split.val,
+                config,
+                split_seed(seed, 1),
+                rec,
+            )
+        })?;
+        let suitability_sets =
+            Step::Stage(OspStage::Suitability).run(recovery.as_deref_mut(), |_| {
                 let sampler = AdaptiveSampler::new(config.sampling, config.detector.threshold);
-                let sets = sampler.collect(dataset, &repository, split_seed(seed, 2))?;
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_stage(OspStage::Suitability, &sets)?;
-                    rec.abort_point(OspStage::Suitability)?;
-                }
-                sets
-            }
-        };
-        let decision = match recovery
-            .as_mut()
-            .and_then(|r| r.load_stage::<DecisionModel>(OspStage::Decision))
-        {
-            Some(decision) => decision,
-            None => {
-                let decision = DecisionModel::train(
-                    dataset,
-                    &scene_model,
-                    &suitability_sets,
-                    repository.len(),
-                    &config.decision,
-                    split_seed(seed, 3),
-                )?;
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_stage(OspStage::Decision, &decision)?;
-                    rec.abort_point(OspStage::Decision)?;
-                }
-                decision
-            }
-        };
+                sampler.collect(dataset, &repository, split_seed(seed, 2))
+            })?;
+        let decision = Step::Stage(OspStage::Decision).run(recovery, |_| {
+            DecisionModel::train(
+                dataset,
+                &scene_model,
+                &suitability_sets,
+                repository.len(),
+                &config.decision,
+                split_seed(seed, 3),
+            )
+        })?;
         Ok(Self {
             config: *config,
             scene_model,
@@ -281,8 +235,10 @@ impl AnoleSystem {
     /// Given freshly collected labelled frames from an uncovered scene,
     /// trains a new compressed specialist on them, appends it to the
     /// repository, and retrains the decision head (frozen scene backbone)
-    /// over the widened model set using the stored suitability samples plus
-    /// the new footage. Returns the new model's id.
+    /// over the widened model set. Its targets are the stored suitability
+    /// samples plus the new footage, every row rescored against the widened
+    /// repository and the footage owned by the new specialist. Returns the
+    /// new model's id.
     ///
     /// # Errors
     ///
@@ -292,53 +248,20 @@ impl AnoleSystem {
     pub fn extend_with_frames(
         &mut self,
         dataset: &DrivingDataset,
-        frames: &[anole_data::Frame],
+        frames: &[Frame],
         seed: Seed,
     ) -> Result<usize, AnoleError> {
-        use anole_tensor::Matrix;
-
         if frames.len() < 10 {
             return Err(AnoleError::InsufficientData {
                 stage: "repository expansion",
                 detail: format!("{} frames (need at least 10)", frames.len()),
             });
         }
-        let feature_dim = dataset.config().world.feature_dim;
-        let threshold = self.config.detector.threshold;
-        let accept = self.config.sampling.accept_f1;
-
-        // 1. Train the new specialist.
-        let candidate = self.fit_specialist(dataset, frames, seed)?;
+        let footage: Vec<&Frame> = frames.iter().collect();
+        let candidate = self.new_specialist(&footage, seed)?;
         let new_id = self.repository.push(candidate);
-        let n_models = self.repository.len();
-
-        // 2. Rebuild the decision training material with the widened width:
-        //    stored suitability samples (membership rows extended with the
-        //    new model's score) plus the new footage (owner-boosted on the
-        //    new model).
-        let stored = self.stored_sample_frames(dataset);
-        let footage: Vec<&anole_data::Frame> = frames.iter().collect();
-        let new_model = std::slice::from_ref(self.repository.model(new_id));
-        let stored_scores = crate::osp::f1_table(new_model, &stored, threshold)?;
-        let footage_scores = crate::osp::f1_table(self.repository.models(), &footage, threshold)?;
-        let rows = stored.len() + frames.len();
-        let mut x = Matrix::zeros(rows, feature_dim);
-        let mut targets = Matrix::zeros(rows, n_models);
-        for (i, frame) in stored.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(&frame.features);
-            let mut v = self.suitability_sets.memberships[i].clone();
-            v.extend(crate::osp::membership(stored_scores.row(i), accept));
-            write_normalized(&mut targets, i, &v, self.suitability_sets.samples[i].1);
-        }
-        for (k, frame) in frames.iter().enumerate() {
-            let row = stored.len() + k;
-            let mut v = crate::osp::membership(footage_scores.row(k), accept);
-            // Owner boost toward the new specialist, mirroring collection.
-            crate::osp::boost_owner(&mut v, new_id);
-            x.row_mut(row).copy_from_slice(&frame.features);
-            write_normalized(&mut targets, row, &v, new_id);
-        }
-
+        // Every footage frame is owned by the new specialist.
+        let (x, targets) = self.decision_targets(dataset, frames, |_| Some(new_id))?;
         self.decision = DecisionModel::train_from_features(
             &self.scene_model,
             &x,
@@ -349,94 +272,55 @@ impl AnoleSystem {
         Ok(new_id)
     }
 
-    /// The frames of the stored suitability samples, in sample order.
-    fn stored_sample_frames<'d>(&self, dataset: &'d DrivingDataset) -> Vec<&'d anole_data::Frame> {
-        self.suitability_sets.samples.iter().map(|&(r, _)| dataset.frame(r)).collect()
-    }
-
-    /// Writes the decision-training target of each stored suitability
-    /// sample `i` into row `i` of `targets`, from row `i` of `scores` (its
-    /// per-frame F1 on every model): the membership plus the owner boost on
-    /// the specialist the sample was drawn for, normalized, as
-    /// [`AdaptiveSampler::collect`] builds it. Where no score moved since
-    /// collection, each row equals the normalized stored membership.
-    fn write_stored_targets(
-        &self,
-        scores: &anole_tensor::Matrix,
-        targets: &mut anole_tensor::Matrix,
-    ) {
-        let accept = self.config.sampling.accept_f1;
-        for (i, &(_, owner)) in self.suitability_sets.samples.iter().enumerate() {
-            let mut v = crate::osp::membership(scores.row(i), accept);
-            crate::osp::boost_owner(&mut v, owner);
-            write_normalized(targets, i, &v, owner);
-        }
-    }
-
-    /// Trains one compressed specialist on `frames` (4/5 fit split, 1/5
-    /// validation), returning the candidate with `id` 0 — the repository
-    /// assigns the real id on push.
-    fn fit_specialist(
+    /// `M_decision`'s training rows over the current repository: the stored
+    /// suitability samples first, then `footage`. One [`f1_table`] scores
+    /// every frame against every model, and each row is the frame's
+    /// membership plus the owner boost on its owner (a stored sample's drawn
+    /// arm, footage frame `k`'s `footage_owner(k)` if any), normalized, as
+    /// [`AdaptiveSampler::collect`] builds it. A row with no mass falls back
+    /// to a one-hot on its owner, else on its best-scoring model. Where no
+    /// score moved since collection, a stored sample's row equals its
+    /// normalized stored membership.
+    fn decision_targets(
         &self,
         dataset: &DrivingDataset,
-        frames: &[anole_data::Frame],
-        seed: Seed,
-    ) -> Result<crate::osp::CompressedModel, AnoleError> {
-        use anole_nn::{ModelProfile, ReferenceModel};
-        use anole_tensor::Matrix;
-
-        let feature_dim = dataset.config().world.feature_dim;
-        let cells = dataset.config().world.grid.cells();
-        let split_at = frames.len() * 4 / 5;
-        let (fit_frames, val_frames) = frames.split_at(split_at.max(1));
-
-        let stack = |frames: &[anole_data::Frame]| {
-            let mut x = Matrix::zeros(frames.len(), feature_dim);
-            let mut y = Matrix::zeros(frames.len(), cells);
-            for (i, f) in frames.iter().enumerate() {
-                x.row_mut(i).copy_from_slice(&f.features);
-                for (j, &t) in f.truth.iter().enumerate() {
-                    if t {
-                        y.set(i, j, 1.0);
-                    }
-                }
-            }
-            (x, y)
-        };
-        let (x_fit, y_fit) = stack(fit_frames);
-        let detector = &self.config.detector;
-        let hidden = [detector.compressed_hidden];
-        let mut ws = Workspace::new();
-        let net = fit_detector(&x_fit, &y_fit, &hidden, detector, seed, &mut ws)?;
-        let profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net);
-        let mut candidate = crate::osp::CompressedModel {
-            id: 0, // assigned by push
-            net,
-            profile,
-            validation_f1: 0.0,
-            origin: crate::osp::ClusterOrigin {
-                k: 0,
-                cluster: 0,
-                scenes: Vec::new(),
-            },
-            training_set: Vec::new(),
-            quantized: None,
-        };
+        footage: &[Frame],
+        footage_owner: impl Fn(usize) -> Option<usize>,
+    ) -> Result<(Matrix, Matrix), AnoleError> {
+        let samples = &self.suitability_sets.samples;
+        let frames: Vec<&Frame> =
+            samples.iter().map(|&(r, _)| dataset.frame(r)).chain(footage).collect();
+        let owners = samples
+            .iter()
+            .map(|&(_, arm)| Some(arm))
+            .chain((0..footage.len()).map(footage_owner));
         let threshold = self.config.detector.threshold;
-        let mut counts = anole_detect::DetectionCounts::default();
-        if !val_frames.is_empty() {
-            // One batched forward over the stacked validation frames; the
-            // matmul kernel accumulates each output element identically for
-            // any batch size, so scores match the per-frame path exactly.
-            let (x_val, _) = stack(val_frames);
-            let probs = candidate.detect_probs(&x_val)?;
-            for (i, frame) in val_frames.iter().enumerate() {
-                let pred = anole_detect::threshold_probs(probs.row(i), threshold);
-                counts.accumulate(&pred, &frame.truth);
+        let scores = f1_table(self.repository.models(), &frames, threshold)?;
+        let mut targets = Matrix::zeros(frames.len(), self.repository.len());
+        for (i, owner) in owners.enumerate() {
+            let row = scores.row(i);
+            let mut v = membership(row, self.config.sampling.accept_f1);
+            if let Some(arm) = owner {
+                boost_owner(&mut v, arm);
             }
+            write_normalized(&mut targets, i, &v, owner.unwrap_or_else(|| best_scoring(row).0));
         }
-        candidate.validation_f1 = counts.f1();
-        Ok(candidate)
+        Ok((stack_frames(&frames).0, targets))
+    }
+
+    /// Trains a specialist for footage no existing one covers (4/5 fit
+    /// split, 1/5 validation), returning the candidate with `id` 0 — the
+    /// repository assigns the real id on push. The footage lies outside the
+    /// dataset, so the candidate's origin and training set are empty.
+    fn new_specialist(&self, frames: &[&Frame], seed: Seed) -> Result<CompressedModel, AnoleError> {
+        let (fit, val) = frames.split_at((frames.len() * 4 / 5).max(1));
+        let origin = ClusterOrigin {
+            k: 0,
+            cluster: 0,
+            scenes: Vec::new(),
+        };
+        let detector = &self.config.detector;
+        fit_specialist(fit, val, detector, origin, Vec::new(), seed, &mut Workspace::new())
     }
 
     /// Guarded continual re-profiling: the incremental Algorithm 1.
@@ -457,14 +341,13 @@ impl AnoleSystem {
     /// 3. **Expansion** — if at least 10 novel frames pooled, one new
     ///    specialist is trained on them (as in repository expansion).
     /// 4. **Decision refresh** — the decision head is retrained (frozen
-    ///    scene backbone) over suitability targets recomputed against the
-    ///    refreshed repository. The recomputed targets carry the owner
-    ///    boost, as collection and expansion build them: each stored
-    ///    suitability sample on the specialist it was drawn for, each novel
-    ///    footage frame on the new specialist.
+    ///    scene backbone) on the targets expansion builds, recomputed
+    ///    against the refreshed repository: each stored suitability sample
+    ///    is owned by the specialist it was drawn for, each novel footage
+    ///    frame by the new specialist, and covered footage by none.
     ///
-    /// Every step is checkpointed through `recovery` (when supplied) with
-    /// the PR-3 envelope machinery, and each boundary is a
+    /// Every step is checkpointed through `recovery` (when supplied) as an
+    /// OSP stage is, and each boundary is a
     /// [`FaultKind::ReprofileAbort`](crate::omi::FaultKind::ReprofileAbort)
     /// abort point: a killed re-profile, re-invoked on a fresh clone of the
     /// pre-profile system with the same store, resumes from its checkpoints
@@ -479,13 +362,10 @@ impl AnoleSystem {
     pub fn reprofile_with_frames(
         &mut self,
         dataset: &DrivingDataset,
-        frames: &[anole_data::Frame],
+        frames: &[Frame],
         seed: Seed,
         mut recovery: Option<&mut TrainRecovery>,
     ) -> Result<ReprofileReport, AnoleError> {
-        use anole_nn::{ModelProfile, ReferenceModel};
-        use anole_tensor::Matrix;
-
         let _span = anole_obs::span!("osp.reprofile");
         anole_obs::counter_add!("omi.engine.drift.reprofiles", 1);
         if frames.len() < 10 {
@@ -494,101 +374,39 @@ impl AnoleSystem {
                 detail: format!("{} frames (need at least 10)", frames.len()),
             });
         }
-        let threshold = self.config.detector.threshold;
-        let accept = self.config.sampling.accept_f1;
-        let val = &dataset.split().val;
-        let footage: Vec<&anole_data::Frame> = frames.iter().collect();
 
         // Step 0: assignment. Deterministic (no RNG), so the checkpoint
         // only buys resume speed — a recomputed assignment is identical.
-        let assignment = match recovery
-            .as_mut()
-            .and_then(|r| r.load_reprofile::<ReprofileAssignment>(0))
-        {
-            Some(a) => a,
-            None => {
-                let n = self.repository.len();
-                let scores = crate::osp::f1_table(self.repository.models(), &footage, threshold)?;
-                let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); n];
-                let mut novel = Vec::new();
-                for i in 0..frames.len() {
-                    let mut covered = false;
-                    for (id, &f1) in scores.row(i).iter().enumerate() {
-                        if f1 > accept {
-                            assigned[id].push(i);
-                            covered = true;
-                        }
-                    }
-                    if !covered {
-                        novel.push(i);
-                    }
-                }
-                // A specialist is stale only when a meaningful share of the
-                // footage lands on it; grazing hits don't trigger retrains.
-                let min_assigned = (frames.len() / 5).max(8);
-                let affected: Vec<usize> =
-                    (0..n).filter(|&m| assigned[m].len() >= min_assigned).collect();
-                let assigned: Vec<Vec<usize>> =
-                    affected.iter().map(|&m| std::mem::take(&mut assigned[m])).collect();
-                let a = ReprofileAssignment { affected, assigned, novel };
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_reprofile(0, &a)?;
-                    rec.reprofile_abort_point(0, "reprofile assignment")?;
-                }
-                a
-            }
-        };
+        let step = Step::Reprofile { index: 0, name: "reprofile assignment" };
+        let assignment = step.run(recovery.as_deref_mut(), |_| self.assign(frames))?;
 
         // Steps 1..=N: refresh each stale specialist in id order.
+        let val: Vec<&Frame> = dataset.split().val.iter().map(|&r| dataset.frame(r)).collect();
         let mut refreshed = Vec::with_capacity(assignment.affected.len());
         for (pos, (&id, assigned)) in
             assignment.affected.iter().zip(&assignment.assigned).enumerate()
         {
-            let step = 1 + pos;
-            let retrained = match recovery
-                .as_mut()
-                .and_then(|r| r.load_reprofile::<crate::osp::CompressedModel>(step))
-            {
-                Some(m) => m,
-                None => {
-                    let old = self.repository.model(id);
-                    let feature_dim = dataset.config().world.feature_dim;
-                    let cells = dataset.config().world.grid.cells();
-                    let rows = old.training_set.len() + assigned.len();
-                    let mut x = Matrix::zeros(rows, feature_dim);
-                    let mut y = Matrix::zeros(rows, cells);
-                    let mut fill = |row: usize, features: &[f32], truth: &[bool]| {
-                        x.row_mut(row).copy_from_slice(features);
-                        for (j, &t) in truth.iter().enumerate() {
-                            if t {
-                                y.set(row, j, 1.0);
-                            }
-                        }
-                    };
-                    for (row, &r) in old.training_set.iter().enumerate() {
-                        let f = dataset.frame(r);
-                        fill(row, &f.features, &f.truth);
-                    }
-                    for (k, &fi) in assigned.iter().enumerate() {
-                        let f = &frames[fi];
-                        fill(old.training_set.len() + k, &f.features, &f.truth);
-                    }
-                    let detector = &self.config.detector;
-                    let hidden = [detector.compressed_hidden];
-                    let model_seed = split_seed(seed, 100 + id as u64);
-                    let mut ws = Workspace::new();
-                    let mut m = old.clone();
-                    m.net = fit_detector(&x, &y, &hidden, detector, model_seed, &mut ws)?;
-                    m.profile = ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &m.net);
-                    m.quantized = None;
-                    m.validation_f1 = m.evaluate_f1(dataset, val, threshold)?;
-                    if let Some(rec) = recovery.as_mut() {
-                        rec.save_reprofile(step, &m)?;
-                        rec.reprofile_abort_point(step, "reprofile specialist")?;
-                    }
-                    m
-                }
-            };
+            let step = Step::Reprofile { index: 1 + pos, name: "reprofile specialist" };
+            let retrained = step.run(recovery.as_deref_mut(), |_| {
+                let old = self.repository.model(id);
+                let fit: Vec<&Frame> = old
+                    .training_set
+                    .iter()
+                    .map(|&r| dataset.frame(r))
+                    .chain(assigned.iter().map(|&i| &frames[i]))
+                    .collect();
+                let mut m = fit_specialist(
+                    &fit,
+                    &val,
+                    &self.config.detector,
+                    old.origin.clone(),
+                    old.training_set.clone(),
+                    split_seed(seed, 100 + id as u64),
+                    &mut Workspace::new(),
+                )?;
+                m.id = id;
+                Ok(m)
+            })?;
             self.repository.models_mut()[id] = retrained;
             refreshed.push(id);
         }
@@ -599,90 +417,31 @@ impl AnoleSystem {
         let new_step = 1 + assignment.affected.len();
         let mut new_model = None;
         if assignment.novel.len() >= 10 {
-            let candidate = match recovery
-                .as_mut()
-                .and_then(|r| r.load_reprofile::<crate::osp::CompressedModel>(new_step))
-            {
-                Some(m) => m,
-                None => {
-                    let novel_frames: Vec<anole_data::Frame> =
-                        assignment.novel.iter().map(|&i| frames[i].clone()).collect();
-                    let m = self.fit_specialist(dataset, &novel_frames, split_seed(seed, 200))?;
-                    if let Some(rec) = recovery.as_mut() {
-                        rec.save_reprofile(new_step, &m)?;
-                        rec.reprofile_abort_point(new_step, "reprofile expansion")?;
-                    }
-                    m
-                }
-            };
+            let step = Step::Reprofile { index: new_step, name: "reprofile expansion" };
+            let candidate = step.run(recovery.as_deref_mut(), |_| {
+                let novel: Vec<&Frame> = assignment.novel.iter().map(|&i| &frames[i]).collect();
+                self.new_specialist(&novel, split_seed(seed, 200))
+            })?;
             new_model = Some(self.repository.push(candidate));
         }
 
         // Final step: retrain the decision head against the refreshed
-        // repository. Suitability targets are recomputed from scratch — the
-        // stale specialists' scores moved, so the stored memberships no
-        // longer describe them — and carry the owner boost as collection
-        // and expansion build them, so a stored sample whose scores did not
-        // move keeps its stored target.
+        // repository. The stale specialists' scores moved, so every target
+        // row is rescored.
         let decision_step = new_step + 1;
-        let n_models = self.repository.len();
-        let decision = match recovery
-            .as_mut()
-            .and_then(|r| r.load_reprofile::<DecisionModel>(decision_step))
-        {
-            Some(d) => d,
-            None => {
-                let feature_dim = dataset.config().world.feature_dim;
-                let models = self.repository.models();
-                let stored = self.stored_sample_frames(dataset);
-                let stored_scores = crate::osp::f1_table(models, &stored, threshold)?;
-                let footage_scores = crate::osp::f1_table(models, &footage, threshold)?;
-                let rows = stored.len() + frames.len();
-                let mut x = Matrix::zeros(rows, feature_dim);
-                let mut targets = Matrix::zeros(rows, n_models);
-                for (i, frame) in stored.iter().enumerate() {
-                    x.row_mut(i).copy_from_slice(&frame.features);
-                }
-                self.write_stored_targets(&stored_scores, &mut targets);
-                for (k, frame) in frames.iter().enumerate() {
-                    let row = stored.len() + k;
-                    let scores = footage_scores.row(k);
-                    let mut v = crate::osp::membership(scores, accept);
-                    let mut best = 0usize;
-                    let mut best_f1 = 0.0f32;
-                    for (id, &f1) in scores.iter().enumerate() {
-                        if f1 > best_f1 {
-                            best_f1 = f1;
-                            best = id;
-                        }
-                    }
-                    if let Some(new_id) = new_model {
-                        if assignment.novel.contains(&k) {
-                            // Owner boost toward the new specialist,
-                            // mirroring expansion.
-                            crate::osp::boost_owner(&mut v, new_id);
-                            best = new_id;
-                        }
-                    }
-                    x.row_mut(row).copy_from_slice(&frame.features);
-                    write_normalized(&mut targets, row, &v, best);
-                }
-                let d = DecisionModel::train_from_features(
-                    &self.scene_model,
-                    &x,
-                    &targets,
-                    &self.config.decision,
-                    split_seed(seed, 300),
-                )?;
-                if let Some(rec) = recovery.as_mut() {
-                    rec.save_reprofile(decision_step, &d)?;
-                    rec.reprofile_abort_point(decision_step, "reprofile decision")?;
-                }
-                d
-            }
-        };
-        self.decision = decision;
-        if let Some(rec) = recovery.as_mut() {
+        let step = Step::Reprofile { index: decision_step, name: "reprofile decision" };
+        self.decision = step.run(recovery.as_deref_mut(), |_| {
+            let owner = |k: usize| new_model.filter(|_| assignment.novel.contains(&k));
+            let (x, targets) = self.decision_targets(dataset, frames, owner)?;
+            DecisionModel::train_from_features(
+                &self.scene_model,
+                &x,
+                &targets,
+                &self.config.decision,
+                split_seed(seed, 300),
+            )
+        })?;
+        if let Some(rec) = recovery {
             rec.finish();
         }
         anole_obs::gauge_set!("omi.engine.drift.stale_models", refreshed.len() as f64);
@@ -694,6 +453,38 @@ impl AnoleSystem {
             new_model,
             total_steps: decision_step + 1,
         })
+    }
+
+    /// The re-profile's assignment: scores `frames` against every
+    /// specialist, assigns each frame to every specialist that covers it,
+    /// and keeps the specialists holding a meaningful share as stale.
+    fn assign(&self, frames: &[Frame]) -> Result<ReprofileAssignment, AnoleError> {
+        let n = self.repository.len();
+        let accept = self.config.sampling.accept_f1;
+        let footage: Vec<&Frame> = frames.iter().collect();
+        let threshold = self.config.detector.threshold;
+        let scores = f1_table(self.repository.models(), &footage, threshold)?;
+        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut novel = Vec::new();
+        for i in 0..frames.len() {
+            let mut covered = false;
+            for (id, &f1) in scores.row(i).iter().enumerate() {
+                if f1 > accept {
+                    assigned[id].push(i);
+                    covered = true;
+                }
+            }
+            if !covered {
+                novel.push(i);
+            }
+        }
+        // A specialist is stale only when a meaningful share of the
+        // footage lands on it; grazing hits don't trigger retrains.
+        let min_assigned = (frames.len() / 5).max(8);
+        let affected: Vec<usize> = (0..n).filter(|&m| assigned[m].len() >= min_assigned).collect();
+        let assigned: Vec<Vec<usize>> =
+            affected.iter().map(|&m| std::mem::take(&mut assigned[m])).collect();
+        Ok(ReprofileAssignment { affected, assigned, novel })
     }
 }
 
@@ -772,19 +563,6 @@ impl ReprofileReport {
     /// Whether the re-profile changed any model at all.
     pub fn changed_anything(&self) -> bool {
         !self.refreshed.is_empty() || self.new_model.is_some()
-    }
-}
-
-/// Writes `v` into `targets` row `row`, normalized to sum 1; falls back to a
-/// one-hot on `fallback` when `v` is all-zero.
-fn write_normalized(targets: &mut anole_tensor::Matrix, row: usize, v: &[f32], fallback: usize) {
-    let mass: f32 = v.iter().sum();
-    if mass > 0.0 {
-        for (j, &m) in v.iter().enumerate() {
-            targets.set(row, j, m / mass);
-        }
-    } else {
-        targets.set(row, fallback, 1.0);
     }
 }
 
@@ -1064,8 +842,6 @@ mod tests {
 
     #[test]
     fn reprofile_targets_of_unmoved_samples_are_their_stored_memberships() {
-        use anole_tensor::Matrix;
-
         let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(231));
         let system = AnoleSystem::train(&dataset, &AnoleConfig::fast(), Seed(232)).unwrap();
         let sets = system.suitability_sets();
@@ -1074,12 +850,8 @@ mod tests {
         // Scored against the repository the samples were collected on, no
         // score has moved: the re-profile's target rows are the stored
         // (owner-boosted) memberships, normalized, bit for bit.
-        let stored = system.stored_sample_frames(&dataset);
-        let threshold = system.config().detector.threshold;
-        let scores =
-            crate::osp::f1_table(system.repository().models(), &stored, threshold).unwrap();
-        let mut targets = Matrix::zeros(sets.len(), n_models);
-        system.write_stored_targets(&scores, &mut targets);
+        let (_, targets) = system.decision_targets(&dataset, &[], |_| None).unwrap();
+        assert_eq!(targets.shape(), (sets.len(), n_models));
 
         let mut expected = Matrix::zeros(sets.len(), n_models);
         for (i, (v, &(_, owner))) in sets.memberships.iter().zip(&sets.samples).enumerate() {
@@ -1094,6 +866,72 @@ mod tests {
                 "sample {i} ({r:?}, drawn for model {owner})"
             );
         }
+    }
+
+    #[test]
+    fn expansion_targets_span_the_current_repository() {
+        use anole_data::{ClipId, DatasetSource, Location, SceneAttributes, TimeOfDay, Weather};
+
+        let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(181));
+        let mut system = AnoleSystem::train(&dataset, &AnoleConfig::fast(), Seed(182)).unwrap();
+        let before = system.repository().len();
+        // Two scenes the dataset does not hold, one expansion each.
+        let mut footage = Vec::new();
+        for (i, weather) in [Weather::Snowy, Weather::Foggy].into_iter().enumerate() {
+            let scene = SceneAttributes::new(weather, Location::TollBooth, TimeOfDay::Night);
+            assert!(dataset.clips().iter().all(|c| c.attributes != scene));
+            let clip = dataset.world().generate_clip(
+                ClipId(7400 + i),
+                DatasetSource::Shd,
+                scene,
+                120,
+                1.0,
+                Seed(183 + i as u64),
+            );
+            footage.push(clip.frames);
+        }
+        system.extend_with_frames(&dataset, &footage[0], Seed(185)).unwrap();
+        let new_id = system.extend_with_frames(&dataset, &footage[1], Seed(186)).unwrap();
+        assert_eq!(new_id, before + 1);
+
+        // The second retrain's targets, written out one (frame, model) pair
+        // at a time: every current model's per-frame F1 as a membership,
+        // boosted on the stored sample's arm or, for footage, on the new
+        // specialist, normalized.
+        let config = system.config();
+        let threshold = config.detector.threshold;
+        let models = system.repository().models();
+        let rows: Vec<(&Frame, usize)> = system
+            .suitability_sets()
+            .samples
+            .iter()
+            .map(|&(r, arm)| (dataset.frame(r), arm))
+            .chain(footage[1].iter().map(|f| (f, new_id)))
+            .collect();
+        let mut x = Matrix::zeros(rows.len(), dataset.config().world.feature_dim);
+        let mut targets = Matrix::zeros(rows.len(), before + 2);
+        for (i, &(frame, owner)) in rows.iter().enumerate() {
+            let scores: Vec<f32> = models
+                .iter()
+                .map(|m| crate::osp::frame_f1_of(m, frame, threshold).unwrap())
+                .collect();
+            let mut v = membership(&scores, config.sampling.accept_f1);
+            boost_owner(&mut v, owner);
+            let mass: f32 = v.iter().sum();
+            for (j, &m) in v.iter().enumerate() {
+                targets.set(i, j, m / mass);
+            }
+            x.row_mut(i).copy_from_slice(&frame.features);
+        }
+        let expected = DecisionModel::train_from_features(
+            system.scene_model(),
+            &x,
+            &targets,
+            &config.decision,
+            split_seed(Seed(186), 2),
+        )
+        .unwrap();
+        assert_eq!(system.decision(), &expected);
     }
 
     #[test]
