@@ -5,9 +5,18 @@
 //! requested fleet scale (default 1k and 10k sessions), once clean and once
 //! under the full four-kind gateway chaos plan. Each tier runs five times,
 //! each on a fresh gateway; it reports the median, minimum and maximum wall
-//! time, sessions/sec and frames/sec at the median, and the gateway's own
+//! time, sessions/sec and frames/sec at the median, the gateway's own
 //! virtual-time step-latency quantiles (p50/p95/p99) and shedding/batching
-//! counters. A repetition whose report differs from the first fails the run.
+//! counters, and the peak live heap bytes per admitted session. A
+//! repetition whose report or heap peak differs from the first fails the
+//! run.
+//!
+//! The heap peak is counted by this binary's global allocator, from just
+//! before the gateway is built until its run has returned its report. It
+//! covers the gateway, every session and engine, and the report, but not
+//! the sessions' frames, which are built before counting starts. Unlike the
+//! wall-clock rows it is a pure function of the code and the seed, so it
+//! resolves a change of one byte per session.
 //!
 //! Usage:
 //!
@@ -19,7 +28,9 @@
 //! ready-queue index the run loop stays O(live sessions) per window, so the
 //! tier finishes in minutes instead of hours.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use anole_bench::host::host_json;
@@ -32,6 +43,84 @@ use anole_tensor::{split_seed, Seed};
 
 /// Timed repetitions of each tier.
 const REPS: usize = 5;
+
+/// Heap bytes the process holds, and their peak since [`HeapPeak::reset`].
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// A [`System`]-delegating allocator that counts live heap bytes and their
+/// peak, over every thread.
+struct HeapPeak;
+
+impl HeapPeak {
+    fn grow(bytes: usize) {
+        let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(bytes: usize) {
+        LIVE_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// Restarts the peak at the current live bytes, and returns them.
+    fn reset() -> usize {
+        let live = LIVE_BYTES.load(Ordering::Relaxed);
+        PEAK_BYTES.store(live, Ordering::Relaxed);
+        live
+    }
+
+    fn peak() -> usize {
+        PEAK_BYTES.load(Ordering::Relaxed)
+    }
+}
+
+// SAFETY: every method delegates verbatim to `System`; the bookkeeping
+// around it is two relaxed atomic operations and allocates nothing.
+unsafe impl GlobalAlloc for HeapPeak {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            Self::grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            Self::grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            if new_size >= layout.size() {
+                Self::grow(new_size - layout.size());
+            } else {
+                Self::shrink(layout.size() - new_size);
+            }
+        }
+        moved
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        Self::shrink(layout.size());
+    }
+}
+
+#[global_allocator]
+static ALLOC: HeapPeak = HeapPeak;
+
+/// One repetition of a tier: its report, wall seconds, and peak live heap
+/// bytes.
+struct TierRun {
+    report: GatewayReport,
+    wall_s: f64,
+    heap_peak_bytes: usize,
+}
 
 fn session_frames(dataset: &DrivingDataset, session: usize, n: usize) -> Vec<Frame> {
     let split = dataset.split();
@@ -47,7 +136,16 @@ fn run_tier(
     frames_each: usize,
     seed: u64,
     chaos: bool,
-) -> (GatewayReport, f64) {
+) -> TierRun {
+    let mut specs: Vec<SessionSpec> = (0..sessions)
+        .map(|i| {
+            SessionSpec::new(
+                session_frames(dataset, i, frames_each),
+                split_seed(Seed(seed), 40_000 + i as u64),
+            )
+        })
+        .collect();
+    let heap_base = HeapPeak::reset();
     let config = GatewayConfig {
         max_sessions: sessions,
         deadline_ms: 200.0,
@@ -64,27 +162,30 @@ fn run_tier(
                 .with_scheduler_hiccup_rate(0.3),
         );
     }
-    for i in 0..sessions {
-        gateway
-            .admit(SessionSpec::new(
-                session_frames(dataset, i, frames_each),
-                split_seed(Seed(seed), 40_000 + i as u64),
-            ))
-            .expect("admit");
+    // Draining keeps the list's own buffer, counted in the base, live
+    // until the peak is read.
+    for spec in specs.drain(..) {
+        gateway.admit(spec).expect("admit");
     }
     let start = Instant::now();
     let report = gateway.run();
-    (report, start.elapsed().as_secs_f64())
+    let wall_s = start.elapsed().as_secs_f64();
+    TierRun {
+        report,
+        wall_s,
+        heap_peak_bytes: HeapPeak::peak() - heap_base,
+    }
 }
 
 /// One tier's row; `walls` holds the repetitions' wall times, sorted.
 fn tier_row(
-    report: &GatewayReport,
+    run: &TierRun,
     sessions: usize,
     frames_each: usize,
     chaos: bool,
     walls: &[f64],
 ) -> Value {
+    let report = &run.report;
     let wall_s = walls[walls.len() / 2];
     Value::object(vec![
         ("sessions", sessions.to_json()),
@@ -111,7 +212,14 @@ fn tier_row(
         ("backpressure_signals", report.backpressure_signals.to_json()),
         ("fleet_f1", report.fleet_f1().to_json()),
         ("sim_duration_ms", report.sim_duration_ms.to_json()),
+        ("heap_peak_bytes", run.heap_peak_bytes.to_json()),
+        ("heap_bytes_per_session", heap_bytes_per_session(run).to_json()),
     ])
+}
+
+/// Peak live heap bytes per admitted session.
+fn heap_bytes_per_session(run: &TierRun) -> f64 {
+    run.heap_peak_bytes as f64 / run.report.admitted.max(1) as f64
 }
 
 fn main() -> ExitCode {
@@ -181,37 +289,37 @@ fn main() -> ExitCode {
     let mut tiers = Vec::new();
     for &sessions in &scales {
         for chaos in [false, true] {
-            let (report, wall_s) =
-                run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
-            let mut walls = vec![wall_s];
+            let first = run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
+            let mut walls = vec![first.wall_s];
             for _ in 1..REPS {
-                let (again, wall_s) =
-                    run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
-                if again != report {
+                let again = run_tier(&system, &dataset, sessions, frames_each, seed, chaos);
+                if again.report != first.report || again.heap_peak_bytes != first.heap_peak_bytes {
                     eprintln!("error: a repetition at scale {sessions} (chaos={chaos}) differs");
                     return ExitCode::FAILURE;
                 }
-                walls.push(wall_s);
+                walls.push(again.wall_s);
             }
             walls.sort_by(f64::total_cmp);
+            let report = &first.report;
             eprintln!(
                 "[gateway_snapshot] {sessions} sessions (chaos={chaos}): {:.2} sessions/sec \
-                 (median of {REPS}), p99 step {:.1} ms, {} shed, {} lost",
+                 (median of {REPS}), p99 step {:.1} ms, {} shed, {} lost, {:.1} heap bytes/session",
                 sessions as f64 / walls[REPS / 2].max(1e-9),
                 report.step_latency_p99_ms,
                 report.frames_shed,
                 report.lost_sessions(),
+                heap_bytes_per_session(&first),
             );
             if report.lost_sessions() > 0 {
                 eprintln!("error: gateway lost sessions at scale {sessions}");
                 return ExitCode::FAILURE;
             }
-            tiers.push(tier_row(&report, sessions, frames_each, chaos, &walls));
+            tiers.push(tier_row(&first, sessions, frames_each, chaos, &walls));
         }
     }
 
     let out = Value::object(vec![
-        ("schema", Value::String("anole-gateway-bench/5".into())),
+        ("schema", Value::String("anole-gateway-bench/6".into())),
         ("host", host_json()),
         ("device", Value::String("JetsonTx2Nx".into())),
         ("seed", seed.to_json()),

@@ -32,7 +32,10 @@
 //!   half-open probe on one session succeeds;
 //! * every frame dispatch runs under `catch_unwind`, so a panicking session
 //!   (injected via [`SessionSpec::inject_panic`] or real) is quarantined
-//!   while the rest of the fleet keeps serving.
+//!   while the rest of the fleet keeps serving;
+//! * every session steps on the gateway's one step scratch (inference
+//!   workspace, staged row, executed models, fused map), so a session holds
+//!   only what a later frame of its own reads.
 //!
 //! The scheduler runs on **virtual time** (simulated milliseconds): the run
 //! is deterministic, wall-clock-free, and byte-identical with the
@@ -53,7 +56,7 @@ use anole_tensor::{Matrix, Seed};
 
 use crate::omi::{
     DriftDetector, DriftState, FaultInjector, FaultKind, FaultPlan, FlightRecord, OnlineEngine,
-    StepOutcome,
+    StepOutcome, StepScratch,
 };
 use crate::{AnoleError, AnoleSystem};
 
@@ -551,6 +554,12 @@ struct SloRuntime {
 
 /// The serving gateway. See the [module docs](self) for the full model.
 ///
+/// Beside its batch workspace, the gateway owns one step scratch and lends
+/// it to every dispatched frame, batched or not, so each session's
+/// [`OnlineEngine`] holds only what a later frame of its own reads, and a
+/// session that panics or fails mid-step leaves nothing another session
+/// reads.
+///
 /// # Examples
 ///
 /// ```
@@ -621,6 +630,8 @@ pub struct Gateway<'a> {
     batch: Matrix,
     ws: Workspace,
     score_buf: Vec<f32>,
+    /// The one step scratch every session's frames run on, batched or not.
+    scratch: StepScratch,
 }
 
 impl<'a> Gateway<'a> {
@@ -666,6 +677,7 @@ impl<'a> Gateway<'a> {
             batch: Matrix::default(),
             ws: Workspace::new(),
             score_buf: Vec::new(),
+            scratch: StepScratch::new(),
         })
     }
 
@@ -848,6 +860,11 @@ impl<'a> Gateway<'a> {
     /// `report.lost_sessions() == 0` holds structurally.
     pub fn run(&mut self) -> GatewayReport {
         let max_windows = self.effective_max_windows();
+        // A window offers at most one frame per live session: size its
+        // candidate list and score rows once, so no window grows them.
+        self.candidates.reserve(self.active_count);
+        self.score_buf.clear();
+        self.score_buf.reserve(self.active_count * self.system.repository().len());
         while self.active_count > 0 {
             if self.windows >= max_windows {
                 for idx in std::mem::take(&mut self.active_ids) {
@@ -1055,15 +1072,15 @@ impl<'a> Gateway<'a> {
             let engine = &mut s.engine;
             let handler = s.handler.as_mut();
             let drift = s.drift.as_mut();
+            // A step that panics or fails leaves the scratch half written;
+            // the next step overwrites or clears each buffer before reading.
+            let scratch = &mut self.scratch;
             let dispatched = catch_unwind(AssertUnwindSafe(
                 move || -> Result<StepOutcome, AnoleError> {
                     if panic_now {
                         panic!("injected session panic (session {sid})");
                     }
-                    let out = match scores_row {
-                        Some(row) => engine.step_with_scores(&frame.features, row)?,
-                        None => engine.step(&frame.features)?,
-                    };
+                    let out = engine.step_in(&frame.features, scores_row, scratch)?;
                     if let Some(h) = handler {
                         h(frame, &out)?;
                     }
@@ -1452,6 +1469,83 @@ mod tests {
                 frames.iter().map(|f| engine.step(&f.features).unwrap()).collect();
             assert_eq!(*sink.borrow(), expected, "session {i} diverged from its bare engine");
             assert_eq!(report.sessions[i].processed, frames.len());
+        }
+    }
+
+    #[test]
+    fn sessions_on_different_frames_share_one_scratch_bit_for_bit() {
+        let dataset = DrivingDataset::generate(&DatasetConfig::small(), Seed(401));
+        // Every int8 twin of this world scores within 0.003 F1 of its fp32
+        // model, most of them higher. A twin must gain 0.0015 F1 to pass
+        // this ε, which splits the repository between int8 and fp32.
+        let mut config = AnoleConfig::fast();
+        config.quant.epsilon_f1 = -0.0015;
+        let mut system = AnoleSystem::train(&dataset, &config, Seed(402)).unwrap();
+        let quant = system.quantize_models(&dataset).unwrap();
+        assert!(!quant.accepted.is_empty() && !quant.rejected.is_empty(), "{quant:?}");
+
+        // (offset into the test split, frames): at every window the
+        // sessions stage different frames at the same frame index, and
+        // they run out one after another.
+        let streams = [(0, 16), (7, 14), (19, 12), (31, 10), (43, 8)];
+        let test = dataset.split().test;
+        let frames = |(offset, len): (usize, usize)| -> Vec<Frame> {
+            (offset..offset + len).map(|k| dataset.frame(test[k % test.len()]).clone()).collect()
+        };
+        // Session 1 reuses its own last scores on a decision anomaly and
+        // replays its own last-good detections on a dropout.
+        let plans = |i: usize| {
+            (i == 1).then(|| {
+                FaultPlan::new(Seed(531))
+                    .at(3, FaultKind::DecisionAnomaly)
+                    .at(9, FaultKind::SensorDropout)
+                    .at(11, FaultKind::DecisionAnomaly)
+            })
+        };
+        // Windows with four or five frames score in one batch; the last
+        // windows, with three sessions left or fewer, step per session.
+        let config = GatewayConfig { batch_min: 4, ..lossless() };
+        let mut gateway = Gateway::new(&system, config).unwrap();
+        let outcomes: Vec<Rc<RefCell<Vec<StepOutcome>>>> =
+            streams.iter().map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+        for (i, (&stream, sink)) in streams.iter().zip(&outcomes).enumerate() {
+            let sink = Rc::clone(sink);
+            let spec = SessionSpec {
+                fault_plan: plans(i),
+                ..SessionSpec::new(frames(stream), Seed(520 + i as u64))
+            };
+            gateway
+                .admit_with_handler(
+                    spec,
+                    Box::new(move |_, out| {
+                        sink.borrow_mut().push(out.clone());
+                        Ok(())
+                    }),
+                )
+                .unwrap();
+        }
+        let report = gateway.run();
+        assert_eq!(report.completed, streams.len());
+        assert!(report.batched_calls > 0 && report.single_calls > 0, "{report:?}");
+
+        let all: Vec<usize> = (0..system.repository().len()).collect();
+        for (i, (&stream, sink)) in streams.iter().zip(&outcomes).enumerate() {
+            let mut engine = system.online_engine(DEVICE, Seed(520 + i as u64));
+            if let Some(plan) = plans(i) {
+                engine = engine.with_fault_injector(plan.injector());
+            }
+            engine.warm(&all);
+            let expected: Vec<StepOutcome> =
+                frames(stream).iter().map(|f| engine.step(&f.features).unwrap()).collect();
+            assert_eq!(*sink.borrow(), expected, "session {i} diverged from its bare engine");
+        }
+        let served: Vec<StepOutcome> = outcomes.iter().flat_map(|o| o.take()).collect();
+        let executed = |n: usize| served.iter().filter(|o| o.models_executed == n).count();
+        assert!(executed(1) > 0 && executed(2) > 0, "single-model and hedged frames");
+        assert!(executed(0) > 0, "a replayed frame");
+        for precision in [anole_nn::Precision::Int8, anole_nn::Precision::Fp32] {
+            let ran = |o: &StepOutcome| o.models_executed > 0 && o.precision == precision;
+            assert!(served.iter().any(ran), "no frame served at {precision:?}");
         }
     }
 

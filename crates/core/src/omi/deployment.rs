@@ -269,6 +269,37 @@ struct Cached {
     sync_load_ms: f32,
 }
 
+/// What one step fills and no later frame reads: the inference workspace,
+/// the staged feature row, the models MI runs and the fused probability map
+/// of a hedged frame. A step resizes and overwrites, or clears, each buffer
+/// before it reads it, so nothing one frame leaves here reaches another:
+/// a standalone engine owns one scratch, and a gateway lends one to all its
+/// sessions.
+#[derive(Debug)]
+pub(crate) struct StepScratch {
+    /// Decision scoring and detection share it, so a warm step allocates
+    /// only its returned detections.
+    ws: Workspace,
+    /// Staged single-row feature matrix feeding the workspace paths.
+    row: Matrix,
+    /// The models MI runs this frame, served model first.
+    executed: Vec<usize>,
+    /// The fused probability map of a hedged frame.
+    fused: Vec<f32>,
+}
+
+impl StepScratch {
+    /// An empty scratch; its buffers grow on the first steps.
+    pub(crate) fn new() -> Self {
+        Self {
+            ws: Workspace::new(),
+            row: Matrix::default(),
+            executed: Vec::new(),
+            fused: Vec::new(),
+        }
+    }
+}
+
 /// The on-device Anole engine: MSS (pick the most suitable model per
 /// frame), CMD (LFU cache with best-cached fallback), and MI (run the chosen
 /// compressed model).
@@ -277,6 +308,14 @@ struct Cached {
 /// the best cached model), and their cost is tracked apart from the frame's
 /// latency. Only when the cache is completely empty does a synchronous load
 /// stall the frame.
+///
+/// The engine keeps what a later frame reads: the cache, the last
+/// suitability vector, exclusions and load strikes, the last-good
+/// detections, the RNG and the counters. What a step only fills (the
+/// inference workspace, the staged row, the executed models and the fused
+/// map) is scratch: [`OnlineEngine::step`] builds the engine's own on its
+/// first call, and a [`Gateway`](crate::gateway::Gateway) lends its one
+/// scratch to every session instead, so a session never builds one.
 ///
 /// Attaching a [`FaultInjector`] ([`OnlineEngine::with_fault_injector`])
 /// subjects the engine to that plan's faults; a zero-fault plan leaves
@@ -322,16 +361,9 @@ pub struct OnlineEngine<'a> {
     /// (`SlotCache::set_capacity`), in eviction order — surfaced so the
     /// gateway can account for them instead of silently dropping them.
     pressure_evicted: Vec<usize>,
-    /// Reusable inference workspace: decision scoring and detection share it
-    /// so the steady-state serving path never allocates.
-    ws: Workspace,
-    /// Staged single-row feature matrix feeding the workspace paths.
-    row: Matrix,
-    /// The models MI runs this frame, served model first; reused across
-    /// frames.
-    executed: Vec<usize>,
-    /// The fused probability map of a hedged frame; reused across frames.
-    fused: Vec<f32>,
+    /// The scratch of this engine's own steps, built on the first one. A
+    /// gateway session steps on the gateway's scratch and never builds it.
+    scratch: Option<Box<StepScratch>>,
     /// Per-session flight recorder (`None` unless
     /// [`OnlineEngine::with_flight_recorder`] armed it). Write-only on the
     /// serving path; read only by [`OnlineEngine::flight_record`].
@@ -377,10 +409,7 @@ impl<'a> OnlineEngine<'a> {
             loads_enabled: true,
             load_attempts: 0,
             pressure_evicted: Vec::new(),
-            ws: Workspace::new(),
-            row: Matrix::default(),
-            executed: Vec::new(),
-            fused: Vec::new(),
+            scratch: None,
             flight: None,
         }
     }
@@ -570,7 +599,7 @@ impl<'a> OnlineEngine<'a> {
     /// poison the decision scores), then stages it as the single-row matrix
     /// the workspace-backed decision/detection paths read. Reuses the
     /// buffer; no allocation once warm.
-    fn stage_frame(&mut self, features: &[f32]) -> Result<(), AnoleError> {
+    fn stage_frame(&self, features: &[f32], scratch: &mut StepScratch) -> Result<(), AnoleError> {
         let expected = self.system.decision().network().input_dim();
         if features.len() != expected {
             return Err(AnoleError::InvalidFrame {
@@ -585,8 +614,8 @@ impl<'a> OnlineEngine<'a> {
                 detail: format!("non-finite value at feature {position}"),
             });
         }
-        self.row.resize_scratch(1, features.len());
-        self.row.row_mut(0).copy_from_slice(features);
+        scratch.row.resize_scratch(1, features.len());
+        scratch.row.row_mut(0).copy_from_slice(features);
         Ok(())
     }
 
@@ -803,7 +832,7 @@ impl<'a> OnlineEngine<'a> {
     /// * [`AnoleError::FaultExhausted`] if every model is excluded and
     ///   neither a pinned fallback nor last-good detections exist.
     pub fn step(&mut self, features: &[f32]) -> Result<StepOutcome, AnoleError> {
-        self.step_inner(features, None)
+        self.with_own_scratch(|engine, scratch| engine.step_in(features, None, scratch))
     }
 
     /// As [`OnlineEngine::step`], but with this frame's raw suitability
@@ -824,6 +853,20 @@ impl<'a> OnlineEngine<'a> {
         features: &[f32],
         scores: &[f32],
     ) -> Result<StepOutcome, AnoleError> {
+        self.with_own_scratch(|engine, scratch| engine.step_in(features, Some(scores), scratch))
+    }
+
+    /// Runs `step` on the engine's own scratch, built on first use.
+    fn with_own_scratch<R>(&mut self, step: impl FnOnce(&mut Self, &mut StepScratch) -> R) -> R {
+        let mut scratch = self.scratch.take().unwrap_or_else(|| Box::new(StepScratch::new()));
+        let result = step(self, &mut scratch);
+        self.scratch = Some(scratch);
+        result
+    }
+
+    /// Rejects externally computed scores that do not hold one finite entry
+    /// per repository model.
+    fn check_scores(&self, scores: &[f32]) -> Result<(), AnoleError> {
         let expected = self.system.repository().len();
         if scores.len() != expected {
             return Err(AnoleError::InvalidFrame {
@@ -838,25 +881,31 @@ impl<'a> OnlineEngine<'a> {
                 detail: format!("non-finite value at score {position}"),
             });
         }
-        self.step_inner(features, Some(scores))
+        Ok(())
     }
 
-    fn step_inner(
+    /// As [`OnlineEngine::step`] on the caller's scratch, or, given
+    /// `external_scores`, as [`OnlineEngine::step_with_scores`].
+    pub(crate) fn step_in(
         &mut self,
         features: &[f32],
         external_scores: Option<&[f32]>,
+        scratch: &mut StepScratch,
     ) -> Result<StepOutcome, AnoleError> {
+        if let Some(scores) = external_scores {
+            self.check_scores(scores)?;
+        }
         let _span = anole_obs::span!("omi.engine.step");
-        self.stage_frame(features)?;
+        self.stage_frame(features, scratch)?;
         let faults = self.absorb_faults();
         // MSS ranks, CMD picks a resident model, MI runs it. A stage that
         // finds nothing able to serve the frame hands it to a last-good
         // replay instead.
-        let mut outcome = match self.mss(external_scores, &faults)? {
+        let mut outcome = match self.mss(external_scores, &faults, scratch)? {
             None => self.replay_outcome(),
             Some(choice) => match self.cmd(&choice) {
                 None => self.replay_outcome(),
-                Some(cached) => self.mi(&choice, &cached)?,
+                Some(cached) => self.mi(&choice, &cached, scratch)?,
             },
         };
         outcome.faults = faults.count();
@@ -917,6 +966,7 @@ impl<'a> OnlineEngine<'a> {
         &mut self,
         external_scores: Option<&[f32]>,
         faults: &FrameFaults,
+        scratch: &mut StepScratch,
     ) -> Result<Option<Choice>, AnoleError> {
         if faults.sensor_dropout || faults.nan_frame {
             return Ok(None);
@@ -924,7 +974,7 @@ impl<'a> OnlineEngine<'a> {
         // A decision anomaly discards this frame's garbage scores and reuses
         // the last scored vector instead of letting nonsense steer routing.
         if !faults.decision_anomaly {
-            self.score(external_scores)?;
+            self.score(external_scores, scratch)?;
         }
         let Some(scores) = self.suitability.as_deref() else {
             return Ok(None);
@@ -955,10 +1005,14 @@ impl<'a> OnlineEngine<'a> {
 
     /// Copies this frame's suitability scores (the gateway's batched row,
     /// or the engine's own decision forward) into the reused buffer.
-    fn score(&mut self, external_scores: Option<&[f32]>) -> Result<(), AnoleError> {
+    fn score(
+        &mut self,
+        external_scores: Option<&[f32]>,
+        scratch: &mut StepScratch,
+    ) -> Result<(), AnoleError> {
         let current: &[f32] = match external_scores {
             Some(scores) => scores,
-            None => self.system.decision().suitability_ws(&self.row, &mut self.ws)?.row(0),
+            None => self.system.decision().suitability_ws(&scratch.row, &mut scratch.ws)?.row(0),
         };
         let scores = self.suitability.get_or_insert_with(Vec::new);
         scores.clear();
@@ -1010,17 +1064,20 @@ impl<'a> OnlineEngine<'a> {
     /// across the top-k resident models (a low top-1 suitability signals
     /// that no single well-fitting model exists, §II case 3) — prices the
     /// frame, and returns its per-frame record.
-    fn mi(&mut self, choice: &Choice, cached: &Cached) -> Result<StepOutcome, AnoleError> {
-        let mut executed = std::mem::take(&mut self.executed);
-        executed.clear();
-        executed.push(cached.used);
+    fn mi(
+        &mut self,
+        choice: &Choice,
+        cached: &Cached,
+        scratch: &mut StepScratch,
+    ) -> Result<StepOutcome, AnoleError> {
+        scratch.executed.clear();
+        scratch.executed.push(cached.used);
         let fuse_limit = self.models_per_frame_limit();
         let threshold = self.system.config().decision.confidence_threshold;
         if fuse_limit > 1 && choice.suitability < threshold {
-            self.residents().hedge(&mut executed, fuse_limit);
+            self.residents().hedge(&mut scratch.executed, fuse_limit);
         }
-        self.executed = executed;
-        let detections = self.detect()?;
+        let detections = self.detect(scratch)?;
         // A pinned-only frame was never ranked, so it pays no decision stage.
         let decision_ms = if choice.pinned_only {
             0.0
@@ -1028,10 +1085,10 @@ impl<'a> OnlineEngine<'a> {
             self.latency.scene_decision_ms(&mut self.rng)
         };
         let mut latency_ms = decision_ms + cached.sync_load_ms;
-        for _ in &self.executed {
+        for _ in &scratch.executed {
             latency_ms += self.latency.inference_ms(ReferenceModel::Yolov3Tiny, &mut self.rng);
         }
-        for &id in &self.executed[1..] {
+        for &id in &scratch.executed[1..] {
             self.cache.refresh(id);
         }
         Ok(StepOutcome {
@@ -1039,7 +1096,7 @@ impl<'a> OnlineEngine<'a> {
             used: cached.used,
             cache_hit: cached.cache_hit,
             detections,
-            models_executed: self.executed.len(),
+            models_executed: scratch.executed.len(),
             latency_ms,
             suitability: choice.suitability,
             health: self.health,
@@ -1052,31 +1109,32 @@ impl<'a> OnlineEngine<'a> {
     /// Thresholded detections of the one executed model, or of the
     /// suitability-weighted average of the executed models' probability
     /// maps.
-    fn detect(&mut self) -> Result<Vec<bool>, AnoleError> {
+    fn detect(&self, scratch: &mut StepScratch) -> Result<Vec<bool>, AnoleError> {
+        let StepScratch { ws, row, executed, fused } = scratch;
         let repository = self.system.repository();
         let threshold = self.system.config().detector.threshold;
-        if let [id] = self.executed[..] {
-            let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
+        if let [id] = executed[..] {
+            let probs = repository.model(id).detect_probs_ws(row, ws)?;
             return Ok(anole_detect::threshold_probs(probs.row(0), threshold));
         }
         let scores = self.suitability.as_deref().expect("set by mss");
-        self.fused.clear();
+        fused.clear();
         let mut weight_sum = 0.0f32;
-        for &id in &self.executed {
-            let probs = repository.model(id).detect_probs_ws(&self.row, &mut self.ws)?;
+        for &id in executed.iter() {
+            let probs = repository.model(id).detect_probs_ws(row, ws)?;
             let w = scores[id].max(1e-6);
-            if self.fused.is_empty() {
-                self.fused.resize(probs.cols(), 0.0);
+            if fused.is_empty() {
+                fused.resize(probs.cols(), 0.0);
             }
-            for (f, &p) in self.fused.iter_mut().zip(probs.row(0).iter()) {
+            for (f, &p) in fused.iter_mut().zip(probs.row(0).iter()) {
                 *f += w * p;
             }
             weight_sum += w;
         }
-        self.fused.iter_mut().for_each(|f| *f /= weight_sum.max(1e-6));
+        fused.iter_mut().for_each(|f| *f /= weight_sum.max(1e-6));
         // Averaging dilutes the confident model's positives; compensate with
         // a slightly lower detection threshold on fused maps.
-        Ok(anole_detect::threshold_probs(&self.fused, threshold * 0.85))
+        Ok(anole_detect::threshold_probs(fused, threshold * 0.85))
     }
 }
 

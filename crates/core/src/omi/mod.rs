@@ -8,6 +8,7 @@ mod switching;
 mod telemetry;
 
 pub use deployment::{FlightFrame, FlightRecord, OnlineEngine, StepOutcome};
+pub(crate) use deployment::StepScratch;
 pub use drift::{DriftDetector, DriftEvent, DriftSignal, DriftState, SceneDistanceScorer};
 pub use faults::{
     CheckpointFault, FaultCounts, FaultEvent, FaultInjector, FaultKind, FaultPlan, FrameFaults,

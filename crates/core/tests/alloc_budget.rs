@@ -1,7 +1,9 @@
 //! Allocation budget of serving: once warm, an engine step allocates
-//! exactly once — the `Vec<bool>` of detections it returns — and a gateway
-//! window allocates nothing of its own, at fp32 and with every model int8
-//! under a cache byte budget that holds one model.
+//! exactly once — the `Vec<bool>` of detections it returns — a gateway
+//! window allocates nothing of its own, and a gateway session allocates
+//! only its own state (no workspace buffer: every session steps on the
+//! gateway's one scratch), at fp32 and with every model int8 under a cache
+//! byte budget that holds one model.
 //!
 //! This binary installs the counting allocator, which counts the
 //! allocations of the measuring thread only.
@@ -168,19 +170,32 @@ fn a_warm_int8_engine_step_allocates_only_its_detections() {
     assert_eq!(check_engine(&dataset, &system).int8, MEASURED_FRAMES);
 }
 
-/// A gateway of six warm sessions streaming the first `frames` test frames
-/// each, run to completion; returns its report and the run's allocations.
+/// A gateway of `sessions` warm sessions streaming the first `frames` test
+/// frames each, run to completion; returns its report and the run's
+/// allocations (admission is not measured).
 fn gateway_run(
     system: &AnoleSystem,
     dataset: &DrivingDataset,
+    sessions: usize,
     frames: usize,
 ) -> (GatewayReport, u64) {
     let mut gateway = Gateway::new(system, GatewayConfig::default()).unwrap();
-    for session in 0..6 {
+    for session in 0..sessions as u64 {
         let spec = SessionSpec::new(test_frames(dataset, frames), Seed(100 + session));
         gateway.admit(spec).unwrap();
     }
     measure(|| gateway.run())
+}
+
+/// Asserts that every frame of `report`'s sessions was processed, that every
+/// window scored in one batch, and that all `sessions` completed.
+fn assert_lossless(report: &GatewayReport, sessions: usize) {
+    assert_eq!(report.frames_processed, report.frames_offered);
+    assert_eq!(report.frames_shed, 0);
+    assert_eq!(report.completed, sessions);
+    // No engine runs a decision forward of its own for the first time late
+    // in one run only.
+    assert_eq!(report.single_calls, 0);
 }
 
 /// Checks that a gateway run over more frames allocates exactly one more
@@ -191,16 +206,11 @@ fn check_gateway(dataset: &DrivingDataset, system: &AnoleSystem) {
     // difference is the extra frames alone.
     // With the `obs` feature on, the first run to reach a metric registers
     // it in the process-wide registry, so an unmeasured run goes first.
-    gateway_run(system, dataset, 64);
-    let (short, short_allocs) = gateway_run(system, dataset, 17);
-    let (long, long_allocs) = gateway_run(system, dataset, 64);
+    gateway_run(system, dataset, 6, 64);
+    let (short, short_allocs) = gateway_run(system, dataset, 6, 17);
+    let (long, long_allocs) = gateway_run(system, dataset, 6, 64);
     for report in [&short, &long] {
-        assert_eq!(report.frames_processed, report.frames_offered);
-        assert_eq!(report.frames_shed, 0);
-        assert_eq!(report.completed, 6);
-        // Every window scores in one batch: no engine runs a decision
-        // forward of its own for the first time late in the longer run.
-        assert_eq!(report.single_calls, 0);
+        assert_lossless(report, 6);
     }
     assert!(long.windows > short.windows && long.batched_calls > short.batched_calls);
     let extra_frames = (long.frames_processed - short.frames_processed) as u64;
@@ -222,4 +232,51 @@ fn a_gateway_window_allocates_nothing_of_its_own() {
 fn an_int8_gateway_window_allocates_nothing_of_its_own() {
     let (dataset, system) = quantized_system();
     check_gateway(&dataset, &system);
+}
+
+/// Frames each session streams in the per-session budget.
+const SESSION_FRAMES: usize = 17;
+
+/// The run-time allocations of one gateway session's own state over
+/// `SESSION_FRAMES` frames, by what they hold. None is a workspace buffer,
+/// a staged row, an executed-model list or a fused map: those belong to the
+/// gateway's one step scratch.
+const SESSION_ALLOCATIONS: [(&str, u64); 3] = [
+    ("the detections each step returns", SESSION_FRAMES as u64),
+    ("the suitability vector, on the first scored frame", 1),
+    ("the last-good detections, on the first served frame", 1),
+];
+
+/// Checks that a gateway of twice the sessions over the same per-session
+/// frames allocates, per extra session, exactly `SESSION_ALLOCATIONS`: the
+/// gateway's own buffers and its step scratch grow the same number of times
+/// whatever the fleet size.
+fn check_sessions(dataset: &DrivingDataset, system: &AnoleSystem) {
+    const SESSIONS: usize = 6;
+    // Registers every obs metric before the measured runs.
+    gateway_run(system, dataset, SESSIONS, SESSION_FRAMES);
+    let (small, small_allocs) = gateway_run(system, dataset, SESSIONS, SESSION_FRAMES);
+    let (large, large_allocs) = gateway_run(system, dataset, 2 * SESSIONS, SESSION_FRAMES);
+    assert_lossless(&small, SESSIONS);
+    assert_lossless(&large, 2 * SESSIONS);
+    assert_eq!(small.windows, large.windows);
+    let per_session: u64 = SESSION_ALLOCATIONS.iter().map(|(_, count)| count).sum();
+    assert_eq!(
+        large_allocs - small_allocs,
+        SESSIONS as u64 * per_session,
+        "{SESSIONS} more sessions of {SESSION_FRAMES} frames; each should allocate only \
+         {SESSION_ALLOCATIONS:?}"
+    );
+}
+
+#[test]
+fn a_gateway_session_allocates_only_its_own_state() {
+    let (dataset, system) = system(5);
+    check_sessions(&dataset, &system);
+}
+
+#[test]
+fn an_int8_gateway_session_allocates_only_its_own_state() {
+    let (dataset, system) = quantized_system();
+    check_sessions(&dataset, &system);
 }
