@@ -135,8 +135,9 @@ impl ThompsonSampler {
         self.counts[i] as f64 > well_sampled_threshold(self.set_sizes[i], self.theta)
     }
 
-    /// Borrows the per-arm posteriors (for inspection and plotting).
-    pub fn posteriors(&self) -> &[BetaPosterior] {
+    /// Borrows the per-arm posteriors.
+    #[cfg(test)]
+    fn posteriors(&self) -> &[BetaPosterior] {
         &self.posteriors
     }
 }

@@ -25,7 +25,7 @@ impl Scale {
     }
 
     /// Anole configuration at this scale.
-    pub fn anole_config(&self) -> AnoleConfig {
+    fn anole_config(&self) -> AnoleConfig {
         match self {
             Scale::Paper => AnoleConfig::default(),
             Scale::Small => AnoleConfig::fast(),

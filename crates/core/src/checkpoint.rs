@@ -179,13 +179,9 @@ impl CheckpointStore {
     }
 
     /// The store's directory.
-    pub fn dir(&self) -> &Path {
+    #[cfg(test)]
+    fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The context key the store validates against.
-    pub fn context(&self) -> u64 {
-        self.context
     }
 
     fn path_for(&self, key: &str) -> PathBuf {

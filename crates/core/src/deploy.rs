@@ -58,17 +58,6 @@ impl Manifest {
     }
 }
 
-/// Report of a simulated bundle download over an unstable uplink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DownloadReport {
-    /// Wall-clock milliseconds including retries and back-off.
-    pub total_ms: f64,
-    /// Chunks that timed out and were retried.
-    pub retries: usize,
-    /// Chunks transferred successfully.
-    pub chunks: usize,
-}
-
 /// FNV-1a over a byte string — a dependency-free integrity check.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -191,43 +180,6 @@ pub fn load_bundle(dir: &Path) -> Result<AnoleSystem, AnoleError> {
     Ok(system)
 }
 
-/// Simulates downloading a bundle over an unstable uplink in 256 KiB chunks
-/// with retry-on-timeout, returning the wall-clock cost. This is the offline
-/// phase, so tail latency is tolerable — the point is that it happens
-/// *before* inference, not during (§II-A).
-pub fn simulate_download(
-    manifest: &Manifest,
-    link: &mut UnstableLink,
-    rng: &mut StdRng,
-) -> DownloadReport {
-    const CHUNK: u64 = 256 * 1024;
-    let mut total_ms = 0.0f64;
-    let mut retries = 0usize;
-    let mut chunks = 0usize;
-    for entry in &manifest.entries {
-        let mut remaining = entry.transfer_bytes;
-        while remaining > 0 {
-            let size = remaining.min(CHUNK);
-            match link.round_trip_ms(size, rng) {
-                Ok(ms) => {
-                    total_ms += ms as f64;
-                    remaining -= size;
-                    chunks += 1;
-                }
-                Err(timeout) => {
-                    total_ms += timeout as f64;
-                    retries += 1;
-                }
-            }
-        }
-    }
-    DownloadReport {
-        total_ms,
-        retries,
-        chunks,
-    }
-}
-
 /// Report of a resumable bundle download (see [`download_resumable`]).
 ///
 /// Byte accounting is exact: on success,
@@ -261,20 +213,20 @@ pub struct ResumableDownloadReport {
     pub backoff_ms: f64,
 }
 
-/// Downloads a bundle over an unstable uplink with per-artifact resume.
+/// Downloads a bundle over an unstable uplink in 256 KiB chunks with
+/// retry-on-timeout and per-artifact resume, pricing the wall-clock cost.
+/// This is the offline phase, so tail latency is tolerable — the point is
+/// that it happens *before* inference, not during (§II-A).
 ///
-/// Unlike [`simulate_download`], which models an ideal session, this models
-/// the §II-A reality: the link can die mid-bundle (injected via
+/// The link can also die mid-bundle (injected via
 /// [`FaultKind::LinkDeath`](crate::omi::FaultKind::LinkDeath)) and artifacts
 /// can arrive checksum-corrupt
 /// ([`FaultKind::TruncatedArtifact`](crate::omi::FaultKind::TruncatedArtifact)).
 /// Completion is tracked per manifest entry, so each reconnect session —
 /// priced with exponential backoff — re-transfers only the artifacts still
-/// missing or checksum-failed; verified artifacts are never re-sent.
-///
-/// With `injector` `None` (or a zero-fault plan) the link and `rng` are
-/// driven through exactly the same call sequence as [`simulate_download`],
-/// so `total_ms`/`chunks`/`retries` match it bit-for-bit.
+/// missing or checksum-failed; verified artifacts are never re-sent. With
+/// `injector` `None` (or a zero-fault plan) the download is one ideal
+/// session: a timed-out chunk is retried in place and nothing is wasted.
 ///
 /// # Errors
 ///
@@ -836,13 +788,19 @@ mod tests {
         let manifest = save_bundle(&system, &dir).unwrap();
         let mut link = UnstableLink::new(UnstableLinkConfig::default());
         let mut rng = rng_from_seed(Seed(133));
-        let report = simulate_download(&manifest, &mut link, &mut rng);
+        let report = download_resumable(&manifest, &mut link, &mut rng, None, 1).unwrap();
         assert!(report.total_ms > 0.0);
         let expected_chunks =
             manifest.entries.iter().map(|e| e.transfer_bytes.div_ceil(256 * 1024)).sum::<u64>();
         assert_eq!(report.chunks as u64, expected_chunks);
         // An unstable link makes retries overwhelmingly likely at this size.
         assert!(report.retries > 0, "no retries over {} chunks", report.chunks);
+        // Without faults a timed-out chunk is retried in place: one session,
+        // nothing wasted.
+        assert_eq!(report.sessions, 1);
+        assert_eq!(report.link_deaths, 0);
+        assert_eq!(report.wasted_bytes, 0);
+        assert_eq!(report.transferred_bytes, report.payload_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -851,29 +809,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"anole"), fnv1a(b"anolf"));
         assert_eq!(fnv1a(b"anole"), fnv1a(b"anole"));
-    }
-
-    #[test]
-    fn resumable_download_matches_ideal_session_with_zero_faults() {
-        let system = system();
-        let dir = temp_dir("resume-eq");
-        let manifest = save_bundle(&system, &dir).unwrap();
-        let ideal = {
-            let mut link = UnstableLink::new(UnstableLinkConfig::default());
-            let mut rng = rng_from_seed(Seed(134));
-            simulate_download(&manifest, &mut link, &mut rng)
-        };
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
-        let mut rng = rng_from_seed(Seed(134));
-        let report = download_resumable(&manifest, &mut link, &mut rng, None, 4).unwrap();
-        assert_eq!(report.total_ms, ideal.total_ms);
-        assert_eq!(report.chunks, ideal.chunks);
-        assert_eq!(report.retries, ideal.retries);
-        assert_eq!(report.sessions, 1);
-        assert_eq!(report.link_deaths, 0);
-        assert_eq!(report.wasted_bytes, 0);
-        assert_eq!(report.transferred_bytes, report.payload_bytes);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -40,17 +40,7 @@ pub fn evaluate_refs(
         .iter()
         .map(|r| dataset.clips()[r.clip].source)
         .collect();
-    let preds = method.predict_batch(&frames, &sources)?;
-    let mut pairs = Vec::with_capacity(refs.len());
-    let mut counts = DetectionCounts::default();
-    for (frame, pred) in frames.iter().zip(preds) {
-        counts.accumulate(&pred, &frame.truth);
-        pairs.push((pred, frame.truth.clone()));
-    }
-    Ok(StreamResult {
-        overall_f1: counts.f1(),
-        windowed: windowed_f1(&pairs, window.max(1)),
-    })
+    evaluate_stream(method, &frames, &sources, window)
 }
 
 /// Evaluates a method over raw frames (fresh clips outside the dataset).
@@ -65,8 +55,18 @@ pub fn evaluate_frames(
     window: usize,
 ) -> Result<StreamResult, AnoleError> {
     let frame_refs: Vec<&Frame> = frames.iter().collect();
-    let sources = vec![source; frames.len()];
-    let preds = method.predict_batch(&frame_refs, &sources)?;
+    evaluate_stream(method, &frame_refs, &vec![source; frames.len()], window)
+}
+
+/// Predicts every frame in one batch, then scores the stream overall and
+/// per window of `window` frames.
+fn evaluate_stream(
+    method: &mut dyn InferenceMethod,
+    frames: &[&Frame],
+    sources: &[DatasetSource],
+    window: usize,
+) -> Result<StreamResult, AnoleError> {
+    let preds = method.predict_batch(frames, sources)?;
     let mut pairs = Vec::with_capacity(frames.len());
     let mut counts = DetectionCounts::default();
     for (frame, pred) in frames.iter().zip(preds) {

@@ -34,8 +34,9 @@
 //!   (injected via [`SessionSpec::inject_panic`] or real) is quarantined
 //!   while the rest of the fleet keeps serving;
 //! * every session steps on the gateway's one step scratch (inference
-//!   workspace, staged row, executed models, fused map), so a session holds
-//!   only what a later frame of its own reads.
+//!   workspace, staged row, executed models, fused map), which the batched
+//!   decision forward runs on too, so a session holds only what a later
+//!   frame of its own reads.
 //!
 //! The scheduler runs on **virtual time** (simulated milliseconds): the run
 //! is deterministic, wall-clock-free, and byte-identical with the
@@ -47,12 +48,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use anole_data::Frame;
 use anole_detect::DetectionCounts;
 use anole_device::DeviceKind;
-use anole_nn::Workspace;
 use anole_obs::{
     AlertSeverity, CounterSample, FixedHistogram, GaugeSample, HistogramSample, MetricsSnapshot,
     SeriesRecorder, SloAlert, SloEngine, SloSpec,
 };
-use anole_tensor::{Matrix, Seed};
+use anole_tensor::Seed;
 
 use crate::omi::{
     DriftDetector, DriftState, FaultInjector, FaultKind, FaultPlan, FlightRecord, OnlineEngine,
@@ -554,11 +554,11 @@ struct SloRuntime {
 
 /// The serving gateway. See the [module docs](self) for the full model.
 ///
-/// Beside its batch workspace, the gateway owns one step scratch and lends
-/// it to every dispatched frame, batched or not, so each session's
-/// [`OnlineEngine`] holds only what a later frame of its own reads, and a
-/// session that panics or fails mid-step leaves nothing another session
-/// reads.
+/// The gateway owns one step scratch: the batched decision forward runs on
+/// it, and it is lent to every dispatched frame, batched or not, so each
+/// session's [`OnlineEngine`] holds only what a later frame of its own
+/// reads, and a session that panics or fails mid-step leaves nothing
+/// another session reads.
 ///
 /// # Examples
 ///
@@ -625,12 +625,11 @@ pub struct Gateway<'a> {
     frames_processed_run: u64,
     frames_shed_run: u64,
     sessions_quarantined_run: u64,
-    // Per-window scratch: the dispatch candidates and the batched scoring.
+    // Per-window scratch: the dispatch candidates and the batched scores.
     candidates: Vec<Candidate>,
-    batch: Matrix,
-    ws: Workspace,
     score_buf: Vec<f32>,
-    /// The one step scratch every session's frames run on, batched or not.
+    /// The one step scratch the batched decision forward and every
+    /// session's frames run on.
     scratch: StepScratch,
 }
 
@@ -674,8 +673,6 @@ impl<'a> Gateway<'a> {
             frames_shed_run: 0,
             sessions_quarantined_run: 0,
             candidates: Vec::new(),
-            batch: Matrix::default(),
-            ws: Workspace::new(),
             score_buf: Vec::new(),
             scratch: StepScratch::new(),
         })
@@ -1026,14 +1023,16 @@ impl<'a> Gateway<'a> {
             return false;
         }
         let width = self.system.decision().network().input_dim();
-        self.batch.resize_scratch(candidates.len(), width);
+        let scratch = &mut self.scratch;
+        scratch.row.resize_scratch(candidates.len(), width);
         for (row, c) in candidates.iter().enumerate() {
             let features = &self.sessions[c.session].frames[c.frame].features;
-            self.batch.row_mut(row).copy_from_slice(features);
+            scratch.row.row_mut(row).copy_from_slice(features);
         }
         // A poisoned batch (non-finite features) falls back to per-session
         // scoring, where the offending session earns its own typed error.
-        let Ok(scores) = self.system.decision().suitability_ws(&self.batch, &mut self.ws) else {
+        let decision = self.system.decision();
+        let Ok(scores) = decision.suitability_ws(&scratch.row, &mut scratch.ws) else {
             return false;
         };
         self.score_buf.clear();
@@ -1374,8 +1373,8 @@ impl<'a> Gateway<'a> {
             shed_sessions: sessions.iter().filter(|s| s.state == SessionState::Shed).count(),
             quarantined,
             frames_offered: self.sessions.iter().map(|s| s.offered).sum(),
-            frames_processed: self.sessions.iter().map(|s| s.processed).sum(),
-            frames_shed: self.sessions.iter().map(|s| s.shed_frames).sum(),
+            frames_processed: self.frames_processed_run as usize,
+            frames_shed: self.frames_shed_run as usize,
             frames_dropped: self.sessions.iter().map(|s| s.dropped_frames).sum(),
             batched_calls: self.batched_calls,
             batched_frames: self.batched_frames,

@@ -46,9 +46,6 @@ pub struct FleetConfig {
     pub frames_per_day: usize,
     /// Minimum pooled drifting frames before an overnight expansion runs.
     pub min_footage: usize,
-    /// How many times a panicked device's daily run is retried before the
-    /// device is quarantined for the rest of the run.
-    pub max_device_retries: usize,
 }
 
 impl Default for FleetConfig {
@@ -57,10 +54,13 @@ impl Default for FleetConfig {
             devices: 3,
             frames_per_day: 120,
             min_footage: 60,
-            max_device_retries: 1,
         }
     }
 }
+
+/// How many times a panicked device's daily run is retried before the
+/// device is quarantined for the rest of the run.
+const DEVICE_RETRIES: usize = 1;
 
 /// One day of fleet operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,21 +91,11 @@ pub struct DayReport {
 pub struct FleetReport {
     /// One report per day, in order.
     pub days: Vec<DayReport>,
-    /// Devices quarantined after exhausting their panic retries, in the
-    /// order they were quarantined. A quarantined device stops running for
-    /// the rest of the fleet run; the others are unaffected.
-    pub quarantined: Vec<usize>,
-    /// Typed quarantine records: why each device in `quarantined` was
-    /// removed, with the first injected fault kind seen by its session.
-    /// Same order as `quarantined`.
+    /// One typed record per device quarantined after exhausting its panic
+    /// retries, in the order they were quarantined; `session` is the
+    /// device index. A quarantined device stops running for the rest of
+    /// the fleet run; the others are unaffected.
     pub quarantine_records: Vec<QuarantineRecord>,
-    /// Gateway sessions shed across the run (always 0 under the lossless
-    /// fleet profile; non-zero only if a custom profile enables deadline
-    /// shedding).
-    pub shed_sessions: usize,
-    /// Gateway admissions rejected across the run (always 0 for the fleet,
-    /// which sizes the gateway to its roster).
-    pub rejected_sessions: usize,
 }
 
 impl FleetReport {
@@ -147,6 +137,71 @@ fn drift_handler<'g>(
     })
 }
 
+/// One device's daily run: its detection counts, drifting-frame count and
+/// collected footage, or the typed error it failed with; `None` when it
+/// panicked.
+type DeviceDay = Option<Result<(DetectionCounts, usize, Vec<Frame>), AnoleError>>;
+
+/// Serves one day of fleet devices through a lossless gateway, each
+/// session admitted with its drift handler, and returns each device's
+/// [`DeviceDay`] in admission order. The day's roster and every panic
+/// retry run through here.
+fn serve_devices(
+    system: &AnoleSystem,
+    scorer: &SceneDistanceScorer,
+    ceiling: f32,
+    devices: Vec<(usize, SessionSpec)>,
+) -> Result<Vec<DeviceDay>, AnoleError> {
+    // Lossless fleet profile: bounded queues and backpressure keep memory
+    // flat, but nothing is shed — every recorded frame is served.
+    let config = GatewayConfig {
+        max_sessions: devices.len().max(1),
+        deadline_ms: f64::INFINITY,
+        shed_session_after: usize::MAX,
+        ..GatewayConfig::default()
+    };
+    let mut gateway = Gateway::new(system, config)?;
+    let mut states = Vec::with_capacity(devices.len());
+    for (device_idx, spec) in devices {
+        let state = Rc::<RefCell<DeviceDayState>>::default();
+        let detector = scorer.detector(DRIFT_WINDOW, ceiling);
+        gateway.admit_with_handler(
+            spec,
+            drift_handler(scorer, system, detector, Rc::clone(&state)),
+        )?;
+        states.push((device_idx, state));
+    }
+    let report = gateway.run();
+    let mut errors: Vec<Option<AnoleError>> = Vec::new();
+    errors.resize_with(states.len(), || None);
+    for (sid, error) in gateway.take_session_errors() {
+        errors[sid] = Some(error);
+    }
+    let mut outcomes = Vec::with_capacity(states.len());
+    for ((session, (device_idx, state)), error) in report.sessions.iter().zip(states).zip(errors) {
+        outcomes.push(match session.state {
+            SessionState::Completed => {
+                let state = state.take();
+                Some(Ok((session.counts, state.drifting, state.collected)))
+            }
+            // A typed failure is reported, not absorbed; a session
+            // quarantined without one panicked.
+            SessionState::Quarantined => error.map(Err),
+            state => {
+                // Unreachable under the lossless profile (nothing is shed
+                // and the roster always fits); surface it rather than
+                // mis-count the day.
+                return Err(AnoleError::FaultExhausted {
+                    detail: format!(
+                        "fleet session for device {device_idx} ended in {state:?} under the lossless fleet profile"
+                    ),
+                });
+            }
+        });
+    }
+    Ok(outcomes)
+}
+
 /// Runs the fleet loop over a day-by-day scenario schedule.
 ///
 /// Each day, every device streams `frames_per_day` fresh frames of the
@@ -180,19 +235,18 @@ pub fn run_fleet(
 
 /// [`run_fleet`] under fault supervision: every device session runs behind
 /// the gateway's `catch_unwind` isolation, so one panicking device cannot
-/// take down the fleet. A panicked device is retried up to
-/// [`FleetConfig::max_device_retries`] times (sequentially, after the
-/// fleet pass, in device order); a device that exhausts its retries is
-/// quarantined for the rest of the run and listed in
-/// [`FleetReport::quarantined`] with a typed
-/// [`QuarantineRecord`], while the remaining devices keep driving and the
-/// schedule completes.
+/// take down the fleet. A panicked device is retried once (sequentially,
+/// after the fleet pass, in device order); a device whose retry panics too
+/// is quarantined for the rest of the run and listed in
+/// [`FleetReport::quarantine_records`] with a typed [`QuarantineRecord`],
+/// while the remaining devices keep driving and the schedule completes.
 ///
-/// Panics can be injected deterministically via a [`FaultInjector`] with a
-/// [`FaultKind::DevicePanic`] schedule or rate: the supervisor draws one
-/// panic decision per device attempt, on the coordinator in device order,
-/// so the outcome is identical for any scheduling. With `injector` `None`
-/// or a zero-fault plan the run is bit-identical to [`run_fleet`].
+/// Panics are injected deterministically via a [`FaultInjector`] with
+/// [`FaultKind::DevicePanic`] events scheduled by draw index: the
+/// supervisor draws one panic decision per device attempt, on the
+/// coordinator in device order, so the outcome is identical for any
+/// scheduling. With `injector` `None` or a zero-fault plan the run is
+/// bit-identical to [`run_fleet`].
 ///
 /// # Errors
 ///
@@ -223,174 +277,76 @@ pub fn run_fleet_supervised(
     let ceiling = scorer.ceiling(&system, dataset, &split.val, 1.0 - DRIFT_QUANTILE)?;
     let mut footage_pool: Vec<Frame> = Vec::new();
     let mut days = Vec::with_capacity(schedule.len());
-    let mut quarantined: Vec<usize> = Vec::new();
     let mut quarantine_records: Vec<QuarantineRecord> = Vec::new();
-    let mut shed_sessions = 0usize;
-    let mut rejected_sessions = 0usize;
-
-    type DeviceDay = Result<(DetectionCounts, usize, Vec<Frame>), AnoleError>;
 
     for (day, &scenario) in schedule.iter().enumerate() {
-        let roster: Vec<usize> =
-            (0..config.devices).filter(|i| !quarantined.contains(i)).collect();
+        // Each device derives its RNG streams from (day, device_idx), so
+        // results are identical however sessions interleave.
+        let device_spec = |device_idx: usize| -> SessionSpec {
+            let device_seed = split_seed(seed, (day * config.devices + device_idx) as u64 + 1);
+            let clip = dataset.world().generate_clip(
+                ClipId(usize::MAX - day * 100 - device_idx),
+                DatasetSource::Shd,
+                scenario,
+                config.frames_per_day,
+                1.0,
+                split_seed(device_seed, 0),
+            );
+            SessionSpec::new(clip.frames, split_seed(device_seed, 1))
+        };
+        let roster: Vec<usize> = (0..config.devices)
+            .filter(|&i| quarantine_records.iter().all(|r| r.session != i))
+            .collect();
         // Panic decisions are drawn on the coordinator, one per first
         // attempt in device order, before the gateway runs, so scheduling
         // changes cannot shift the fault stream.
-        let panic_flags: Vec<bool> = roster
+        let specs = roster
             .iter()
-            .map(|_| injector.as_mut().is_some_and(FaultInjector::device_panics))
-            .collect();
-        let (results, day_panics, newly_quarantined, day_records) = {
-            let system_ref = &system;
-            let scorer_ref = &scorer;
-            // Lossless fleet profile: bounded queues and backpressure keep
-            // memory flat, but nothing is shed — every recorded frame is
-            // served, exactly as the pre-gateway fleet loop did.
-            let gateway_config = GatewayConfig {
-                max_sessions: roster.len().max(1),
-                deadline_ms: f64::INFINITY,
-                shed_session_after: usize::MAX,
-                ..GatewayConfig::default()
-            };
-            // Each device derives its RNG streams from (day, device_idx),
-            // so results are identical however sessions interleave.
-            let device_spec = |device_idx: usize| -> SessionSpec {
-                let device_seed =
-                    split_seed(seed, (day * config.devices + device_idx) as u64 + 1);
-                let clip = dataset.world().generate_clip(
-                    ClipId(usize::MAX - day * 100 - device_idx),
-                    DatasetSource::Shd,
-                    scenario,
-                    config.frames_per_day,
-                    1.0,
-                    split_seed(device_seed, 0),
-                );
-                SessionSpec::new(clip.frames, split_seed(device_seed, 1))
-            };
-
-            let mut gateway = Gateway::new(system_ref, gateway_config)?;
-            let states: Vec<Rc<RefCell<DeviceDayState>>> =
-                roster.iter().map(|_| Rc::default()).collect();
-            for (pos, &device_idx) in roster.iter().enumerate() {
+            .map(|&device_idx| {
                 let mut spec = device_spec(device_idx);
-                spec.inject_panic = panic_flags[pos];
-                let detector = scorer_ref.detector(DRIFT_WINDOW, ceiling);
-                gateway.admit_with_handler(
-                    spec,
-                    drift_handler(scorer_ref, system_ref, detector, Rc::clone(&states[pos])),
-                )?;
-            }
-            let report = gateway.run();
-            shed_sessions += report.shed_sessions;
-            rejected_sessions += report.rejected;
-            let mut errors: Vec<Option<AnoleError>> = Vec::new();
-            errors.resize_with(roster.len(), || None);
-            for (sid, error) in gateway.take_session_errors() {
-                errors[sid] = Some(error);
-            }
+                spec.inject_panic = injector.as_mut().is_some_and(FaultInjector::device_panics);
+                (device_idx, spec)
+            })
+            .collect();
+        let outcomes = serve_devices(&system, &scorer, ceiling, specs)?;
 
-            let mut day_panics = 0usize;
-            let mut newly_quarantined: Vec<usize> = Vec::new();
-            let mut day_records: Vec<QuarantineRecord> = Vec::new();
-            let mut results: Vec<Option<DeviceDay>> = Vec::with_capacity(roster.len());
-            for (pos, &device_idx) in roster.iter().enumerate() {
-                let session = &report.sessions[pos];
-                match session.state {
-                    SessionState::Completed => {
-                        let state = std::mem::take(&mut *states[pos].borrow_mut());
-                        results
-                            .push(Some(Ok((session.counts, state.drifting, state.collected))));
-                    }
-                    SessionState::Quarantined => {
-                        if let Some(error) = errors[pos].take() {
-                            // Typed failure: report it, don't absorb it.
-                            results.push(Some(Err(error)));
-                            continue;
-                        }
-                        // Panicked. Bounded retries, sequentially in device
-                        // order, each drawing its own panic decision; an
-                        // exhausted device is quarantined and the rest of
-                        // the fleet drives on.
-                        day_panics += 1;
-                        let mut recovered: Option<DeviceDay> = None;
-                        let mut retries = 0usize;
-                        while recovered.is_none() && retries < config.max_device_retries {
-                            retries += 1;
-                            if injector.as_mut().is_some_and(FaultInjector::device_panics) {
-                                day_panics += 1;
-                                continue;
-                            }
-                            let mut retry = Gateway::new(
-                                system_ref,
-                                GatewayConfig { max_sessions: 1, ..gateway_config },
-                            )?;
-                            let state = Rc::new(RefCell::new(DeviceDayState::default()));
-                            let detector = scorer_ref.detector(DRIFT_WINDOW, ceiling);
-                            retry.admit_with_handler(
-                                device_spec(device_idx),
-                                drift_handler(scorer_ref, system_ref, detector, Rc::clone(&state)),
-                            )?;
-                            let retry_report = retry.run();
-                            let mut retry_errors = retry.take_session_errors();
-                            match retry_report.sessions[0].state {
-                                SessionState::Completed => {
-                                    let state = std::mem::take(&mut *state.borrow_mut());
-                                    recovered = Some(Ok((
-                                        retry_report.sessions[0].counts,
-                                        state.drifting,
-                                        state.collected,
-                                    )));
-                                }
-                                SessionState::Quarantined if !retry_errors.is_empty() => {
-                                    recovered = Some(Err(retry_errors.remove(0).1));
-                                }
-                                // A genuine (or injected-at-engine-level)
-                                // panic again: burn the retry.
-                                _ => day_panics += 1,
-                            }
-                        }
-                        match recovered {
-                            Some(outcome) => results.push(Some(outcome)),
-                            None => {
-                                newly_quarantined.push(device_idx);
-                                day_records.push(QuarantineRecord {
-                                    session: device_idx,
-                                    reason: QuarantineReason::RetriesExhausted {
-                                        attempts: config.max_device_retries + 1,
-                                    },
-                                    first_fault: Some(FaultKind::DevicePanic),
-                                    detail: format!(
-                                        "device {device_idx} panicked on its initial attempt and all {} retries (day {day})",
-                                        config.max_device_retries
-                                    ),
-                                    flight: None,
-                                });
-                                results.push(None);
-                            }
-                        }
-                    }
-                    state => {
-                        // Unreachable under the lossless profile (nothing
-                        // is shed and the roster always fits); surface it
-                        // rather than mis-count the day.
-                        return Err(AnoleError::FaultExhausted {
-                            detail: format!(
-                                "fleet session for device {device_idx} ended in {state:?} under the lossless fleet profile"
-                            ),
-                        });
-                    }
+        // Panicked devices retry sequentially in device order, each attempt
+        // drawing its own panic decision; an exhausted device is
+        // quarantined and the rest of the fleet drives on.
+        let mut day_panics = 0usize;
+        let mut results = Vec::with_capacity(roster.len());
+        for (&device_idx, mut outcome) in roster.iter().zip(outcomes) {
+            let mut retries = 0;
+            while outcome.is_none() {
+                day_panics += 1;
+                if retries == DEVICE_RETRIES {
+                    quarantine_records.push(QuarantineRecord {
+                        session: device_idx,
+                        reason: QuarantineReason::RetriesExhausted {
+                            attempts: DEVICE_RETRIES + 1,
+                        },
+                        first_fault: Some(FaultKind::DevicePanic),
+                        detail: format!(
+                            "device {device_idx} panicked on its initial attempt and all {DEVICE_RETRIES} retries (day {day})"
+                        ),
+                        flight: None,
+                    });
+                    break;
+                }
+                retries += 1;
+                if !injector.as_mut().is_some_and(FaultInjector::device_panics) {
+                    let retry = vec![(device_idx, device_spec(device_idx))];
+                    outcome = serve_devices(&system, &scorer, ceiling, retry)?.remove(0);
                 }
             }
-            (results, day_panics, newly_quarantined, day_records)
-        };
-        quarantined.extend(&newly_quarantined);
-        quarantine_records.extend(day_records);
+            results.extend(outcome);
+        }
 
         let mut active_devices = 0usize;
         let mut day_counts = DetectionCounts::default();
         let mut drifting = 0usize;
         let mut collected_today = 0usize;
-        for result in results.into_iter().flatten() {
+        for result in results {
             let (counts, device_drifting, collected) = result?;
             active_devices += 1;
             day_counts.merge(&counts);
@@ -428,16 +384,7 @@ pub fn run_fleet_supervised(
         });
     }
 
-    Ok((
-        FleetReport {
-            days,
-            quarantined,
-            quarantine_records,
-            shed_sessions,
-            rejected_sessions,
-        },
-        system,
-    ))
+    Ok((FleetReport { days, quarantine_records }, system))
 }
 
 /// The closed offline↔online loop in one call: guarded continual
@@ -568,7 +515,6 @@ mod tests {
             devices: 2,
             frames_per_day: 80,
             min_footage: 50,
-            ..FleetConfig::default()
         };
         let (report, final_system) =
             run_fleet(&dataset, system, &schedule, &config, Seed(183)).unwrap();
@@ -605,7 +551,6 @@ mod tests {
             devices: 2,
             frames_per_day: 60,
             min_footage: 100_000, // unreachable
-            ..FleetConfig::default()
         };
         let (report, final_system) =
             run_fleet(&dataset, system, &[familiar, familiar], &config, Seed(184)).unwrap();
@@ -634,10 +579,7 @@ mod tests {
                 device_panics: 0,
                 active_devices: 3,
             }],
-            quarantined: Vec::new(),
             quarantine_records: Vec::new(),
-            shed_sessions: 0,
-            rejected_sessions: 0,
         };
         assert!(report
             .improvement_on(SceneAttributes::from_scene_index(0))
@@ -787,7 +729,6 @@ mod tests {
             devices: 2,
             frames_per_day: 40,
             min_footage: 100_000,
-            ..FleetConfig::default()
         };
         let (plain, plain_system) =
             run_fleet(&dataset, system.clone(), &schedule, &config, Seed(186)).unwrap();
@@ -803,7 +744,6 @@ mod tests {
         .unwrap();
         assert_eq!(plain, supervised);
         assert_eq!(plain_system, supervised_system);
-        assert!(supervised.quarantined.is_empty());
         assert!(supervised.quarantine_records.is_empty());
         assert!(supervised.days.iter().all(|d| d.device_panics == 0));
         assert!(supervised.days.iter().all(|d| d.active_devices == 2));
@@ -820,11 +760,16 @@ mod tests {
             devices: 2,
             frames_per_day: 30,
             min_footage: 100_000,
-            max_device_retries: 1,
         };
-        // Every attempt panics: both devices burn their retry on day 0 and
-        // the fleet finishes the schedule with an empty roster.
-        let plan = FaultPlan::new(Seed(190)).with_device_panic_rate(1.0);
+        // Every attempt panics: day 0 draws both first attempts (draws 0,
+        // 1), then device 0's retry (2) and device 1's (3). Both devices
+        // burn their retry and the fleet finishes the schedule with an
+        // empty roster.
+        let plan = FaultPlan::new(Seed(190))
+            .at(0, FaultKind::DevicePanic)
+            .at(1, FaultKind::DevicePanic)
+            .at(2, FaultKind::DevicePanic)
+            .at(3, FaultKind::DevicePanic);
         let (report, _) = run_fleet_supervised(
             &dataset,
             system,
@@ -834,10 +779,9 @@ mod tests {
             Some(plan.injector()),
         )
         .unwrap();
-        assert_eq!(report.quarantined, vec![0, 1]);
-        assert_eq!(report.quarantine_records.len(), 2);
+        let quarantined: Vec<usize> = report.quarantine_records.iter().map(|r| r.session).collect();
+        assert_eq!(quarantined, vec![0, 1]);
         for (record, device) in report.quarantine_records.iter().zip([0usize, 1]) {
-            assert_eq!(record.session, device);
             assert_eq!(
                 record.reason,
                 QuarantineReason::RetriesExhausted { attempts: 2 }
@@ -850,7 +794,5 @@ mod tests {
         assert_eq!(report.days[0].active_devices, 0);
         assert_eq!(report.days[1].device_panics, 0);
         assert_eq!(report.days[1].active_devices, 0);
-        assert_eq!(report.shed_sessions, 0);
-        assert_eq!(report.rejected_sessions, 0);
     }
 }

@@ -10,9 +10,9 @@
 //!    ([`OnlineEngine::with_pinned_fallback`]);
 //! 4. the last-good detections, replayed when no model can run at all.
 //!
-//! Failed model loads are retried with exponential backoff, priced through
-//! the [`LatencyModel`] (retries cost simulated milliseconds, never
-//! wall-clock sleeps); models that keep failing are excluded permanently.
+//! Failed model loads are retried in the background, up to three attempts,
+//! and like every background load charge no modelled time; models that
+//! keep failing are excluded permanently.
 //! Health is tracked on a `Healthy → Degraded → Critical` ladder and
 //! summarized by [`OnlineEngine::health_report`].
 
@@ -278,10 +278,12 @@ struct Cached {
 #[derive(Debug)]
 pub(crate) struct StepScratch {
     /// Decision scoring and detection share it, so a warm step allocates
-    /// only its returned detections.
-    ws: Workspace,
-    /// Staged single-row feature matrix feeding the workspace paths.
-    row: Matrix,
+    /// only its returned detections. The gateway's batched decision forward
+    /// runs on it too.
+    pub(crate) ws: Workspace,
+    /// Staged feature matrix feeding the workspace paths: one row for a
+    /// step, one per frame for the gateway's batched forward.
+    pub(crate) row: Matrix,
     /// The models MI runs this frame, served model first.
     executed: Vec<usize>,
     /// The fused probability map of a hedged frame.
@@ -305,9 +307,9 @@ impl StepScratch {
 /// compressed model).
 ///
 /// Model loads on a miss happen in the background (the frame is served by
-/// the best cached model), and their cost is tracked apart from the frame's
-/// latency. Only when the cache is completely empty does a synchronous load
-/// stall the frame.
+/// the best cached model) and charge no modelled time, retries included.
+/// Only when the cache is completely empty does a synchronous load stall
+/// the frame.
 ///
 /// The engine keeps what a later frame reads: the cache, the last
 /// suitability vector, exclusions and load strikes, the last-good
@@ -330,7 +332,6 @@ pub struct OnlineEngine<'a> {
     served_frames: usize,
     /// The model that served the last such frame.
     last_used: Option<usize>,
-    background_load_ms: f32,
     /// The last scored frame's suitability vector, reused across frames.
     /// `None` until a frame is scored.
     suitability: Option<Vec<f32>>,
@@ -388,7 +389,6 @@ impl<'a> OnlineEngine<'a> {
             rng: rng_from_seed(seed),
             served_frames: 0,
             last_used: None,
-            background_load_ms: 0.0,
             suitability: None,
             total_latency_ms: 0.0,
             hedged_frames: 0,
@@ -535,7 +535,8 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// The detections of the last frame a model actually served.
-    pub fn last_good(&self) -> Option<&[bool]> {
+    #[cfg(test)]
+    fn last_good(&self) -> Option<&[bool]> {
         self.last_good.as_deref()
     }
 
@@ -632,8 +633,7 @@ impl<'a> OnlineEngine<'a> {
     }
 
     /// Attempts to load `id` into the cache, consuming any pending injected
-    /// load fault. Returns whether the model ended up resident. All costs
-    /// (including retry backoff) are priced into `background_load_ms`.
+    /// load fault. Returns whether the model ended up resident.
     fn attempt_load(&mut self, id: usize) -> bool {
         if !self.loads_enabled {
             // Circuit breaker open: the load is suppressed without consuming
@@ -642,7 +642,6 @@ impl<'a> OnlineEngine<'a> {
             anole_obs::counter_add!("omi.load.suppressed", 1);
             return false;
         }
-        let tiny = ReferenceModel::Yolov3Tiny;
         let bytes = self.system.repository().model(id).serving_bytes();
         self.load_attempts += 1;
         anole_obs::counter_add!("omi.load.attempts", 1);
@@ -650,13 +649,11 @@ impl<'a> OnlineEngine<'a> {
             None => {
                 self.cache.insert_weighted(id, bytes);
                 anole_obs::counter_add!("cache.cold_loads", 1);
-                self.background_load_ms += self.latency.load_ms(tiny);
                 true
             }
             Some(LoadFault::Permanent) => {
                 self.fault_counts.permanent_load += 1;
                 anole_obs::counter_add!("omi.faults.permanent_load", 1);
-                self.background_load_ms += self.latency.load_ms(tiny);
                 self.exclude(id);
                 false
             }
@@ -664,29 +661,23 @@ impl<'a> OnlineEngine<'a> {
                 self.fault_counts.bundle_corruption += 1;
                 anole_obs::counter_add!("omi.faults.bundle_corruption", 1);
                 // The checksum check rejects the artifact after reading it.
-                self.background_load_ms += self.latency.load_ms(tiny);
                 self.exclude(id);
                 false
             }
             Some(LoadFault::Transient) => {
                 self.fault_counts.transient_load += 1;
                 anole_obs::counter_add!("omi.faults.transient_load", 1);
-                let mut cost = self.latency.load_retry_ms(tiny, 0);
-                let mut attempt = 1u32;
                 let mut loaded = false;
-                while attempt < MAX_LOAD_ATTEMPTS {
+                for _ in 1..MAX_LOAD_ATTEMPTS {
                     self.retries += 1;
                     anole_obs::counter_add!("omi.load.retries", 1);
-                    cost += self.latency.load_retry_ms(tiny, attempt);
                     let fails_again =
                         self.injector.as_mut().map(FaultInjector::retry_fails).unwrap_or(false);
                     if !fails_again {
                         loaded = true;
                         break;
                     }
-                    attempt += 1;
                 }
-                self.background_load_ms += cost;
                 if loaded {
                     self.cache.insert_weighted(id, bytes);
                     anole_obs::counter_add!("cache.cold_loads", 1);
@@ -1302,7 +1293,6 @@ mod tests {
         let stats = engine.cache_stats();
         assert!(fallbacks > 0, "fallback path never exercised: {stats}");
         assert_eq!(stats.lookups(), test.len() as u64);
-        assert!(engine.background_load_ms > 0.0);
         let report = engine.health_report();
         assert_eq!(report.fallback_depths[1], fallbacks);
         assert_eq!(report.frames_by_state, [report.frames, 0, 0]);
@@ -1416,7 +1406,6 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(plain.cache_stats(), chaos.cache_stats());
-        assert_eq!(plain.background_load_ms, chaos.background_load_ms);
         assert_eq!(chaos.health(), HealthState::Healthy);
         assert_eq!(chaos.health_report().faults.total(), 0);
     }
@@ -1536,7 +1525,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_with_priced_backoff() {
+    fn transient_failure_is_retried_until_the_load_succeeds() {
         let (dataset, system) = system();
         if system.repository().len() < 2 {
             return;
@@ -1561,16 +1550,6 @@ mod tests {
         assert_eq!(report.faults.transient_load, 1);
         assert!(report.retries > 0, "no retries happened");
         assert_eq!(report.load_strikes, 0, "the retry should have succeeded");
-        // Retry backoff is priced into background load time: it must exceed
-        // what the same number of clean loads would cost.
-        let clean_cost = engine.latency.load_ms(ReferenceModel::Yolov3Tiny)
-            * engine.cache_stats().insertions as f32;
-        assert!(
-            engine.background_load_ms > clean_cost,
-            "backoff not priced: {} vs {}",
-            engine.background_load_ms,
-            clean_cost
-        );
     }
 
     #[test]
@@ -1658,7 +1637,6 @@ mod tests {
         }
         assert_eq!(engine.load_attempt_count(), 0);
         assert_eq!(engine.load_failure_count(), 0);
-        assert_eq!(engine.background_load_ms, 0.0);
         assert_eq!(engine.cache_stats().insertions, 0);
         // Re-enabling loads resumes normal operation.
         engine.set_loads_enabled(true);

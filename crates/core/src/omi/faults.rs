@@ -17,7 +17,7 @@
 //!   walks (`Healthy → Degraded → Critical`) and the aggregate story of a
 //!   run: fault counts, retries, excluded models, fallback depths.
 //!
-//! The engine-side behaviour (fallback chain, retry-with-backoff, permanent
+//! The engine-side behaviour (fallback chain, bounded load retries, permanent
 //! exclusion) lives in [`crate::omi::OnlineEngine`]; see `docs/robustness.md`
 //! for the full taxonomy.
 
@@ -204,7 +204,6 @@ pub struct FaultPlan {
     checkpoint_write_rate: f32,
     truncated_artifact_rate: f32,
     link_death_rate: f32,
-    device_panic_rate: f32,
     queue_overflow_rate: f32,
     slow_consumer_rate: f32,
     session_stall_rate: f32,
@@ -225,7 +224,6 @@ impl FaultPlan {
             checkpoint_write_rate: 0.0,
             truncated_artifact_rate: 0.0,
             link_death_rate: 0.0,
-            device_panic_rate: 0.0,
             queue_overflow_rate: 0.0,
             slow_consumer_rate: 0.0,
             session_stall_rate: 0.0,
@@ -291,13 +289,6 @@ impl FaultPlan {
         self
     }
 
-    /// Per-attempt probability that a fleet device panics during its run.
-    #[must_use]
-    pub fn with_device_panic_rate(mut self, rate: f32) -> Self {
-        self.device_panic_rate = clamp_rate(rate);
-        self
-    }
-
     /// Per-push probability that a full session queue overflows (the oldest
     /// queued frame is force-dropped instead of deferring the producer).
     #[must_use]
@@ -359,7 +350,6 @@ impl FaultPlan {
             && self.checkpoint_write_rate == 0.0
             && self.truncated_artifact_rate == 0.0
             && self.link_death_rate == 0.0
-            && self.device_panic_rate == 0.0
             && self.queue_overflow_rate == 0.0
             && self.slow_consumer_rate == 0.0
             && self.session_stall_rate == 0.0
@@ -572,12 +562,13 @@ impl FaultInjector {
         self.draw(self.plan.link_death_rate, FaultKind::LinkDeath, index)
     }
 
-    /// Whether the next fleet device attempt panics. One draw per call;
-    /// scheduled [`FaultKind::DevicePanic`] events fire by draw index (the
-    /// supervisor draws once per device attempt in a fixed order).
+    /// Whether the next fleet device attempt panics. Purely scheduled, like
+    /// [`FaultInjector::bundle_is_stale`]: [`FaultKind::DevicePanic`] events
+    /// fire by draw index (the supervisor draws once per device attempt in
+    /// a fixed order) and no randomness is consumed.
     pub fn device_panics(&mut self) -> bool {
         let index = bump(&mut self.device_draws);
-        self.draw(self.plan.device_panic_rate, FaultKind::DevicePanic, index)
+        self.scheduled_at(FaultKind::DevicePanic, index)
     }
 
     /// Whether a full session queue's next push overflows (the gateway

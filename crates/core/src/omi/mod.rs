@@ -15,5 +15,5 @@ pub use faults::{
     HealthReport, HealthState, LoadFault,
 };
 pub use realtime::{run_realtime, FrameProcessor, RealTimeReport, TimedMethod};
-pub use switching::{scene_durations, SwitchStats};
+pub use switching::SwitchStats;
 pub use telemetry::{Telemetry, TelemetryRecord, TelemetrySummary};

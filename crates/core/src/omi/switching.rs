@@ -6,14 +6,7 @@
 //! under 40), which is why the model cache matters.
 
 /// Run lengths of consecutive identical entries in a usage log.
-///
-/// # Examples
-///
-/// ```
-/// let durations = anole_core::omi::scene_durations(&[1, 1, 2, 2, 2, 1]);
-/// assert_eq!(durations, vec![2, 3, 1]);
-/// ```
-pub fn scene_durations(usage_log: &[usize]) -> Vec<usize> {
+fn scene_durations(usage_log: &[usize]) -> Vec<usize> {
     let mut durations = Vec::new();
     let mut iter = usage_log.iter();
     let Some(mut current) = iter.next() else {

@@ -74,14 +74,14 @@ impl CompressedModel {
     /// # Errors
     ///
     /// Returns a width error if `x` does not match the feature dimension.
-    pub fn detect_probs(&self, x: &Matrix) -> Result<Matrix, AnoleError> {
+    fn detect_probs(&self, x: &Matrix) -> Result<Matrix, AnoleError> {
         match &self.quantized {
             Some(q) => Ok(sigmoid(&q.forward(x)?)),
             None => Ok(sigmoid(&self.net.forward(x)?)),
         }
     }
 
-    /// Workspace-backed variant of [`CompressedModel::detect_probs`]:
+    /// Workspace-backed variant of `detect_probs`:
     /// bit-identical probabilities with zero steady-state allocations once
     /// the workspace is warm.
     ///

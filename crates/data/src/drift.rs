@@ -94,7 +94,7 @@ pub enum DriftPhase {
 impl DriftPhase {
     /// Progress of this phase at `frame`: 0 before it starts, 1 once it has
     /// fully landed, linear in between.
-    pub fn progress(&self, frame: usize) -> f32 {
+    fn progress(&self, frame: usize) -> f32 {
         let (start, end) = match *self {
             DriftPhase::Gradual { start, end, .. } => (start, end),
             DriftPhase::Abrupt { at, .. } | DriftPhase::NovelScene { at, .. } => (at, at),
@@ -142,7 +142,7 @@ impl DriftSchedule {
     /// Applies the schedule to `clip` in place. Frames before every phase's
     /// onset are left untouched at the byte level; the world model supplies
     /// the style geometry of the clip's own scene and of each drift target.
-    pub fn apply(&self, world: &WorldModel, clip: &mut VideoClip) {
+    fn apply(&self, world: &WorldModel, clip: &mut VideoClip) {
         if self.is_stationary() {
             return;
         }

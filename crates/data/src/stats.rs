@@ -20,7 +20,8 @@ pub struct DiversityReport {
 
 impl DiversityReport {
     /// Value range (max − min) of a CDF, a scalar diversity measure.
-    pub fn spread(cdf: &[CdfPoint]) -> f32 {
+    #[cfg(test)]
+    fn spread(cdf: &[CdfPoint]) -> f32 {
         match (cdf.first(), cdf.last()) {
             (Some(a), Some(b)) => b.value - a.value,
             _ => 0.0,

@@ -50,7 +50,7 @@ impl DetectionCounts {
     }
 
     /// Recall `tp / (tp + fn)`; 0.0 when nothing was truly positive.
-    pub fn recall(&self) -> f32 {
+    fn recall(&self) -> f32 {
         let denom = self.true_positives + self.false_negatives;
         if denom == 0 {
             0.0

@@ -111,16 +111,6 @@ impl LatencyModel {
         self.spec.framework_init_ms
     }
 
-    /// Cost of the `attempt`-th (0-based) load attempt under
-    /// retry-with-backoff: the weight I/O plus an exponentially growing
-    /// back-off pause before each retry, so a load that fails `n` times
-    /// costs `load_ms · (2ⁿ⁺¹ − 1)` in total. Retries are priced through
-    /// the latency model — they cost simulated milliseconds, never
-    /// wall-clock sleeps.
-    pub fn load_retry_ms(&self, model: ReferenceModel, attempt: u32) -> f32 {
-        self.load_ms(model) * 2f32.powi(attempt.min(16) as i32)
-    }
-
     /// First-twenty-frames latency trace of Fig. 4a: frame 0 pays framework
     /// init + model load + inference; subsequent frames pay inference only.
     pub fn cold_start_trace(
@@ -221,17 +211,6 @@ mod tests {
         let deep = m.load_ms(ReferenceModel::Yolov3);
         let tiny = m.load_ms(ReferenceModel::Yolov3Tiny);
         assert!((deep / tiny - 237.0 / 34.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn retry_backoff_doubles_per_attempt() {
-        let m = LatencyModel::for_device(DeviceKind::JetsonNano);
-        let base = m.load_ms(ReferenceModel::Yolov3Tiny);
-        assert_eq!(m.load_retry_ms(ReferenceModel::Yolov3Tiny, 0), base);
-        assert_eq!(m.load_retry_ms(ReferenceModel::Yolov3Tiny, 1), 2.0 * base);
-        assert_eq!(m.load_retry_ms(ReferenceModel::Yolov3Tiny, 3), 8.0 * base);
-        // The exponent is clamped so absurd attempt counts stay finite.
-        assert!(m.load_retry_ms(ReferenceModel::Yolov3Tiny, 40).is_finite());
     }
 
     #[test]

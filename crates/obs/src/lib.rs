@@ -43,7 +43,7 @@ pub use timeseries::SeriesRecorder;
 mod registry;
 #[cfg(feature = "enabled")]
 pub use registry::{
-    capture_series, counter, counter_add, elapsed_ms, enabled, gauge, gauge_set, histogram,
+    capture_series, counter, counter_add, elapsed_ms, enabled, gauge_set, histogram,
     histogram_record, last_root_span_id, now, render_trace, reset, set_clock, snapshot,
     span_enter, to_json, to_prometheus, Counter, CounterSite, Gauge, GaugeSite, Histogram,
     HistogramSite, SpanGuard,

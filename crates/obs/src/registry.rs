@@ -207,7 +207,7 @@ pub fn counter(name: &'static str) -> &'static Counter {
 }
 
 /// Resolve (registering on first use) the gauge named `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
+fn gauge(name: &'static str) -> &'static Gauge {
     let mut map = registry().gauges.lock().expect("gauge registry");
     map.entry(name)
         .or_insert_with(|| Box::leak(Box::new(Gauge::default())))

@@ -12,7 +12,7 @@
 //! use anole_tensor::Matrix;
 //!
 //! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-//! let b = Matrix::identity(2);
+//! let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]])?;
 //! let c = a.matmul(&b)?;
 //! assert_eq!(c, a);
 //! # Ok::<(), anole_tensor::ShapeError>(())
@@ -48,4 +48,4 @@ pub use matrix::{Matrix, ShapeError};
 pub use quant::{QuantMatrix, QuantRows, MAX_EXACT_DEPTH};
 pub use parallel::{parallel_config, set_parallel_config, ParallelConfig};
 pub use rng::{rng_from_seed, split_seed, Seed, StdRng};
-pub use stats::{argmax, cosine_similarity, empirical_cdf, l2_distance, mean, stddev, CdfPoint};
+pub use stats::{argmax, cosine_similarity, empirical_cdf, l2_distance, mean, CdfPoint};

@@ -370,7 +370,7 @@ fn block_portable<const V: usize, const MASKED: bool>(
 /// ```
 /// use anole_tensor::Matrix;
 ///
-/// let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])?;
+/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.row(1), &[3.0, 4.0]);
 /// # Ok::<(), anole_tensor::ShapeError>(())
@@ -426,24 +426,13 @@ impl Matrix {
     }
 
     /// Creates the `n`×`n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1.0);
         }
         m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, ShapeError> {
-        if data.len() != rows * cols {
-            return Err(ShapeError::new("from_vec", (rows, cols), (data.len(), 1)));
-        }
-        Ok(Self { rows, cols, data })
     }
 
     /// Creates a matrix from row slices.

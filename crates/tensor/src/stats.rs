@@ -54,7 +54,8 @@ pub fn mean(values: &[f32]) -> f32 {
 }
 
 /// Population standard deviation; 0.0 for an empty slice.
-pub fn stddev(values: &[f32]) -> f32 {
+#[cfg(test)]
+fn stddev(values: &[f32]) -> f32 {
     if values.is_empty() {
         return 0.0;
     }

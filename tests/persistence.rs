@@ -2,7 +2,7 @@
 //! system, save both to disk, reload them in a "new process", and verify
 //! the reloaded deployment behaves identically.
 
-use anole::core::deploy::{load_bundle, read_manifest, save_bundle, simulate_download};
+use anole::core::deploy::{download_resumable, load_bundle, read_manifest, save_bundle};
 use anole::core::omi::{Telemetry, TelemetryRecord};
 use anole::core::{AnoleConfig, AnoleSystem};
 use anole::data::{DatasetConfig, DrivingDataset};
@@ -56,9 +56,10 @@ fn dataset_and_bundle_round_trip_preserves_behaviour() {
     // The staged download of the bundle completes over the unstable link.
     let mut link = UnstableLink::new(UnstableLinkConfig::default());
     let mut rng = rng_from_seed(Seed(204));
-    let report = simulate_download(&manifest, &mut link, &mut rng);
+    let report = download_resumable(&manifest, &mut link, &mut rng, None, 1).unwrap();
     assert!(report.total_ms > 0.0);
     assert!(report.chunks > 0);
+    assert_eq!(report.transferred_bytes, report.payload_bytes);
 
     std::fs::remove_dir_all(&dataset_dir).unwrap();
     std::fs::remove_dir_all(&bundle_dir).unwrap();

@@ -251,7 +251,6 @@ fn panicking_device_is_quarantined_without_aborting_the_fleet() {
         devices: 2,
         frames_per_day: 40,
         min_footage: 100_000,
-        max_device_retries: 1,
     };
     // Day 0 draws panic decisions for devices 0 and 1 (draws 0, 1), then
     // for device 0's retry (draw 2): device 0 panics twice and is
@@ -268,7 +267,8 @@ fn panicking_device_is_quarantined_without_aborting_the_fleet() {
         Some(plan.injector()),
     )
     .unwrap();
-    assert_eq!(report.quarantined, vec![0]);
+    let quarantined: Vec<usize> = report.quarantine_records.iter().map(|r| r.session).collect();
+    assert_eq!(quarantined, vec![0]);
     assert_eq!(report.days.len(), schedule.len());
     assert_eq!(report.days[0].device_panics, 2);
     // Device 1 drove both days alone after device 0 was quarantined.
