@@ -278,6 +278,7 @@ pub fn fleet_lifecycle_week(ctx: &Context) -> String {
         &schedule,
         &config,
         split_seed(ctx.seed, 913),
+        None,
     )
     .expect("fleet run");
 

@@ -278,7 +278,8 @@ impl CheckpointStore {
 
     /// Removes every checkpoint file in the store (e.g. after a training
     /// run completes and the bundle has shipped).
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
         };

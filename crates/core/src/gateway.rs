@@ -1,35 +1,37 @@
 //! Fleet serving gateway: N devices multiplexed as long-lived sessions.
 //!
-//! [`run_fleet_supervised`](crate::lifecycle::run_fleet_supervised) treats a
-//! fleet as isolated fan-out jobs: each device runs its whole day in one
-//! closure and the coordinator only sees the result. A serving fleet does
-//! not look like that — frames arrive on a cadence, devices fall behind,
+//! In a serving fleet frames arrive on a cadence, devices fall behind,
 //! queues fill, models fail to load in bursts, and one slow or crashing
 //! session must never take the others with it. The [`Gateway`] models that
-//! regime as a message-queue-driven scheduler:
+//! regime as a message-queue-driven scheduler (the fleet lifecycle,
+//! [`run_fleet`](crate::lifecycle::run_fleet), serves each day through it):
 //!
-//! * every admitted session owns a **bounded frame queue**; when it fills,
-//!   the producer receives explicit backpressure and pauses (a
+//! * every admitted session owns a **bounded frame queue** of four frames;
+//!   when it fills, the producer receives explicit backpressure and pauses (a
 //!   [`FaultKind::QueueOverflow`] injection forces the lossy alternative —
 //!   the oldest frame is dropped);
 //! * each session walks the state machine `Admitted → Active → Draining →
 //!   {Completed, Shed, Quarantined}` — every admitted session reaches a
-//!   terminal state, enforced structurally by a window watchdog;
+//!   terminal state, enforced structurally by a window watchdog that
+//!   force-sheds what is still live after `max(4096, 64 × longest
+//!   session)` windows;
 //! * frames carry a **deadline budget**: a frame still queued past it is
 //!   shed (served from last-good detections via the health ladder) instead
 //!   of stalling the fleet, and a session that sheds too many consecutive
 //!   frames is itself shed;
-//! * the scheduler stacks frames that arrive within one **scheduling
-//!   window** from different sessions into a single cross-device batched
-//!   `M_decision` forward and hands each engine its row
+//! * the scheduler stacks every frame offered within one **scheduling
+//!   window**, from however many sessions, into a single cross-device
+//!   batched `M_decision` forward and hands each engine its row
 //!   ([`OnlineEngine::step_with_scores`]); per-row the batched forward is
 //!   bit-identical to the engine's own scoring, so batching is purely a
-//!   throughput optimization;
+//!   throughput optimization, and a frame with non-finite features fails
+//!   its own session only, as it would alone;
 //! * admission past the high-water mark is a typed
 //!   [`AnoleError::SessionRejected`], never a panic;
-//! * repeated model-load failures trip a **circuit breaker**: all engines
-//!   ride their fallback chains with loads suppressed until a priced
-//!   half-open probe on one session succeeds;
+//! * repeated model-load failures (six, fleet-wide) trip a **circuit
+//!   breaker**: all engines ride their fallback chains with loads
+//!   suppressed until, after a 500 ms cooldown, a priced half-open probe
+//!   on one session succeeds;
 //! * every frame dispatch runs under `catch_unwind`, so a panicking session
 //!   (injected via [`SessionSpec::inject_panic`] or real) is quarantined
 //!   while the rest of the fleet keeps serving;
@@ -49,8 +51,8 @@ use anole_data::Frame;
 use anole_detect::DetectionCounts;
 use anole_device::DeviceKind;
 use anole_obs::{
-    AlertSeverity, CounterSample, FixedHistogram, GaugeSample, HistogramSample, MetricsSnapshot,
-    SeriesRecorder, SloAlert, SloEngine, SloSpec,
+    AlertSeverity, CounterSample, FixedHistogram, HistogramSample, MetricsSnapshot, SeriesRecorder,
+    SloAlert, SloEngine, SloSpec,
 };
 use anole_tensor::Seed;
 
@@ -78,6 +80,22 @@ const DEVICE: DeviceKind = DeviceKind::JetsonTx2Nx;
 /// Queue-depth histogram buckets (frames waiting per session).
 const QUEUE_DEPTH_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
+/// Bounded per-session frame queue capacity. A full queue signals
+/// backpressure to the producer (or drops the oldest frame under an
+/// injected [`FaultKind::QueueOverflow`]).
+const QUEUE_CAPACITY: usize = 4;
+
+/// Model-load failures (fleet-wide, while the breaker is closed) that trip
+/// the circuit breaker.
+const BREAKER_THRESHOLD: usize = 6;
+
+/// Virtual milliseconds the breaker stays open before a half-open probe.
+const BREAKER_COOLDOWN_MS: f64 = 500.0;
+
+/// The window watchdog's floor: a run is never cut before this many
+/// scheduling windows.
+const MIN_WATCHDOG_WINDOWS: usize = 4096;
+
 /// Per-frame callback invoked after each successfully processed frame (in
 /// the same `catch_unwind` scope as the step itself). The fleet lifecycle
 /// uses it for drift scoring and footage collection.
@@ -89,34 +107,16 @@ pub struct GatewayConfig {
     /// High-water mark: sessions admitted and not yet terminal. Admission
     /// past it returns [`AnoleError::SessionRejected`].
     pub max_sessions: usize,
-    /// Bounded per-session frame queue capacity. A full queue signals
-    /// backpressure to the producer (or drops the oldest frame under an
-    /// injected [`FaultKind::QueueOverflow`]).
-    pub queue_capacity: usize,
     /// Per-frame deadline budget in virtual milliseconds, measured from the
     /// frame's nominal arrival. Queued frames past it are shed.
     /// `f64::INFINITY` disables shedding.
     pub deadline_ms: f64,
-    /// Minimum ready frames for a batched decision forward; below it each
-    /// session scores its own frame ([`OnlineEngine::step`]). `usize::MAX`
-    /// disables batching entirely.
-    pub batch_min: usize,
     /// Consecutive shed frames after which the whole session is shed.
     /// `usize::MAX` disables session shedding.
     pub shed_session_after: usize,
-    /// Model-load failures (fleet-wide, while the breaker is closed) that
-    /// trip the circuit breaker.
-    pub breaker_threshold: usize,
-    /// Virtual milliseconds the breaker stays open before a half-open
-    /// probe.
-    pub breaker_cooldown_ms: f64,
     /// Latency multiplier applied to a frame hit by an injected
     /// [`FaultKind::SlowConsumer`].
     pub slow_factor: f64,
-    /// Hard cap on scheduling windows; non-terminal sessions are force-shed
-    /// when it is reached (the zero-lost-sessions backstop). `0` picks
-    /// `max(4096, 64 × longest session)` automatically.
-    pub max_windows: usize,
     /// Per-session flight-recorder depth: every admitted engine keeps a
     /// bounded ring of its last N wide events (one compact
     /// [`FlightFrame`](crate::omi::FlightFrame) per frame), dumped into the
@@ -129,14 +129,9 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         Self {
             max_sessions: 4096,
-            queue_capacity: 4,
             deadline_ms: 100.0,
-            batch_min: 2,
             shed_session_after: 8,
-            breaker_threshold: 6,
-            breaker_cooldown_ms: 500.0,
             slow_factor: 4.0,
-            max_windows: 0,
             flight_recorder_frames: 0,
         }
     }
@@ -155,29 +150,14 @@ impl GatewayConfig {
         if self.max_sessions == 0 {
             return bad("max_sessions", "the gateway must admit at least one session".into());
         }
-        if self.queue_capacity == 0 {
-            return bad("queue_capacity", "a session queue needs at least one slot".into());
-        }
         if self.deadline_ms.is_nan() || self.deadline_ms <= 0.0 {
             return bad(
                 "deadline_ms",
                 format!("{} is not a positive budget (use INFINITY to disable)", self.deadline_ms),
             );
         }
-        if self.batch_min == 0 {
-            return bad("batch_min", "a batch holds at least one frame".into());
-        }
         if self.shed_session_after == 0 {
             return bad("shed_session_after", "shedding a session needs at least one miss".into());
-        }
-        if self.breaker_threshold == 0 {
-            return bad("breaker_threshold", "the breaker needs at least one failure".into());
-        }
-        if !(self.breaker_cooldown_ms.is_finite() && self.breaker_cooldown_ms >= 0.0) {
-            return bad(
-                "breaker_cooldown_ms",
-                format!("{} is not a valid cooldown", self.breaker_cooldown_ms),
-            );
         }
         if !(self.slow_factor.is_finite() && self.slow_factor >= 1.0) {
             return bad(
@@ -367,11 +347,11 @@ pub struct GatewayReport {
     pub frames_shed: usize,
     /// Frames dropped without service.
     pub frames_dropped: usize,
-    /// Batched decision forwards issued.
+    /// Decision forwards that stacked two or more frames.
     pub batched_calls: usize,
-    /// Frames scored through batched forwards.
+    /// Frames scored in those stacked forwards.
     pub batched_frames: usize,
-    /// Frames scored per-session (window below `batch_min`).
+    /// Decision forwards over a window's only frame.
     pub single_calls: usize,
     /// Scheduling windows executed.
     pub windows: usize,
@@ -714,11 +694,6 @@ impl<'a> Gateway<'a> {
         self
     }
 
-    /// The configuration this gateway runs under.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
     /// Sessions admitted and not yet terminal. O(1): maintained on every
     /// session state transition, never recomputed by scanning the roster.
     fn active_sessions(&self) -> usize {
@@ -811,7 +786,7 @@ impl<'a> Gateway<'a> {
             engine,
             frames: spec.frames,
             next_frame: 0,
-            queue: VecDeque::with_capacity(self.config.queue_capacity),
+            queue: VecDeque::with_capacity(QUEUE_CAPACITY),
             next_arrival_ms: self.now_ms,
             busy_until_ms: self.now_ms,
             stalled_until_ms: self.now_ms,
@@ -835,28 +810,21 @@ impl<'a> Gateway<'a> {
         Ok(id)
     }
 
-    /// Effective window watchdog for the admitted roster.
-    fn effective_max_windows(&self) -> usize {
-        if self.config.max_windows > 0 {
-            return self.config.max_windows;
-        }
-        let longest = self.sessions.iter().map(|s| s.frames.len()).max().unwrap_or(0);
-        longest.saturating_mul(64).max(4096)
-    }
-
     /// Runs every admitted session to a terminal state and reports.
     ///
     /// The scheduler advances virtual time window by window, each window a
     /// sequence of phases: producers enqueue due frames (pausing under
     /// backpressure), over-deadline frames are shed and idle sessions offer
     /// a frame, the offered frames are stacked into one batched decision
-    /// forward (or stepped per-session below `batch_min`), dispatched, and
-    /// drained sessions retire; then the circuit breaker arbitrates model
-    /// loads. The loop always terminates: total service work is finite and
-    /// the window watchdog force-sheds stragglers, so
-    /// `report.lost_sessions() == 0` holds structurally.
+    /// forward and dispatched, each with its row, and drained sessions
+    /// retire; then the circuit breaker arbitrates model loads. The loop
+    /// always terminates: total service work is finite and the window
+    /// watchdog force-sheds stragglers, so `report.lost_sessions() == 0`
+    /// holds structurally.
     pub fn run(&mut self) -> GatewayReport {
-        let max_windows = self.effective_max_windows();
+        // The window watchdog's cut-off.
+        let longest = self.sessions.iter().map(|s| s.frames.len()).max().unwrap_or(0);
+        let max_windows = longest.saturating_mul(64).max(MIN_WATCHDOG_WINDOWS);
         // A window offers at most one frame per live session: size its
         // candidate list and score rows once, so no window grows them.
         self.candidates.reserve(self.active_count);
@@ -888,8 +856,8 @@ impl<'a> Gateway<'a> {
             self.produce(now);
             let mut candidates = std::mem::take(&mut self.candidates);
             self.shed_and_select(now, &mut candidates);
-            let scored = self.score(&candidates);
-            self.dispatch(now, &candidates, scored);
+            self.score(&candidates);
+            self.dispatch(now, &candidates);
             self.candidates = candidates;
             self.retire_drained();
 
@@ -912,14 +880,13 @@ impl<'a> Gateway<'a> {
     /// order). A full queue pauses the producer, or under an injected
     /// overflow drops the oldest queued frame.
     fn produce(&mut self, now: f64) {
-        let cfg = self.config;
         for &idx in &self.active_ids {
             let s = &mut self.sessions[idx];
             if s.state.is_terminal() {
                 continue;
             }
             while s.next_frame < s.frames.len() && s.next_arrival_ms <= now {
-                if s.queue.len() >= cfg.queue_capacity {
+                if s.queue.len() >= QUEUE_CAPACITY {
                     let forced = self.injector.as_mut().is_some_and(FaultInjector::queue_overflows);
                     if forced {
                         // Injected overflow: the bounded queue holds its
@@ -1014,13 +981,14 @@ impl<'a> Gateway<'a> {
         }
     }
 
-    /// Score: one cross-device batched decision forward when the window
-    /// gathered at least `batch_min` frames; per row it is bit-identical to
-    /// each engine scoring its own frame. Returns whether `score_buf` holds
-    /// one row per candidate.
-    fn score(&mut self, candidates: &[Candidate]) -> bool {
-        if candidates.len() < self.config.batch_min {
-            return false;
+    /// Score: one cross-device batched decision forward over every frame
+    /// the window offers, into `score_buf`, one row per candidate; per row
+    /// it is bit-identical to each engine scoring its own frame. A frame
+    /// with non-finite features gets a row too; its engine rejects the
+    /// frame itself, failing that session alone.
+    fn score(&mut self, candidates: &[Candidate]) {
+        if candidates.is_empty() {
+            return;
         }
         let width = self.system.decision().network().input_dim();
         let scratch = &mut self.scratch;
@@ -1029,27 +997,29 @@ impl<'a> Gateway<'a> {
             let features = &self.sessions[c.session].frames[c.frame].features;
             scratch.row.row_mut(row).copy_from_slice(features);
         }
-        // A poisoned batch (non-finite features) falls back to per-session
-        // scoring, where the offending session earns its own typed error.
-        let decision = self.system.decision();
-        let Ok(scores) = decision.suitability_ws(&scratch.row, &mut scratch.ws) else {
-            return false;
-        };
+        let scores = self
+            .system
+            .decision()
+            .suitability_ws(&scratch.row, &mut scratch.ws)
+            .expect("admission checked every frame's feature width");
         self.score_buf.clear();
         for row in 0..scores.rows() {
             self.score_buf.extend_from_slice(scores.row(row));
         }
-        self.batched_calls += 1;
-        self.batched_frames += candidates.len();
-        anole_obs::counter_add!("gateway.batch.calls", 1);
-        anole_obs::counter_add!("gateway.batch.frames", candidates.len() as u64);
-        true
+        if candidates.len() == 1 {
+            self.single_calls += 1;
+        } else {
+            self.batched_calls += 1;
+            self.batched_frames += candidates.len();
+            anole_obs::counter_add!("gateway.batch.calls", 1);
+            anole_obs::counter_add!("gateway.batch.frames", candidates.len() as u64);
+        }
     }
 
-    /// Dispatch: steps each candidate frame under `catch_unwind`, so a
-    /// panicking or failing session is quarantined while the rest of the
-    /// fleet keeps serving.
-    fn dispatch(&mut self, now: f64, candidates: &[Candidate], scored: bool) {
+    /// Dispatch: steps each candidate frame on its row of the window's
+    /// scores under `catch_unwind`, so a panicking or failing session is
+    /// quarantined while the rest of the fleet keeps serving.
+    fn dispatch(&mut self, now: f64, candidates: &[Candidate]) {
         let model_count = self.system.repository().len();
         for (ci, c) in candidates.iter().enumerate() {
             let s = &mut self.sessions[c.session];
@@ -1059,12 +1029,7 @@ impl<'a> Gateway<'a> {
                 // makes that impossible, but stay defensive.
                 continue;
             }
-            let scores_row: Option<&[f32]> = if scored {
-                Some(&self.score_buf[ci * model_count..(ci + 1) * model_count])
-            } else {
-                self.single_calls += 1;
-                None
-            };
+            let scores_row = &self.score_buf[ci * model_count..(ci + 1) * model_count];
             let panic_now = s.inject_panic;
             let sid = s.id;
             let frame = &s.frames[c.frame];
@@ -1079,7 +1044,7 @@ impl<'a> Gateway<'a> {
                     if panic_now {
                         panic!("injected session panic (session {sid})");
                     }
-                    let out = engine.step_in(&frame.features, scores_row, scratch)?;
+                    let out = engine.step_in(&frame.features, Some(scores_row), scratch)?;
                     if let Some(h) = handler {
                         h(frame, &out)?;
                     }
@@ -1217,7 +1182,7 @@ impl<'a> Gateway<'a> {
     fn tick_breaker(&mut self, now: f64) {
         match self.breaker {
             BreakerState::Closed => {
-                if self.breaker_failures >= self.config.breaker_threshold {
+                if self.breaker_failures >= BREAKER_THRESHOLD {
                     self.breaker = BreakerState::Open;
                     self.breaker_opened_at_ms = now;
                     self.breaker_trips += 1;
@@ -1231,7 +1196,7 @@ impl<'a> Gateway<'a> {
                 }
             }
             BreakerState::Open => {
-                if now - self.breaker_opened_at_ms >= self.config.breaker_cooldown_ms {
+                if now - self.breaker_opened_at_ms >= BREAKER_COOLDOWN_MS {
                     if let Some(idx) = self
                         .active_ids
                         .iter()
@@ -1312,10 +1277,6 @@ impl<'a> Gateway<'a> {
                     value: self.sessions_quarantined_run,
                 },
             ],
-            gauges: vec![GaugeSample {
-                name: "gateway.sessions.active".to_string(),
-                value: self.active_count as f64,
-            }],
             histograms: vec![
                 HistogramSample {
                     name: "gateway.queue.depth".to_string(),
@@ -1439,8 +1400,7 @@ mod tests {
         // Three sessions through the gateway, outcomes recorded by handler.
         let outcomes: Vec<Rc<RefCell<Vec<StepOutcome>>>> =
             (0..3).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
-        let mut gateway =
-            Gateway::new(&system, GatewayConfig { batch_min: 1, ..lossless() }).unwrap();
+        let mut gateway = Gateway::new(&system, lossless()).unwrap();
         for (i, sink) in outcomes.iter().enumerate() {
             let sink = Rc::clone(sink);
             gateway
@@ -1456,7 +1416,7 @@ mod tests {
         let report = gateway.run();
         assert_eq!(report.lost_sessions(), 0);
         assert_eq!(report.completed, 3);
-        assert!(report.batched_calls > 0, "batch_min=1 must batch every window");
+        assert!(report.batched_calls > 0, "three live sessions stack every window");
         assert_eq!(report.single_calls, 0);
 
         // The same frames through bare engines, one step at a time.
@@ -1501,10 +1461,9 @@ mod tests {
                     .at(11, FaultKind::DecisionAnomaly)
             })
         };
-        // Windows with four or five frames score in one batch; the last
-        // windows, with three sessions left or fewer, step per session.
-        let config = GatewayConfig { batch_min: 4, ..lossless() };
-        let mut gateway = Gateway::new(&system, config).unwrap();
+        // Windows with two sessions left or more stack their frames; the
+        // last two, with session 0 alone, score its one frame.
+        let mut gateway = Gateway::new(&system, lossless()).unwrap();
         let outcomes: Vec<Rc<RefCell<Vec<StepOutcome>>>> =
             streams.iter().map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
         for (i, (&stream, sink)) in streams.iter().zip(&outcomes).enumerate() {
@@ -1694,11 +1653,7 @@ mod tests {
         let frames = test_frames(&dataset, 40);
         // Cold caches + every load permanently failing: failures accumulate
         // fast, the breaker trips, and sessions ride their pinned fallback.
-        let mut gateway = Gateway::new(
-            &system,
-            GatewayConfig { breaker_threshold: 3, breaker_cooldown_ms: 100.0, ..lossless() },
-        )
-        .unwrap();
+        let mut gateway = Gateway::new(&system, lossless()).unwrap();
         for i in 0..3 {
             gateway
                 .admit(SessionSpec {
@@ -1727,34 +1682,29 @@ mod tests {
         let frames = test_frames(&dataset, 60);
         // A scheduled burst of permanent load faults early on, clean after:
         // the breaker trips, cools down, probes successfully, and recloses.
-        let mut plan = FaultPlan::new(Seed(950));
-        for frame in 0..4 {
-            plan = plan.at(frame, FaultKind::PermanentLoadFailure);
-        }
+        // A fault fails the session's next load and armed faults do not
+        // stack, so each session's burst of six fails three loads: six in
+        // all, the breaker's threshold.
+        let burst = |seed: u64| {
+            (0..BREAKER_THRESHOLD).fold(FaultPlan::new(Seed(seed)), |plan, frame| {
+                plan.at(frame, FaultKind::PermanentLoadFailure)
+            })
+        };
         // Pin the *last* repository model so the probe session's cold cache
         // keeps missing on the (usually different) top-ranked model and the
         // half-open probe actually attempts a load.
         let pinned = Some(system.repository().len() - 1);
-        let mut gateway = Gateway::new(
-            &system,
-            GatewayConfig { breaker_threshold: 2, breaker_cooldown_ms: 66.0, ..lossless() },
-        )
-        .unwrap();
-        gateway
-            .admit(SessionSpec {
-                pinned,
-                warm: false,
-                fault_plan: Some(plan),
-                ..SessionSpec::new(frames.clone(), Seed(951))
-            })
-            .unwrap();
-        gateway
-            .admit(SessionSpec {
-                pinned,
-                warm: false,
-                ..SessionSpec::new(frames, Seed(952))
-            })
-            .unwrap();
+        let mut gateway = Gateway::new(&system, lossless()).unwrap();
+        for (i, seed) in [950, 953].into_iter().enumerate() {
+            gateway
+                .admit(SessionSpec {
+                    pinned,
+                    warm: false,
+                    fault_plan: Some(burst(seed)),
+                    ..SessionSpec::new(frames.clone(), Seed(951 + i as u64))
+                })
+                .unwrap();
+        }
         let report = gateway.run();
         assert_eq!(report.lost_sessions(), 0);
         assert!(report.breaker_trips >= 1);
@@ -1767,11 +1717,7 @@ mod tests {
         let (dataset, system) = world();
         let frames = test_frames(&dataset, 25);
         let run = |plan: Option<FaultPlan>| {
-            let mut gateway = Gateway::new(
-                &system,
-                GatewayConfig { queue_capacity: 2, ..lossless() },
-            )
-            .unwrap();
+            let mut gateway = Gateway::new(&system, lossless()).unwrap();
             if let Some(plan) = plan {
                 gateway = gateway.with_fault_plan(plan);
             }
@@ -1802,21 +1748,24 @@ mod tests {
     fn unbatched_run_matches_batched_run_per_session() {
         let (dataset, system) = world();
         let frames = test_frames(&dataset, 10);
-        let run = |batch_min: usize| {
-            let mut gateway =
-                Gateway::new(&system, GatewayConfig { batch_min, ..lossless() }).unwrap();
-            for i in 0..3 {
-                gateway.admit(SessionSpec::new(frames.clone(), Seed(600 + i))).unwrap();
-            }
-            gateway.run()
-        };
-        let batched = run(1);
-        let single = run(usize::MAX);
+        let spec = |i: u64| SessionSpec::new(frames.clone(), Seed(600 + i));
+        let mut gateway = Gateway::new(&system, lossless()).unwrap();
+        for i in 0..3 {
+            gateway.admit(spec(i)).unwrap();
+        }
+        let batched = gateway.run();
         assert!(batched.batched_calls > 0 && batched.single_calls == 0);
-        assert!(single.batched_calls == 0 && single.single_calls > 0);
-        // Scoring path is the only difference; everything observable about
-        // the sessions is bit-identical.
-        assert_eq!(batched.sessions, single.sessions);
+        for i in 0..3 {
+            // Alone in its own gateway, every window scores one frame.
+            let mut gateway = Gateway::new(&system, lossless()).unwrap();
+            gateway.admit(spec(i)).unwrap();
+            let single = gateway.run();
+            assert!(single.batched_calls == 0 && single.single_calls > 0);
+            // How many frames a window stacks is the only difference;
+            // everything observable about the session is bit-identical.
+            let alone = SessionReport { id: i as usize, ..single.sessions[0].clone() };
+            assert_eq!(batched.sessions[i as usize], alone, "session {i}");
+        }
     }
 
     #[test]
@@ -1824,18 +1773,16 @@ mod tests {
         let (dataset, system) = world();
         let frames = test_frames(&dataset, 5);
         // Stall on every draw: no session ever becomes eligible.
-        let mut gateway = Gateway::new(
-            &system,
-            GatewayConfig { max_windows: 50, ..lossless() },
-        )
-        .unwrap()
-        .with_fault_plan(FaultPlan::new(Seed(55)).with_session_stall_rate(1.0));
+        let mut gateway = Gateway::new(&system, lossless())
+            .unwrap()
+            .with_fault_plan(FaultPlan::new(Seed(55)).with_session_stall_rate(1.0));
         gateway.admit(SessionSpec::new(frames, Seed(56))).unwrap();
         let report = gateway.run();
         assert_eq!(report.lost_sessions(), 0);
         assert_eq!(report.watchdog_shed, 1);
         assert_eq!(report.sessions[0].state, SessionState::Shed);
-        assert_eq!(report.windows, 50);
+        // Five frames are far below the floor, so the floor cuts the run.
+        assert_eq!(report.windows, MIN_WATCHDOG_WINDOWS);
     }
 
     #[test]
@@ -1843,11 +1790,14 @@ mod tests {
         let (_dataset, system) = world();
         let err = Gateway::new(
             &system,
-            GatewayConfig { queue_capacity: 0, ..GatewayConfig::default() },
+            GatewayConfig { shed_session_after: 0, ..GatewayConfig::default() },
         )
         .map(|_| ())
         .unwrap_err();
-        assert!(matches!(err, AnoleError::InvalidConfig { what: "queue_capacity", .. }), "{err}");
+        assert!(
+            matches!(err, AnoleError::InvalidConfig { what: "shed_session_after", .. }),
+            "{err}"
+        );
         let err = Gateway::new(
             &system,
             GatewayConfig { slow_factor: 0.5, ..GatewayConfig::default() },
@@ -1855,6 +1805,44 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(matches!(err, AnoleError::InvalidConfig { what: "slow_factor", .. }), "{err}");
+    }
+
+    #[test]
+    fn a_non_finite_frame_quarantines_only_its_session_alone_or_stacked() {
+        let (dataset, system) = world();
+        // Session 1 carries a NaN feature at frame `at` and runs 12 frames
+        // beside two 8-frame sessions: at frame 2 its window stacks three
+        // frames, at frame 10 it is the only session left.
+        let run = |at: usize| {
+            let mut poisoned = test_frames(&dataset, 12);
+            poisoned[at].features[3] = f32::NAN;
+            let mut gateway = Gateway::new(&system, lossless()).unwrap();
+            gateway.admit(SessionSpec::new(test_frames(&dataset, 8), Seed(1))).unwrap();
+            gateway.admit(SessionSpec::new(poisoned, Seed(2))).unwrap();
+            gateway.admit(SessionSpec::new(test_frames(&dataset, 8), Seed(3))).unwrap();
+            let report = gateway.run();
+            assert_eq!(report.lost_sessions(), 0);
+            assert_eq!(report.completed, 2, "frame {at}: {report:?}");
+            assert_eq!(report.sessions[0].processed, 8);
+            assert_eq!(report.sessions[2].processed, 8);
+            assert_eq!(report.sessions[1].state, SessionState::Quarantined);
+            assert_eq!(report.sessions[1].processed, at);
+            assert_eq!(report.quarantined.len(), 1);
+            assert_eq!(report.quarantined[0].reason, QuarantineReason::EngineError);
+            let errors = gateway.take_session_errors();
+            assert_eq!(errors.len(), 1);
+            assert_eq!(errors[0].0, 1);
+            assert!(matches!(errors[0].1, AnoleError::InvalidFrame { .. }), "{}", errors[0].1);
+            (report.single_calls, report.quarantined[0].detail.clone())
+        };
+        let (stacked_singles, stacked) = run(2);
+        let (alone_singles, alone) = run(10);
+        // Stacked, the poisoned frame shared a three-row forward; alone, it
+        // was its window's only frame.
+        assert_eq!(stacked_singles, 0);
+        assert!(alone_singles > 0);
+        assert!(stacked.contains("feature 3"), "{stacked}");
+        assert_eq!(stacked, alone);
     }
 
     #[test]

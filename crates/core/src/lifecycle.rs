@@ -214,51 +214,35 @@ fn serve_devices(
 /// the pooled flagged footage reaches `min_footage`, the system is
 /// extended with a new specialist and the pool is cleared.
 ///
+/// Every device session runs behind the gateway's `catch_unwind`
+/// isolation, so one panicking device cannot take down the fleet. A
+/// panicked device is retried once (sequentially, after the fleet pass, in
+/// device order); a device whose retry panics too is quarantined for the
+/// rest of the run and listed in [`FleetReport::quarantine_records`] with a
+/// typed [`QuarantineRecord`], while the remaining devices keep driving and
+/// the schedule completes.
+///
+/// Panics are injected deterministically via `injector`, a
+/// [`FaultInjector`] with [`FaultKind::DevicePanic`] events scheduled by
+/// draw index: the supervisor draws one panic decision per device attempt,
+/// on the coordinator in device order, so the outcome is identical for any
+/// scheduling. With `injector` `None` or a zero-fault plan no device
+/// panics, and the two runs are bit-identical.
+///
 /// Returns the per-day reports and the final (possibly expanded) system.
 ///
 /// # Errors
 ///
-/// Surfaces inference, calibration, and expansion errors.
+/// Surfaces inference, calibration, and expansion errors. Device *errors*
+/// (as opposed to panics) surface too — a typed failure is a bug to
+/// report, not a crash to absorb. The gateway quarantines the erring
+/// session so the other devices finish their day, then the first error in
+/// device order is returned.
 ///
 /// # Panics
 ///
 /// Panics if `config.devices == 0` or the schedule is empty.
 pub fn run_fleet(
-    dataset: &DrivingDataset,
-    system: AnoleSystem,
-    schedule: &[SceneAttributes],
-    config: &FleetConfig,
-    seed: Seed,
-) -> Result<(FleetReport, AnoleSystem), AnoleError> {
-    run_fleet_supervised(dataset, system, schedule, config, seed, None)
-}
-
-/// [`run_fleet`] under fault supervision: every device session runs behind
-/// the gateway's `catch_unwind` isolation, so one panicking device cannot
-/// take down the fleet. A panicked device is retried once (sequentially,
-/// after the fleet pass, in device order); a device whose retry panics too
-/// is quarantined for the rest of the run and listed in
-/// [`FleetReport::quarantine_records`] with a typed [`QuarantineRecord`],
-/// while the remaining devices keep driving and the schedule completes.
-///
-/// Panics are injected deterministically via a [`FaultInjector`] with
-/// [`FaultKind::DevicePanic`] events scheduled by draw index: the
-/// supervisor draws one panic decision per device attempt, on the
-/// coordinator in device order, so the outcome is identical for any
-/// scheduling. With `injector` `None` or a zero-fault plan the run is
-/// bit-identical to [`run_fleet`].
-///
-/// # Errors
-///
-/// As [`run_fleet`]. Device *errors* (as opposed to panics) still surface
-/// — a typed failure is a bug to report, not a crash to absorb. The
-/// gateway quarantines the erring session so the other devices finish
-/// their day, then the first error in device order is returned.
-///
-/// # Panics
-///
-/// Panics if `config.devices == 0` or the schedule is empty.
-pub fn run_fleet_supervised(
     dataset: &DrivingDataset,
     mut system: AnoleSystem,
     schedule: &[SceneAttributes],
@@ -517,7 +501,7 @@ mod tests {
             min_footage: 50,
         };
         let (report, final_system) =
-            run_fleet(&dataset, system, &schedule, &config, Seed(183)).unwrap();
+            run_fleet(&dataset, system, &schedule, &config, Seed(183), None).unwrap();
         assert_eq!(report.days.len(), 5);
 
         // Exotic days must drift enough to pool footage (the sharper
@@ -553,7 +537,8 @@ mod tests {
             min_footage: 100_000, // unreachable
         };
         let (report, final_system) =
-            run_fleet(&dataset, system, &[familiar, familiar], &config, Seed(184)).unwrap();
+            run_fleet(&dataset, system, &[familiar, familiar], &config, Seed(184), None)
+                .unwrap();
         assert!(report.days.iter().all(|d| d.expanded_model.is_none()));
         assert_eq!(final_system.repository().len(), before);
     }
@@ -562,7 +547,7 @@ mod tests {
     #[should_panic(expected = "schedule is empty")]
     fn empty_schedule_is_rejected() {
         let (dataset, system) = world();
-        let _ = run_fleet(&dataset, system, &[], &FleetConfig::default(), Seed(185));
+        let _ = run_fleet(&dataset, system, &[], &FleetConfig::default(), Seed(185), None);
     }
 
     #[test]
@@ -731,9 +716,9 @@ mod tests {
             min_footage: 100_000,
         };
         let (plain, plain_system) =
-            run_fleet(&dataset, system.clone(), &schedule, &config, Seed(186)).unwrap();
+            run_fleet(&dataset, system.clone(), &schedule, &config, Seed(186), None).unwrap();
         let injector = FaultPlan::new(Seed(187)).injector();
-        let (supervised, supervised_system) = run_fleet_supervised(
+        let (supervised, supervised_system) = run_fleet(
             &dataset,
             system,
             &schedule,
@@ -770,7 +755,7 @@ mod tests {
             .at(1, FaultKind::DevicePanic)
             .at(2, FaultKind::DevicePanic)
             .at(3, FaultKind::DevicePanic);
-        let (report, _) = run_fleet_supervised(
+        let (report, _) = run_fleet(
             &dataset,
             system,
             &schedule,

@@ -278,7 +278,8 @@ impl DriftDetector {
 
     /// Clears the rolling window and releases the latch (e.g. after an
     /// expansion deployed). Emitted events and counters are kept.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.history.clear();
         self.below_streak = 0;
         self.above_streak = 0;

@@ -333,11 +333,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> Seed {
-        self.seed
-    }
-
     /// Whether this plan can never inject anything (all rates zero, no
     /// scheduled events). Such a plan leaves the engine bit-identical to an
     /// un-instrumented run.
@@ -404,7 +399,8 @@ pub struct FrameFaults {
 
 impl FrameFaults {
     /// Whether anything at all was injected.
-    pub fn any(&self) -> bool {
+    #[cfg(test)]
+    fn any(&self) -> bool {
         self.memory_pressure.is_some()
             || self.sensor_dropout
             || self.nan_frame
@@ -443,7 +439,8 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
+    #[cfg(test)]
+    fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 

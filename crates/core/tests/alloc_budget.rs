@@ -193,8 +193,7 @@ fn assert_lossless(report: &GatewayReport, sessions: usize) {
     assert_eq!(report.frames_processed, report.frames_offered);
     assert_eq!(report.frames_shed, 0);
     assert_eq!(report.completed, sessions);
-    // No engine runs a decision forward of its own for the first time late
-    // in one run only.
+    // The sessions step in lockstep, so no window scores a lone frame.
     assert_eq!(report.single_calls, 0);
 }
 

@@ -8,7 +8,9 @@
 //! scheduling window; standalone users call
 //! [`capture_series`](crate::capture_series), which stamps windows with the
 //! injectable [`Clock`](crate::Clock)) and stores the per-window deltas in
-//! bounded per-metric rings.
+//! bounded rings, one per counter and one per histogram. Gauges are left
+//! out: a gauge is a level, not a count, and no query (nor any
+//! [`SloObjective`](crate::SloObjective)) reads one.
 //!
 //! Everything here is plain data, compiled regardless of the `enabled`
 //! feature, so the gateway can feed a recorder from its own
@@ -37,12 +39,6 @@ struct CounterSeries {
     /// Cumulative total at the last capture (delta baseline).
     last_total: u64,
     deltas: VecDeque<u64>,
-}
-
-/// Per-window last-written values of one gauge.
-#[derive(Debug, Clone, PartialEq)]
-struct GaugeSeries {
-    values: VecDeque<f64>,
 }
 
 /// Per-window delta histograms of one histogram metric.
@@ -81,7 +77,6 @@ pub struct SeriesRecorder {
     /// Clock tick of each retained window, oldest first.
     ticks: VecDeque<u64>,
     counters: BTreeMap<String, CounterSeries>,
-    gauges: BTreeMap<String, GaugeSeries>,
     histograms: BTreeMap<String, HistogramSeries>,
 }
 
@@ -98,13 +93,13 @@ impl SeriesRecorder {
             total_windows: 0,
             ticks: VecDeque::new(),
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
     }
 
-    /// Captures one window: diffs `snap` against the previous capture and
-    /// pushes the delta into every metric's ring. `tick` stamps the window
+    /// Captures one window: diffs `snap`'s counters and histograms against
+    /// the previous capture and pushes the delta into every metric's ring.
+    /// Gauges are not captured: no query reads them. `tick` stamps the window
     /// (the gateway passes its virtual-time milliseconds;
     /// [`capture_series`](crate::capture_series) passes the injected
     /// clock's tick).
@@ -146,25 +141,6 @@ impl SeriesRecorder {
             }
         }
 
-        for g in &snap.gauges {
-            self.gauges.entry(g.name.clone()).or_insert_with(|| GaugeSeries {
-                values: std::iter::repeat_n(0.0, backfill).collect(),
-            });
-        }
-        let lookup: BTreeMap<&str, f64> =
-            snap.gauges.iter().map(|g| (g.name.as_str(), g.value)).collect();
-        for (name, series) in &mut self.gauges {
-            let value = lookup
-                .get(name.as_str())
-                .copied()
-                .or_else(|| series.values.back().copied())
-                .unwrap_or(0.0);
-            series.values.push_back(value);
-            while series.values.len() > cap {
-                series.values.pop_front();
-            }
-        }
-
         for h in &snap.histograms {
             self.histograms.entry(h.name.clone()).or_insert_with(|| HistogramSeries {
                 last: FixedHistogram::new(h.histogram.bounds()),
@@ -200,13 +176,8 @@ impl SeriesRecorder {
 
     /// Distinct metric names with a series, sorted.
     pub fn metric_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-            .map(String::as_str)
-            .collect();
+        let mut names: Vec<&str> =
+            self.counters.keys().chain(self.histograms.keys()).map(String::as_str).collect();
         names.sort_unstable();
         names.dedup();
         names
@@ -331,7 +302,8 @@ mod tests {
         assert_eq!(rec.counter_deltas("steady").unwrap().len(), 3);
         assert_eq!(rec.counter_deltas("late").unwrap().len(), 3);
         assert_eq!(rec.counter_deltas("late").unwrap(), vec![1, 1, 1]);
-        assert_eq!(rec.gauges["g"].values.back(), Some(&9.0));
+        // The gauge `g` rode along in every snapshot but has no series.
+        assert_eq!(rec.metric_names(), ["late", "steady"]);
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! under arbitrary fault schedules and configurations.
 //!
 //! Three contracts, for any seeded fault plan and any (small) fleet shape:
-//! queues never exceed their configured bound (backpressure, not buffering,
-//! absorbs overload); every admitted session ends in a terminal state with
-//! every frame accounted for (processed + shed + dropped = total); and the
-//! cross-session batched decision forward is bit-identical to per-session
-//! scoring, so batching is purely a scheduling optimisation.
+//! queues never exceed their bound of four frames (backpressure, not
+//! buffering, absorbs overload); every admitted session ends in a terminal
+//! state with every frame accounted for (processed + shed + dropped =
+//! total); and a session served beside others, its frames stacked into
+//! each window's one batched decision forward, ends bit-identical to the
+//! same session alone in its own gateway, where every window scores one
+//! frame, so batching is purely a scheduling optimisation.
 //!
 //! `ANOLE_CHAOS_SEED` (default 0) perturbs every fault-plan seed so CI can
 //! sweep the suite; the invariants hold for any value.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use anole::core::gateway::{Gateway, GatewayConfig, GatewayReport, SessionSpec};
+use anole::core::gateway::{Gateway, GatewayConfig, GatewayReport, SessionReport, SessionSpec};
 use anole::core::omi::FaultPlan;
 use anole::core::{AnoleConfig, AnoleSystem};
 use anole::data::{DatasetConfig, DrivingDataset, Frame};
@@ -44,10 +47,15 @@ fn session_frames(dataset: &DrivingDataset, session: usize, n: usize) -> Vec<Fra
         .collect()
 }
 
+/// The gateway's per-session frame queue bound.
+const QUEUE_CAPACITY: usize = 4;
+
+/// Runs sessions `sessions` (each by its index: its frames and seed) in one
+/// gateway.
 fn run_fleet(
     config: GatewayConfig,
     plan: Option<FaultPlan>,
-    sessions: usize,
+    sessions: Range<usize>,
     frames_each: usize,
     seed: u64,
 ) -> GatewayReport {
@@ -56,7 +64,7 @@ fn run_fleet(
     if let Some(plan) = plan {
         gateway = gateway.with_fault_plan(plan);
     }
-    for i in 0..sessions {
+    for i in sessions {
         gateway
             .admit(SessionSpec::new(
                 session_frames(dataset, i, frames_each),
@@ -70,9 +78,9 @@ fn run_fleet(
 /// Cases per property.
 const CASES: usize = 12;
 
-/// For ANY fault schedule and fleet shape: queues stay within their
-/// configured bound, every session reaches a terminal state, and every frame
-/// of every session is processed, shed, or dropped — none lost.
+/// For ANY fault schedule and fleet shape: queues stay within their bound,
+/// every session reaches a terminal state, and every frame of every session
+/// is processed, shed, or dropped — none lost.
 #[test]
 fn queues_stay_bounded_and_every_frame_is_accounted_for() {
     let mut rng = rng_from_seed(Seed(0x6A_0001));
@@ -81,11 +89,9 @@ fn queues_stay_bounded_and_every_frame_is_accounted_for() {
         let (stall, hiccup) = (rng.f32_in(0.0..0.3), rng.f32_in(0.0..0.3));
         let plan_seed = rng.usize(0..500) as u64;
         let (sessions, frames_each) = (rng.usize(1..5), rng.usize(1..16));
-        let queue_capacity = rng.usize(1..6);
-        let at = format!("case {case} ({sessions} sessions, queue {queue_capacity})");
+        let at = format!("case {case} ({sessions} sessions x {frames_each} frames)");
         let config = GatewayConfig {
             max_sessions: sessions,
-            queue_capacity,
             deadline_ms: 120.0,
             slow_factor: 8.0,
             ..GatewayConfig::default()
@@ -95,19 +101,19 @@ fn queues_stay_bounded_and_every_frame_is_accounted_for() {
             .with_slow_consumer_rate(slow)
             .with_session_stall_rate(stall)
             .with_scheduler_hiccup_rate(hiccup);
-        let report = run_fleet(config, Some(plan), sessions, frames_each, plan_seed);
+        let report = run_fleet(config, Some(plan), 0..sessions, frames_each, plan_seed);
 
         assert_eq!(report.admitted, sessions, "{at}");
         assert_eq!(report.rejected, 0, "{at}");
         assert_eq!(report.lost_sessions(), 0, "{at}: non-terminal sessions: {report:?}");
         assert!(
-            report.peak_queue_depth <= queue_capacity,
+            report.peak_queue_depth <= QUEUE_CAPACITY,
             "{at}: peak queue depth {} exceeds capacity",
             report.peak_queue_depth
         );
         for s in &report.sessions {
             assert!(s.state.is_terminal(), "{at}");
-            assert!(s.peak_queue_depth <= queue_capacity, "{at}");
+            assert!(s.peak_queue_depth <= QUEUE_CAPACITY, "{at}");
             assert_eq!(
                 s.processed + s.shed_frames + s.dropped_frames,
                 s.frames_total,
@@ -124,9 +130,9 @@ fn queues_stay_bounded_and_every_frame_is_accounted_for() {
 }
 
 /// Window-batched decision scoring is bit-identical to per-session scoring:
-/// the same fleet run with batching forced on (every window with at least
-/// one candidate batches) and forced off produces identical per-session
-/// reports, frame for frame.
+/// each session of a fleet run ends with the same report as the same
+/// session alone in its own gateway, where every window scores its one
+/// frame, frame for frame.
 #[test]
 fn batched_scoring_is_bit_identical_to_per_session() {
     let mut rng = rng_from_seed(Seed(0x6A_0002));
@@ -140,29 +146,21 @@ fn batched_scoring_is_bit_identical_to_per_session() {
             shed_session_after: usize::MAX,
             ..GatewayConfig::default()
         };
-        let batched = run_fleet(
-            GatewayConfig {
-                batch_min: 1,
-                ..lossless
-            },
-            None,
-            sessions,
-            frames_each,
-            seed,
+        let batched = run_fleet(lossless, None, 0..sessions, frames_each, seed);
+        // Every frame was scored once, stacked or alone.
+        assert_eq!(
+            batched.batched_frames + batched.single_calls,
+            sessions * frames_each,
+            "{at}"
         );
-        let single = run_fleet(
-            GatewayConfig {
-                batch_min: usize::MAX,
-                ..lossless
-            },
-            None,
-            sessions,
-            frames_each,
-            seed,
-        );
-        assert!(batched.batched_calls > 0, "{at}");
-        assert_eq!(single.batched_calls, 0, "{at}");
-        assert_eq!(&batched.sessions, &single.sessions, "{at}");
+        assert!(sessions == 1 || batched.batched_calls > 0, "{at}");
+        for i in 0..sessions {
+            let single = run_fleet(lossless, None, i..i + 1, frames_each, seed);
+            assert_eq!(single.batched_calls, 0, "{at}");
+            assert_eq!(single.single_calls, frames_each, "{at}");
+            let alone = SessionReport { id: i, ..single.sessions[0].clone() };
+            assert_eq!(batched.sessions[i], alone, "{at}: session {i}");
+        }
     }
 }
 
@@ -181,7 +179,7 @@ fn identical_runs_produce_identical_reports() {
             .with_slow_consumer_rate(0.5)
             .with_scheduler_hiccup_rate(0.1)
     };
-    let a = run_fleet(config, Some(plan()), 3, 10, 7);
-    let b = run_fleet(config, Some(plan()), 3, 10, 7);
+    let a = run_fleet(config, Some(plan()), 0..3, 10, 7);
+    let b = run_fleet(config, Some(plan()), 0..3, 10, 7);
     assert_eq!(a, b);
 }

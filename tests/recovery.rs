@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use anole::core::checkpoint::specialist_key;
 use anole::core::deploy::{download_resumable, load_bundle, save_bundle};
-use anole::core::lifecycle::{run_fleet_supervised, FleetConfig};
+use anole::core::lifecycle::{run_fleet, FleetConfig};
 use anole::core::omi::{FaultKind, FaultPlan};
 use anole::core::{
     context_key, AnoleConfig, AnoleError, AnoleSystem, CheckpointStore, OspStage, TrainRecovery,
@@ -258,7 +258,7 @@ fn panicking_device_is_quarantined_without_aborting_the_fleet() {
     let plan = FaultPlan::new(Seed(chaos_seed().wrapping_add(730)))
         .at(0, FaultKind::DevicePanic)
         .at(2, FaultKind::DevicePanic);
-    let (report, _) = run_fleet_supervised(
+    let (report, _) = run_fleet(
         dataset,
         system.clone(),
         &schedule,
