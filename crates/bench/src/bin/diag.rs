@@ -4,20 +4,19 @@
 //! For each frame we compute the F1 of (a) the oracle best repository model,
 //! (b) the decision-routed model (no cache), and (c) every model's mean —
 //! separating "the repository cannot cover this frame" from "the router
-//! picked the wrong model".
+//! picked the wrong model". The per-clip ceilings are measured on held-out
+//! frames only: the seen clips' test and validation frames, and the unseen
+//! clips.
+//!
+//! ```text
+//! cargo run --release -p anole-bench --bin diag [-- --small]
+//! ```
 
 use anole_bench::{Context, Scale};
-use anole_core::osp::CompressedModel;
+use anole_core::osp::frame_f1_of;
 use anole_data::FrameRef;
 use anole_detect::DetectionCounts;
 use anole_tensor::Seed;
-
-fn frame_f1(model: &CompressedModel, frame: &anole_data::Frame, threshold: f32) -> f32 {
-    let pred = model.detect(&frame.features, threshold).expect("width");
-    let mut c = DetectionCounts::default();
-    c.accumulate(&pred, &frame.truth);
-    c.f1()
-}
 
 fn analyze(ctx: &Context, name: &str, refs: &[FrameRef]) {
     let threshold = ctx.system.config().detector.threshold;
@@ -29,7 +28,7 @@ fn analyze(ctx: &Context, name: &str, refs: &[FrameRef]) {
         let frame = ctx.dataset.frame(r);
         let mut best = (0usize, -1.0f32);
         for m in ctx.system.repository().models() {
-            let f1 = frame_f1(m, frame, threshold);
+            let f1 = frame_f1_of(m, frame, threshold).expect("width");
             if f1 > best.1 {
                 best = (m.id, f1);
             }
@@ -39,7 +38,8 @@ fn analyze(ctx: &Context, name: &str, refs: &[FrameRef]) {
         if ranking[..3.min(ranking.len())].contains(&best.0) {
             top3_contains_best += 1;
         }
-        let chosen_f1 = frame_f1(ctx.system.repository().model(chosen), frame, threshold);
+        let chosen_f1 =
+            frame_f1_of(ctx.system.repository().model(chosen), frame, threshold).expect("width");
         routed_regret += best.1.max(0.0) - chosen_f1;
 
         let best_pred = ctx
@@ -66,22 +66,28 @@ fn analyze(ctx: &Context, name: &str, refs: &[FrameRef]) {
     );
 }
 
-/// F1 of the best *fixed* model per clip (scene-level oracle): the realistic
-/// headroom for a per-scene router, free of per-frame selection noise.
-fn scene_oracle(ctx: &Context, name: &str, clips: &[usize]) {
+/// F1 of the best *fixed* model per clip (scene-level oracle) over `refs`:
+/// each clip's model is chosen on that clip's frames in `refs` and scored
+/// on the same frames. The realistic headroom for a per-scene router, free
+/// of per-frame selection noise; pass held-out frames only, never the
+/// frames the specialists trained on.
+fn scene_oracle(ctx: &Context, name: &str, refs: &[FrameRef]) {
     let threshold = ctx.system.config().detector.threshold;
+    let mut clips: Vec<usize> = refs.iter().map(|r| r.clip).collect();
+    clips.sort_unstable();
+    clips.dedup();
     let mut total = DetectionCounts::default();
-    for &c in clips {
-        let refs = ctx.dataset.clip_frames(c);
+    for c in clips {
+        let clip_refs: Vec<FrameRef> = refs.iter().copied().filter(|r| r.clip == c).collect();
         let mut best: (usize, f32) = (0, -1.0);
         for m in ctx.system.repository().models() {
-            let f1 = m.evaluate_f1(&ctx.dataset, &refs, threshold).expect("width");
+            let f1 = m.evaluate_f1(&ctx.dataset, &clip_refs, threshold).expect("width");
             if f1 > best.1 {
                 best = (m.id, f1);
             }
         }
         let model = ctx.system.repository().model(best.0);
-        for &r in &refs {
+        for &r in &clip_refs {
             let frame = ctx.dataset.frame(r);
             let pred = model.detect(&frame.features, threshold).expect("width");
             total.accumulate(&pred, &frame.truth);
@@ -106,11 +112,9 @@ fn main() {
         .flat_map(|&c| ctx.dataset.clip_frames(c))
         .collect();
     analyze(&ctx, "unseen    ", &unseen);
-    scene_oracle(&ctx, "unseen    ", &split.unseen_clips);
-    let seen: Vec<usize> = (0..ctx.dataset.clips().len())
-        .filter(|&c| ctx.dataset.clips()[c].seen)
-        .collect();
-    scene_oracle(&ctx, "seen      ", &seen);
+    scene_oracle(&ctx, "unseen    ", &unseen);
+    scene_oracle(&ctx, "test      ", &split.test);
+    scene_oracle(&ctx, "validation", &split.val);
 
     // Online-engine latency/hedging profile per split.
     for (name, refs) in [("test", &split.test), ("unseen", &unseen)] {

@@ -9,9 +9,12 @@
 //! the hierarchical span trace. The serving loop also drives a
 //! [`SeriesRecorder`] window capture every `WINDOW_FRAMES` frames and feeds
 //! an [`SloEngine`], so the artifact includes windowed rates/quantiles and
-//! any burn-rate alerts, plus a flight-recorder overhead row (wall-clock
-//! ns/frame with per-session recorders on vs off) backing the "strictly
-//! passive" claim with a number.
+//! any burn-rate alerts, plus a flight-recorder overhead row backing the
+//! "strictly passive" claim with a number: `OVERHEAD_PAIRS` alternating
+//! off/on pairs of fresh, warmed engines over the same frames, timed after
+//! the registry snapshot and the trace are taken, reported as each arm's
+//! median wall-clock ns/frame and the median per-pair delta with its
+//! quartiles.
 //!
 //! Usage:
 //!
@@ -39,6 +42,18 @@ const SERIES_WINDOWS: usize = 32;
 
 /// Flight-recorder ring size for the overhead measurement.
 const FLIGHT_FRAMES: usize = 64;
+
+/// Off/on pairs timed for the flight-recorder overhead row.
+const OVERHEAD_PAIRS: usize = 21;
+
+/// Nearest-rank `q` quantile of `values`: the smallest sample with at least
+/// `q` of the samples at or below it.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
 
 /// Wall-clock nanoseconds per frame for one engine pass over `frames`
 /// held-out frames, with the per-session flight recorder armed or not.
@@ -141,14 +156,37 @@ fn main() -> ExitCode {
         snapshot.spans.len(),
         snapshot.dropped_span_events
     );
+    // The exports are taken before the overhead pairs step more engines.
+    let trace = anole_obs::render_trace();
+    let exposition = prometheus.then(anole_obs::to_prometheus);
+
     // Flight-recorder overhead: the ring copy in `finish_step` is the whole
-    // cost; both arms serve identical frames through fresh warmed engines.
-    let off_ns = ns_per_frame(&system, &dataset, frames, false);
-    let on_ns = ns_per_frame(&system, &dataset, frames, true);
+    // cost. Both arms of a pair serve identical frames through fresh warmed
+    // engines, and the arm timed first alternates pair by pair, so a drift
+    // in host speed lands on both arms alike.
+    let mut off_ns = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut on_ns = Vec::with_capacity(OVERHEAD_PAIRS);
+    for pair in 0..OVERHEAD_PAIRS {
+        let on_first = pair % 2 == 1;
+        for recorder in [on_first, !on_first] {
+            let arm = if recorder { &mut on_ns } else { &mut off_ns };
+            arm.push(ns_per_frame(&system, &dataset, frames, recorder));
+        }
+    }
+    let deltas: Vec<f64> = on_ns
+        .iter()
+        .zip(&off_ns)
+        .map(|(on, off)| on - off)
+        .collect();
+    let delta = [0.25, 0.5, 0.75].map(|q| quantile(&deltas, q));
     eprintln!(
-        "[metrics_snapshot] flight recorder: {off_ns:.0} ns/frame off, {on_ns:.0} ns/frame on \
-         ({:+.0} ns)",
-        on_ns - off_ns
+        "[metrics_snapshot] flight recorder over {OVERHEAD_PAIRS} pairs: {:.0} ns/frame off, \
+         {:.0} ns/frame on, per-pair delta {:+.0} ns (quartiles {:+.0} to {:+.0})",
+        quantile(&off_ns, 0.5),
+        quantile(&on_ns, 0.5),
+        delta[1],
+        delta[0],
+        delta[2],
     );
 
     let timeseries = Value::object(vec![
@@ -176,13 +214,16 @@ fn main() -> ExitCode {
     let overhead = Value::object(vec![
         ("recorder_capacity", FLIGHT_FRAMES.to_json()),
         ("frames_timed", frames.to_json()),
-        ("off_ns_per_frame", off_ns.to_json()),
-        ("on_ns_per_frame", on_ns.to_json()),
-        ("delta_ns_per_frame", (on_ns - off_ns).to_json()),
+        ("pairs", OVERHEAD_PAIRS.to_json()),
+        ("off_ns_per_frame_median", quantile(&off_ns, 0.5).to_json()),
+        ("on_ns_per_frame_median", quantile(&on_ns, 0.5).to_json()),
+        ("delta_ns_per_frame_median", delta[1].to_json()),
+        ("delta_ns_per_frame_p25", delta[0].to_json()),
+        ("delta_ns_per_frame_p75", delta[2].to_json()),
     ]);
     let names = metric_names.iter().map(|n| Value::String(n.to_string())).collect();
     let report = Value::object(vec![
-        ("schema", Value::String("anole-obs-snapshot/4".into())),
+        ("schema", Value::String("anole-obs-snapshot/5".into())),
         ("host", host_json()),
         ("frames", frames.to_json()),
         ("metric_names", Value::Array(names)),
@@ -199,13 +240,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("[metrics_snapshot] wrote {out_path}");
-    if let Err(e) = std::fs::write(&trace_path, anole_obs::render_trace()) {
+    if let Err(e) = std::fs::write(&trace_path, trace) {
         eprintln!("error: writing {trace_path}: {e}");
         return ExitCode::FAILURE;
     }
     eprintln!("[metrics_snapshot] wrote {trace_path}");
-    if prometheus {
-        print!("{}", anole_obs::to_prometheus());
+    if let Some(exposition) = exposition {
+        print!("{exposition}");
     }
     ExitCode::SUCCESS
 }

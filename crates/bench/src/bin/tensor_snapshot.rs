@@ -7,7 +7,7 @@
 //! training and the gateway's batched scoring run,
 //! the fp32 and int8 forwards of the serving detector and decision net, the
 //! `tanh`, `exp` and `ln` slice kernels against the plain `f32` loop, the
-//! fused-vs-reference optimizer steps, one workspace-reused training epoch,
+//! fused-vs-reference Adam steps, one workspace-reused training epoch,
 //! a k-means fit, and the Algorithm 1 repository training loop, the one
 //! thread fan-out, at threads = 1 vs auto.
 //!
@@ -27,7 +27,7 @@ use anole_core::osp::{ModelRepository, SceneModel};
 use anole_core::{AnoleConfig, SceneModelConfig};
 use anole_data::{DatasetConfig, DrivingDataset};
 use anole_json::{ToJson, Value};
-use anole_nn::{Activation, Mlp, OptimizerKind, Predictor, TrainConfig, Trainer, Workspace};
+use anole_nn::{Activation, Adam, Mlp, Predictor, TrainConfig, Trainer, Workspace};
 use anole_tensor::{
     math, rng_from_seed, set_parallel_config, Matrix, ParallelConfig, QuantMatrix, Seed, ShapeError,
 };
@@ -246,7 +246,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Fused vs reference optimizer steps on a 256->512->256 model.
+    // Fused vs reference Adam steps on a 256->512->256 model.
     {
         let mut rng = rng_from_seed(Seed(6_600));
         let mut model = Mlp::builder(256)
@@ -264,20 +264,14 @@ fn main() -> ExitCode {
                 )
             })
             .collect();
-        let kinds = [
-            ("optim_step_sgd", OptimizerKind::Sgd { lr: 0.01, momentum: 0.9 }),
-            ("optim_step_adam", OptimizerKind::Adam { lr: 0.01 }),
-        ];
-        for (name, kind) in kinds {
-            let mut fused = kind.build();
-            record(name, "fused", 1, time_ms(reps.max(50), || {
-                fused.step(&mut model, &grads).unwrap();
-            }));
-            let mut reference = kind.build();
-            record(name, "reference", 1, time_ms(reps.max(50), || {
-                reference.step_reference(&mut model, &grads).unwrap();
-            }));
-        }
+        let mut fused = Adam::new(0.01);
+        record("optim_step_adam", "fused", 1, time_ms(reps.max(50), || {
+            fused.step(&mut model, &grads).unwrap();
+        }));
+        let mut reference = Adam::new(0.01);
+        record("optim_step_adam", "reference", 1, time_ms(reps.max(50), || {
+            reference.step_reference(&mut model, &grads).unwrap();
+        }));
     }
 
     // One epoch of the workspace-reusing trainer: 512 samples x 32 features,
@@ -388,7 +382,6 @@ fn main() -> ExitCode {
         ("math_tanh_libm_vs_kernel", ratio("math_tanh_2048", "libm", "kernel")),
         ("math_exp_libm_vs_kernel", ratio("math_exp_2048", "libm", "kernel")),
         ("math_ln_libm_vs_kernel", ratio("math_ln_2048", "libm", "kernel")),
-        ("optim_step_sgd_reference_vs_fused", ratio("optim_step_sgd", "reference", "fused")),
         ("optim_step_adam_reference_vs_fused", ratio("optim_step_adam", "reference", "fused")),
         (
             "osp_train_parallel_vs_serial",

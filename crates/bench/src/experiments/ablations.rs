@@ -5,7 +5,7 @@
 use anole_cache::EvictionPolicy;
 use anole_core::osp::ModelRepository;
 use anole_data::{synthesize_fast_changing, SpliceConfig};
-use anole_device::{DeviceKind, LatencyModel, UnstableLink, UnstableLinkConfig};
+use anole_device::{DeviceKind, LatencyModel, UnstableLink};
 use anole_nn::ReferenceModel;
 use anole_tensor::{rng_from_seed, split_seed};
 
@@ -319,7 +319,7 @@ pub fn fleet_lifecycle_week(ctx: &Context) -> String {
 /// unstable vehicular uplink vs Anole's local pipeline on the TX2 —
 /// the §I motivation for cloud-free inference.
 pub fn offload_ablation(ctx: &Context) -> String {
-    let mut link = UnstableLink::new(UnstableLinkConfig::default());
+    let mut link = UnstableLink::new();
     let mut rng = rng_from_seed(split_seed(ctx.seed, 904));
     let frame_bytes = 200_000; // a compressed 720p frame
     let n = 5_000;

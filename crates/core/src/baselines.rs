@@ -7,8 +7,14 @@ use anole_nn::{sigmoid, Mlp, ReferenceModel, Workspace};
 use anole_tensor::{split_seed, Matrix, Seed};
 
 use crate::omi::OnlineEngine;
-use crate::osp::fit_detector;
+use crate::osp::{fit_detector, COMPRESSED_HIDDEN};
 use crate::{AnoleConfig, AnoleError};
+
+/// Hidden width of the deep (SDM, YOLOv3 stand-in) detector.
+const DEEP_HIDDEN: usize = 96;
+
+/// Number of hidden layers of the deep detector.
+const DEEP_LAYERS: usize = 2;
 
 /// Identifies a candidate method in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,7 +189,7 @@ impl Sdm {
         config: &AnoleConfig,
         seed: Seed,
     ) -> Result<Self, AnoleError> {
-        let hidden = vec![config.detector.deep_hidden; config.detector.deep_layers];
+        let hidden = [DEEP_HIDDEN; DEEP_LAYERS];
         let net = train_detector(dataset, refs, &hidden, config, seed, &mut Workspace::new())?;
         Ok(Self {
             net,
@@ -238,7 +244,7 @@ impl Ssm {
         config: &AnoleConfig,
         seed: Seed,
     ) -> Result<Self, AnoleError> {
-        let hidden = [config.detector.compressed_hidden];
+        let hidden = [COMPRESSED_HIDDEN];
         let net = train_detector(dataset, refs, &hidden, config, seed, &mut Workspace::new())?;
         Ok(Self {
             net,
@@ -305,7 +311,7 @@ impl Cdg {
             let net = train_detector(
                 dataset,
                 &members,
-                &[config.detector.compressed_hidden],
+                &[COMPRESSED_HIDDEN],
                 config,
                 split_seed(seed, 1 + cluster as u64),
                 &mut ws,
@@ -383,7 +389,7 @@ impl Dmm {
             let net = train_detector(
                 dataset,
                 &subset,
-                &[config.detector.compressed_hidden],
+                &[COMPRESSED_HIDDEN],
                 config,
                 split_seed(seed, i as u64),
                 &mut ws,

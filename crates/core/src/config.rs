@@ -1,4 +1,12 @@
 //! Configuration of the full Anole pipeline.
+//!
+//! The settable values are the paper's hyper-parameters (n, δ, θ, κ, the
+//! cache), the training schedules, and the serving values an experiment
+//! varies. The stand-in network shapes are constants of the code that
+//! builds each network: `M_scene`'s widths in `SceneModel::train`, the
+//! detectors' widths and positive-cell weight beside `fit_detector` and the
+//! baselines, and the decision head's width in
+//! `DecisionModel::train_from_features`.
 
 use anole_cache::EvictionPolicy;
 use anole_nn::{OptimizerKind, TrainConfig};
@@ -6,22 +14,15 @@ use anole_nn::{OptimizerKind, TrainConfig};
 /// Scene-encoder (`M_scene`) hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneModelConfig {
-    /// Width of the first hidden layer.
-    pub hidden: usize,
-    /// Width of the embedding layer (the representation Algorithm 1
-    /// clusters).
-    pub embedding: usize,
     /// Training schedule.
     pub train: TrainConfig,
 }
 
-anole_json::json_struct!(SceneModelConfig { hidden, embedding, train });
+anole_json::json_struct!(SceneModelConfig { train });
 
 impl Default for SceneModelConfig {
     fn default() -> Self {
         Self {
-            hidden: 64,
-            embedding: 32,
             train: TrainConfig {
                 epochs: 40,
                 batch_size: 64,
@@ -34,36 +35,17 @@ impl Default for SceneModelConfig {
 /// Compressed-detector hyper-parameters (the YOLOv3-tiny stand-ins).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// Hidden width of a compressed detector.
-    pub compressed_hidden: usize,
-    /// Hidden width of the deep (SDM) detector.
-    pub deep_hidden: usize,
-    /// Number of hidden layers of the deep detector.
-    pub deep_layers: usize,
-    /// Positive-cell weight in every detector's BCE loss.
-    pub pos_weight: f32,
     /// Detection probability threshold.
     pub threshold: f32,
-    /// Training schedule for compressed detectors.
+    /// Training schedule for every detector.
     pub train: TrainConfig,
 }
 
-anole_json::json_struct!(DetectorConfig {
-    compressed_hidden,
-    deep_hidden,
-    deep_layers,
-    pos_weight,
-    threshold,
-    train,
-});
+anole_json::json_struct!(DetectorConfig { threshold, train });
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         Self {
-            compressed_hidden: 48,
-            deep_hidden: 96,
-            deep_layers: 2,
-            pos_weight: 2.0,
             threshold: 0.5,
             train: TrainConfig {
                 epochs: 30,
@@ -125,8 +107,6 @@ impl Default for SamplingConfig {
 /// Decision-model (§IV-C) parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionConfig {
-    /// Hidden width of the decision head (paper: a 2-layer MLP).
-    pub head_hidden: usize,
     /// When the top-1 suitability probability falls below this confidence,
     /// the engine hedges by fusing the detection maps of the top
     /// [`DecisionConfig::hedge_top_k`] cached models (§II case 3: low
@@ -139,12 +119,11 @@ pub struct DecisionConfig {
     pub train: TrainConfig,
 }
 
-anole_json::json_struct!(DecisionConfig { head_hidden, confidence_threshold, hedge_top_k, train });
+anole_json::json_struct!(DecisionConfig { confidence_threshold, hedge_top_k, train });
 
 impl Default for DecisionConfig {
     fn default() -> Self {
         Self {
-            head_hidden: 64,
             confidence_threshold: 0.45,
             hedge_top_k: 2,
             train: TrainConfig {
@@ -203,64 +182,6 @@ impl Default for QuantConfig {
     }
 }
 
-/// Error budget of the shed-ratio objective
-/// (`gateway.frames.shed / gateway.frames.total`).
-const SHED_BUDGET: f64 = 0.05;
-
-/// Quantile of the step-latency objective.
-const LATENCY_QUANTILE: f64 = 0.99;
-
-/// Serving SLO parameters: the declarative objectives the fleet gateway
-/// and the continual-learning canary gate evaluate with multi-window
-/// burn-rate alerting ([`SloEngine`](anole_obs::SloEngine)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Whether SLO evaluation is armed: the lifecycle builds specs from
-    /// this section for canary gating and fleet serving. Off by default.
-    pub enabled: bool,
-    /// Latency limit (virtual ms) the p99 step latency must stay under.
-    pub latency_limit_ms: f64,
-    /// Frames per canary device the re-profiling rollout serves through an
-    /// SLO-armed gateway before promotion; a page during that run rolls the
-    /// candidate back.
-    pub canary_frames: usize,
-}
-
-anole_json::json_struct!(SloConfig { enabled, latency_limit_ms, canary_frames });
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            latency_limit_ms: 150.0,
-            canary_frames: 32,
-        }
-    }
-}
-
-impl SloConfig {
-    /// The standard spec pair every SLO-armed gateway evaluates: the
-    /// shed-ratio objective and the step-latency quantile objective, both
-    /// resolved against the gateway's synthetic per-run series, with
-    /// [`SloSpec`](anole_obs::SloSpec)'s default burn rates and long window.
-    pub fn specs(&self) -> Vec<anole_obs::SloSpec> {
-        vec![
-            anole_obs::SloSpec::error_ratio(
-                "gateway-shed-ratio",
-                "gateway.frames.shed",
-                "gateway.frames.total",
-                SHED_BUDGET,
-            ),
-            anole_obs::SloSpec::quantile(
-                "gateway-step-latency",
-                "gateway.step.latency_ms",
-                LATENCY_QUANTILE,
-                self.latency_limit_ms,
-            ),
-        ]
-    }
-}
-
 /// Configuration of the full Anole pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[derive(Default)]
@@ -280,14 +201,11 @@ pub struct AnoleConfig {
     /// Int8 serving parameters. Deserializes to the default from configs
     /// saved before quantization existed.
     pub quant: QuantConfig,
-    /// Serving-SLO parameters. Deserializes to the disabled default from
-    /// configs saved before SLOs existed, or saved while at the default.
-    pub slo: SloConfig,
 }
 
 // A config saved before a section existed lacks it; an unknown section or
-// member (the retired `prefetch`, `drift` and `rollout` blocks, say) is
-// ignored.
+// member (the retired `prefetch`, `drift`, `rollout` and `slo` blocks, say)
+// is ignored.
 anole_json::json_struct!(AnoleConfig {
     scene,
     detector,
@@ -296,7 +214,6 @@ anole_json::json_struct!(AnoleConfig {
     decision,
     cache,
     quant = QuantConfig::default(),
-    slo = SloConfig::default(),
 });
 
 impl AnoleConfig {
@@ -321,6 +238,21 @@ mod tests {
 
     /// The bytes written for the default config.
     const DEFAULT_CONFIG_JSON: &str = concat!(
+        r#"{"scene":{"train":{"epochs":40,"batch_size":64,"optimizer":{"Adam":{"lr":0.005}}}},"#,
+        r#""detector":{"threshold":0.5,"train":{"epochs":30,"batch_size":64,"optimizer":{"#,
+        r#""Adam":{"lr":0.005}}}},"repository":{"target_models":19,"delta":0.3},"sampling":{"#,
+        r#""theta":0.9,"kappa":12000,"accept_f1":0.5,"max_draws_per_arm":600},"decision":{"#,
+        r#""confidence_threshold":0.45,"hedge_top_k":2,"train":{"epochs":40,"batch_size":64,"#,
+        r#""optimizer":{"Adam":{"lr":0.005}}}},"cache":{"capacity":5,"policy":"Lfu","#,
+        r#""byte_budget":null},"quant":{"epsilon_f1":0.02}}"#,
+    );
+
+    /// The bytes written for the default config while it still carried the
+    /// stand-in network shapes (`scene.hidden`, `scene.embedding`,
+    /// `detector.compressed_hidden`, `detector.deep_hidden`,
+    /// `detector.deep_layers`, `detector.pos_weight`, `decision.head_hidden`)
+    /// and the `slo` section of the canary gate.
+    const SHAPED_DEFAULT_CONFIG_JSON: &str = concat!(
         r#"{"scene":{"hidden":64,"embedding":32,"train":{"epochs":40,"batch_size":64,"#,
         r#""optimizer":{"Adam":{"lr":0.005}}}},"detector":{"compressed_hidden":48,"#,
         r#""deep_hidden":96,"deep_layers":2,"pos_weight":2.0,"threshold":0.5,"#,
@@ -394,7 +326,7 @@ mod tests {
     #[test]
     fn default_config_json_is_pinned() {
         assert_eq!(anole_json::to_string(&AnoleConfig::default()), DEFAULT_CONFIG_JSON);
-        for json in [DEFAULT_CONFIG_JSON, RETIRED_DEFAULT_CONFIG_JSON] {
+        for json in [DEFAULT_CONFIG_JSON, SHAPED_DEFAULT_CONFIG_JSON, RETIRED_DEFAULT_CONFIG_JSON] {
             let back: AnoleConfig = anole_json::from_str(json).unwrap();
             assert_eq!(back, AnoleConfig::default());
         }
@@ -402,10 +334,9 @@ mod tests {
 
     #[test]
     fn configs_without_later_sections_still_deserialize() {
-        // A config saved before the quantization and SLO sections and cache
-        // byte accounting existed lacks all three; each must default, not
-        // error.
-        let value = default_config_without(&["quant", "cache.byte_budget", "slo"]);
+        // A config saved before the quantization section and cache byte
+        // accounting existed lacks both; each must default, not error.
+        let value = default_config_without(&["quant", "cache.byte_budget"]);
         assert!(value.get("quant").is_none());
         let cfg = AnoleConfig::from_json(&value).unwrap();
         assert_eq!(cfg, AnoleConfig::default());
@@ -415,25 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn non_default_slo_round_trips_and_sets_spec_budgets() {
-        let mut cfg = AnoleConfig::default();
-        cfg.slo.enabled = true;
-        cfg.slo.latency_limit_ms = 90.0;
-        let json = anole_json::to_string(&cfg);
-        let back: AnoleConfig = anole_json::from_str(&json).unwrap();
-        assert_eq!(back, cfg);
-        let specs = cfg.slo.specs();
-        assert_eq!(specs.len(), 2);
-        assert!((specs[0].budget() - SHED_BUDGET).abs() < 1e-12);
-        assert!((specs[1].budget() - (1.0 - LATENCY_QUANTILE)).abs() < 1e-12);
-    }
-
-    #[test]
     fn configs_with_a_prefetch_block_still_deserialize() {
         // Configs saved while the engine had a predictive prefetcher carry a
         // `prefetch` section when it was changed from its default. The
         // section is ignored, not rejected.
-        let mut value = default_config_without(&["slo"]);
+        let mut value = default_config_without(&[]);
         let prefetch = anole_json::parse(
             r#"{"enabled":true,"shards":4,"budget_ms":33.0,"min_probability":0.05,"admission_filter":false}"#,
         )

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use anole_data::DrivingDataset;
-use anole_device::{UnstableLink, UnstableLinkConfig};
+use anole_device::UnstableLink;
 use anole_nn::ReferenceModel;
 use anole_json::json_struct;
 use anole_tensor::{rng_from_seed, split_seed, Seed, StdRng};
@@ -382,11 +382,6 @@ pub struct RolloutReport {
     pub downloads: usize,
     /// Wall-clock milliseconds spent downloading across the fleet.
     pub download_ms: f64,
-    /// Page-severity SLO alerts fired during the lifecycle's SLO canary
-    /// serving run (see `lifecycle::reprofile_and_rollout`); any page
-    /// demotes a measured promotion to a rollback. Zero when SLO gating is
-    /// disabled.
-    pub slo_canary_pages: usize,
 }
 
 /// Fraction of the fleet serving as the canary cohort of a staged rollout
@@ -420,7 +415,7 @@ fn deliver(
             anole_obs::counter_add!("omi.engine.drift.stale_bundles", 1);
             continue;
         }
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(split_seed(seed, device));
         let dl = download_resumable(
             manifest,
@@ -495,7 +490,6 @@ pub fn staged_rollout(
         sessions_on_candidate: 0,
         downloads: 0,
         download_ms: 0.0,
-        slo_canary_pages: 0,
     };
 
     // Canary phase: deliver the candidate to the cohort for shadow
@@ -559,7 +553,6 @@ mod tests {
     use super::*;
     use crate::AnoleConfig;
     use anole_data::{DatasetConfig, DrivingDataset};
-    use anole_device::UnstableLinkConfig;
     use anole_tensor::{rng_from_seed, Seed};
 
     fn system() -> AnoleSystem {
@@ -786,7 +779,7 @@ mod tests {
         let system = system();
         let dir = temp_dir("download");
         let manifest = save_bundle(&system, &dir).unwrap();
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(133));
         let report = download_resumable(&manifest, &mut link, &mut rng, None, 1).unwrap();
         assert!(report.total_ms > 0.0);
@@ -818,7 +811,7 @@ mod tests {
         let system = system();
         let dir = temp_dir("resume-death");
         let manifest = save_bundle(&system, &dir).unwrap();
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(135));
         // Die a few chunk draws into the first artifact (it spans ~180
         // chunks, so draw 3 is mid-entry).
@@ -842,7 +835,7 @@ mod tests {
         let system = system();
         let dir = temp_dir("resume-corrupt");
         let manifest = save_bundle(&system, &dir).unwrap();
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(137));
         // The first artifact arrives checksum-corrupt once.
         let mut injector =
@@ -863,7 +856,7 @@ mod tests {
         let system = system();
         let dir = temp_dir("resume-exhaust");
         let manifest = save_bundle(&system, &dir).unwrap();
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(139));
         // Every arrival corrupt: no artifact can ever verify.
         let mut injector =

@@ -411,11 +411,6 @@ impl GatewayReport {
     pub fn fleet_f1(&self) -> f32 {
         self.fleet_counts().f1()
     }
-
-    /// Page-severity SLO alerts fired over the run.
-    pub fn slo_pages(&self) -> usize {
-        self.slo_violations.iter().filter(|a| a.severity == AlertSeverity::Page).count()
-    }
 }
 
 /// One admitted session and its scheduling bookkeeping.
@@ -1921,9 +1916,11 @@ mod tests {
 
         // The budget is blown every window, so both the fast page and (once
         // the long window fills) the slow warn fire.
-        assert!(instrumented.slo_pages() >= 1, "no page: {:?}", instrumented.slo_violations);
-        let warns = instrumented.slo_violations.len() - instrumented.slo_pages();
-        assert!(warns >= 1, "no warn: {:?}", instrumented.slo_violations);
+        let alerts = &instrumented.slo_violations;
+        let pages = alerts.iter().filter(|a| a.severity == AlertSeverity::Page).count();
+        assert!(pages >= 1, "no page: {alerts:?}");
+        let warns = alerts.len() - pages;
+        assert!(warns >= 1, "no warn: {alerts:?}");
         // The runtime is strictly passive: everything except the alert list
         // is bit-identical to the unarmed run.
         let mut stripped = instrumented.clone();

@@ -66,7 +66,7 @@ pub use checkpoint::{
 };
 pub use config::{
     AnoleConfig, CacheConfig, DecisionConfig, DetectorConfig, QuantConfig, RepositoryConfig,
-    SamplingConfig, SceneModelConfig, SloConfig,
+    SamplingConfig, SceneModelConfig,
 };
 pub use error::AnoleError;
 pub use system::{AnoleSystem, ModelQuantOutcome, QuantizationReport, ReprofileReport};

@@ -12,6 +12,9 @@
 //! window are scored through one cross-device batched decision forward
 //! (bit-identical per frame to each device stepping alone). The day
 //! borrows the system; overnight expansion mutates it between days.
+//! [`reprofile_and_rollout`] closes the loop for a re-profile instead: the
+//! staged rollout's F1 canary gate alone decides whether the candidate
+//! ships.
 
 use std::cell::RefCell;
 use std::path::Path;
@@ -380,16 +383,11 @@ pub fn run_fleet(
 /// through `recovery` when supplied, so a killed re-profile resumes
 /// bit-identically on the next call with the same store); the re-profiled
 /// candidate then goes through [`deploy::staged_rollout`] against a fleet
-/// of `fleet_devices`. When the system's [`SloConfig`](crate::SloConfig) is
-/// enabled, a measured promotion must additionally pass the **SLO canary
-/// gate**: the candidate serves a short deterministic canary fleet through
-/// an SLO-armed [`Gateway`], and any burn-rate page demotes the promotion
-/// to a rollback (recorded in
-/// [`RolloutReport::slo_canary_pages`](crate::deploy::RolloutReport)). The
-/// returned system is what the fleet serves afterwards: the candidate on
-/// promotion, or the last-good bundle — reloaded and checksum-verified —
-/// on rollback, in which case zero sessions were ever served from the
-/// candidate.
+/// of `fleet_devices`, whose F1 canary gate decides between promotion and
+/// rollback. The returned system is what the fleet serves afterwards: the
+/// candidate on promotion, or the last-good bundle — reloaded and
+/// checksum-verified — on rollback, in which case zero sessions were ever
+/// served from the candidate.
 ///
 /// # Errors
 ///
@@ -413,7 +411,7 @@ pub fn reprofile_and_rollout(
 
     let mut candidate = system.clone();
     let reprofile = candidate.reprofile_with_frames(dataset, footage, seed, recovery)?;
-    let mut rollout = deploy::staged_rollout(
+    let rollout = deploy::staged_rollout(
         &candidate,
         &last_good_dir,
         &candidate_dir,
@@ -422,56 +420,11 @@ pub fn reprofile_and_rollout(
         split_seed(seed, 777),
         injector,
     )?;
-    // SLO canary gate: an F1-measured promotion must also *serve* cleanly.
-    // The candidate runs a short deterministic canary fleet through an
-    // SLO-armed gateway; any burn-rate page demotes the promotion to a
-    // rollback before the wider fleet ever adopts the bundle.
-    let slo = system.config().slo;
-    if slo.enabled && rollout.outcome == RolloutOutcome::Promoted {
-        rollout.slo_canary_pages = slo_canary_pages(
-            &candidate,
-            dataset,
-            &slo,
-            rollout.canary_devices,
-            split_seed(seed, 778),
-        )?;
-        if rollout.slo_canary_pages > 0 {
-            rollout.outcome = RolloutOutcome::RolledBack;
-            rollout.sessions_on_candidate = 0;
-        }
-    }
     let served = match rollout.outcome {
         RolloutOutcome::Promoted => candidate,
         RolloutOutcome::RolledBack => deploy::load_bundle(&last_good_dir)?,
     };
     Ok((served, reprofile, rollout))
-}
-
-/// Serves a short canary fleet from the candidate through an SLO-armed
-/// [`Gateway`] and counts page-severity burn-rate alerts. Deterministic for
-/// a fixed seed: the gateway runs on virtual time and the SLO series is fed
-/// from the gateway's own run counters.
-fn slo_canary_pages(
-    candidate: &AnoleSystem,
-    dataset: &DrivingDataset,
-    slo: &crate::SloConfig,
-    devices: usize,
-    seed: Seed,
-) -> Result<usize, AnoleError> {
-    let frames: Vec<Frame> = dataset
-        .split()
-        .val
-        .iter()
-        .take(slo.canary_frames.max(1))
-        .map(|&i| dataset.frame(i).clone())
-        .collect();
-    let mut gateway =
-        Gateway::new(candidate, GatewayConfig::default())?.with_slos(slo.specs());
-    for device in 0..devices.max(1) {
-        gateway.admit(SessionSpec::new(frames.clone(), split_seed(seed, device as u64)))?;
-    }
-    let report = gateway.run();
-    Ok(report.slo_pages())
 }
 
 #[cfg(test)]
@@ -650,55 +603,6 @@ mod tests {
         assert!(rollout.regression_injected);
         assert_eq!(rollout.sessions_on_candidate, 0);
         // The fleet keeps serving exactly the pinned last-good system.
-        assert_eq!(served, system);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn slo_canary_gate_demotes_a_promotion_on_pages() {
-        use crate::SloConfig;
-
-        let (dataset, mut system) = world();
-        // An unreachable latency limit: every canary frame lands above it,
-        // so the p99 objective burns its whole budget and pages on the
-        // first evaluated window regardless of how well the candidate
-        // serves.
-        system.set_slo_config(SloConfig {
-            enabled: true,
-            latency_limit_ms: 0.0,
-            canary_frames: 16,
-        });
-        // Same footage and seeds as `closed_loop_promotes_a_reprofiled_
-        // candidate`: the F1 gate is deterministic and does not read the
-        // SLO section, so this candidate is guaranteed to reach the SLO
-        // canary gate as a measured promotion.
-        let exotic =
-            SceneAttributes::new(Weather::Snowy, Location::TollBooth, TimeOfDay::Night);
-        let footage = dataset.world().generate_clip(
-            ClipId(8000),
-            DatasetSource::Shd,
-            exotic,
-            120,
-            1.0,
-            Seed(192),
-        );
-        let dir = loop_dir("slo-gate");
-        let (served, _reprofile, rollout) = reprofile_and_rollout(
-            &system,
-            &dataset,
-            &footage.frames,
-            6,
-            &dir,
-            Seed(193),
-            None,
-            None,
-        )
-        .unwrap();
-        // The F1 gate promoted, the SLO canary paged, the gate demoted.
-        assert!(rollout.slo_canary_pages > 0, "{rollout:?}");
-        assert_eq!(rollout.outcome, RolloutOutcome::RolledBack);
-        assert_eq!(rollout.sessions_on_candidate, 0);
-        assert!(!rollout.regression_injected);
         assert_eq!(served, system);
         std::fs::remove_dir_all(&dir).unwrap();
     }

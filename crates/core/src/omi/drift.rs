@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 use anole_data::{DrivingDataset, FrameRef};
 use anole_tensor::Matrix;
 
+use crate::osp::class_means;
 use crate::{AnoleError, AnoleSystem};
 
 /// Current drift judgement.
@@ -331,30 +332,22 @@ impl SceneDistanceScorer {
                 detail: "no calibration frames".into(),
             });
         }
-        let scene_model = system.scene_model();
-        let x = dataset.features_matrix(refs);
-        let emb = scene_model.embed(&x)?;
-        let classes = scene_model.class_count();
-        let mut sums = Matrix::zeros(classes, emb.cols());
-        let mut counts = vec![0usize; classes];
-        for (i, &r) in refs.iter().enumerate() {
-            let scene = dataset.clips()[r.clip].attributes.scene_index();
-            if let Some(class) = scene_model.class_of_semantic(scene) {
-                counts[class] += 1;
-                for (s, &v) in sums.row_mut(class).iter_mut().zip(emb.row(i).iter()) {
-                    *s += v;
-                }
-            }
-        }
-        let kept: Vec<usize> = (0..classes).filter(|&c| counts[c] > 0).collect();
-        let mut centroids = Matrix::zeros(kept.len(), emb.cols());
-        for (dst, &class) in kept.iter().enumerate() {
-            let inv = 1.0 / counts[class] as f32;
-            for (d, &s) in centroids.row_mut(dst).iter_mut().zip(sums.row(class).iter()) {
-                *d = s * inv;
-            }
-        }
-        Ok(Self { centroids })
+        let (means, counts) = system.scene_model().class_centroids(dataset, refs)?;
+        let kept: Vec<usize> = (0..counts.len()).filter(|&c| counts[c] > 0).collect();
+        Ok(Self {
+            centroids: means.select_rows(&kept),
+        })
+    }
+
+    /// Distance of each row of `emb` to its nearest centroid.
+    fn nearest_distances(&self, emb: &Matrix) -> Vec<f32> {
+        (0..emb.rows())
+            .map(|i| {
+                (0..self.centroids.rows())
+                    .map(|c| anole_tensor::l2_distance(emb.row(i), self.centroids.row(c)))
+                    .fold(f32::INFINITY, f32::min)
+            })
+            .collect()
     }
 
     /// Distance of one frame's embedding to its nearest centroid.
@@ -363,14 +356,8 @@ impl SceneDistanceScorer {
     ///
     /// Surfaces inference errors from the scene model.
     pub fn score(&self, system: &AnoleSystem, features: &[f32]) -> Result<f32, AnoleError> {
-        let emb = system
-            .scene_model()
-            .embed(&Matrix::row_vector(features))?;
-        let mut best = f32::INFINITY;
-        for c in 0..self.centroids.rows() {
-            best = best.min(anole_tensor::l2_distance(emb.row(0), self.centroids.row(c)));
-        }
-        Ok(best)
+        let emb = system.scene_model().embed(&Matrix::row_vector(features))?;
+        Ok(self.nearest_distances(&emb)[0])
     }
 
     /// The `quantile` of distances over a reference (validation) set — the
@@ -396,14 +383,7 @@ impl SceneDistanceScorer {
         // frame; each row matches the per-frame path bit-for-bit.
         let x = dataset.features_matrix(refs);
         let emb = system.scene_model().embed(&x)?;
-        let mut distances = Vec::with_capacity(refs.len());
-        for i in 0..emb.rows() {
-            let mut best = f32::INFINITY;
-            for c in 0..self.centroids.rows() {
-                best = best.min(anole_tensor::l2_distance(emb.row(i), self.centroids.row(c)));
-            }
-            distances.push(best);
-        }
+        let mut distances = self.nearest_distances(&emb);
         distances.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         Ok(distances[((distances.len() - 1) as f32 * quantile) as usize])
     }
@@ -427,19 +407,12 @@ impl SceneDistanceScorer {
                 detail: "no frames for the new centroid".into(),
             });
         }
-        let dim = system.scene_model().embedding_dim();
-        let mut sum = vec![0.0f32; dim];
-        for frame in frames {
-            let emb = system
-                .scene_model()
-                .embed(&Matrix::row_vector(&frame.features))?;
-            for (s, &v) in sum.iter_mut().zip(emb.row(0).iter()) {
-                *s += v;
-            }
-        }
-        let inv = 1.0 / frames.len() as f32;
-        sum.iter_mut().for_each(|v| *v *= inv);
-        let centroid = Matrix::row_vector(&sum);
+        // One batched embedding pass; each row matches the per-frame
+        // forward bit-for-bit.
+        let rows: Vec<&[f32]> = frames.iter().map(|f| f.features.as_slice()).collect();
+        let x = Matrix::from_rows(&rows).map_err(anole_nn::NnError::from)?;
+        let emb = system.scene_model().embed(&x)?;
+        let (centroid, _) = class_means(&emb, &vec![Some(0); emb.rows()], 1);
         self.centroids = Matrix::vstack(&[&self.centroids, &centroid]).expect("same width");
         Ok(())
     }

@@ -9,6 +9,9 @@ use anole_tensor::{argmax, split_seed, Matrix, Seed};
 use crate::osp::{f1_table, ModelRepository, SceneModel, SuitabilitySets};
 use crate::{AnoleError, DecisionConfig};
 
+/// Hidden width of the decision head (paper: a 2-layer MLP).
+const HEAD_HIDDEN: usize = 64;
+
 /// The trained decision model.
 ///
 /// Layout: the scene encoder's layers up to (and including) the embedding
@@ -101,7 +104,7 @@ impl DecisionModel {
         let scene_layers = scene_model.network().layers();
         let backbone = Mlp::from_layers(scene_layers[..scene_layers.len() - 1].to_vec());
         let mut head = Mlp::builder(scene_model.embedding_dim())
-            .hidden(config.head_hidden, Activation::Relu)
+            .hidden(HEAD_HIDDEN, Activation::Relu)
             .output(n_models)
             .build(split_seed(seed, 0));
 
@@ -400,7 +403,7 @@ mod tests {
         let layers = scene.network().layers();
         let backbone = &layers[..layers.len() - 1];
         let head = Mlp::builder(scene.embedding_dim())
-            .hidden(config.head_hidden, Activation::Relu)
+            .hidden(HEAD_HIDDEN, Activation::Relu)
             .output(targets.cols())
             .build(split_seed(seed, 0));
         let mut joined: Vec<Dense> = backbone.to_vec();

@@ -8,8 +8,9 @@ mod scene_model;
 
 pub use decision::DecisionModel;
 pub(crate) use decision::{best_scoring, write_normalized};
-pub(crate) use repository::{fit_detector, fit_specialist, stack_frames};
+pub(crate) use repository::{fit_detector, fit_specialist, stack_frames, COMPRESSED_HIDDEN};
 pub use repository::{ClusterOrigin, CompressedModel, ModelRepository};
 pub use sampling::{frame_f1_of, AdaptiveSampler, SuitabilitySets};
 pub(crate) use sampling::{boost_owner, f1_table, membership};
 pub use scene_model::SceneModel;
+pub(crate) use scene_model::class_means;

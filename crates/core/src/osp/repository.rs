@@ -221,26 +221,7 @@ impl ModelRepository {
         let mut candidates_trained = 0usize;
         // Mean embedding per semantic scene class: the H_i of Algorithm 1.
         let class_count = scene_model.class_count();
-        let x_train = dataset.features_matrix(train);
-        let emb = scene_model.embed(&x_train)?;
-        let train_scenes = dataset.scene_indices(train);
-        let mut sums = Matrix::zeros(class_count, emb.cols());
-        let mut counts = vec![0usize; class_count];
-        for (i, scene) in train_scenes.iter().enumerate() {
-            if let Some(class) = scene_model.class_of_semantic(*scene) {
-                counts[class] += 1;
-                for (s, &v) in sums.row_mut(class).iter_mut().zip(emb.row(i).iter()) {
-                    *s += v;
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)]
-        for class in 0..class_count {
-            if counts[class] > 0 {
-                let inv = 1.0 / counts[class] as f32;
-                sums.row_mut(class).iter_mut().for_each(|v| *v *= inv);
-            }
-        }
+        let (scene_means, _) = scene_model.class_centroids(dataset, train)?;
 
         // Pre-index train/val frames per scene class.
         let frames_per_class = |refs: &[FrameRef]| -> Vec<Vec<FrameRef>> {
@@ -260,7 +241,7 @@ impl ModelRepository {
         let mut accepted_groups: HashSet<Vec<usize>> = HashSet::new();
         let mut levels_examined = 0;
 
-        let sweep = MultiLevelClustering::new(&sums, split_seed(seed, 0));
+        let sweep = MultiLevelClustering::new(&scene_means, split_seed(seed, 0));
         for level in sweep {
             if models.len() >= config.repository.target_models {
                 break;
@@ -497,7 +478,7 @@ pub(crate) fn fit_specialist(
     ws: &mut Workspace,
 ) -> Result<CompressedModel, AnoleError> {
     let (x, y) = stack_frames(fit);
-    let net = fit_detector(&x, &y, &[config.compressed_hidden], config, seed, ws)?;
+    let net = fit_detector(&x, &y, &[COMPRESSED_HIDDEN], config, seed, ws)?;
     let mut model = CompressedModel {
         id: 0,
         profile: ModelProfile::of_mlp(ReferenceModel::Yolov3Tiny, &net),
@@ -528,9 +509,15 @@ pub(crate) fn stack_frames(frames: &[&Frame]) -> (Matrix, Matrix) {
     (x, y)
 }
 
+/// Hidden width of a compressed detector (the YOLOv3-tiny stand-in).
+pub(crate) const COMPRESSED_HIDDEN: usize = 48;
+
+/// Positive-cell weight in every detector's BCE loss.
+const POS_WEIGHT: f32 = 2.0;
+
 /// Builds a detector with ReLU hidden layers of the given widths and trains
-/// it on `(x, y)` as a multi-label grid predictor with the configured
-/// positive-cell weight: the one recipe behind every compressed, expansion
+/// it on `(x, y)` as a multi-label grid predictor with the positive-cell
+/// weight [`POS_WEIGHT`]: the one recipe behind every compressed, expansion
 /// and baseline detector.
 pub(crate) fn fit_detector(
     x: &Matrix,
@@ -549,7 +536,7 @@ pub(crate) fn fit_detector(
         &mut net,
         x,
         y,
-        config.pos_weight,
+        POS_WEIGHT,
         split_seed(seed, 1),
         ws,
     )?;

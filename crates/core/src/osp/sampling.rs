@@ -163,21 +163,6 @@ impl AdaptiveSampler {
         Self { config, threshold }
     }
 
-    /// Per-frame F1 of one model on one frame — the §IV-B "satisfactory
-    /// prediction accuracy" test.
-    ///
-    /// # Errors
-    ///
-    /// Returns a width error if the dataset's feature width is wrong.
-    pub fn frame_f1(
-        &self,
-        model: &CompressedModel,
-        dataset: &DrivingDataset,
-        r: FrameRef,
-    ) -> Result<f32, AnoleError> {
-        frame_f1_of(model, dataset.frame(r), self.threshold)
-    }
-
     /// Collects suitability sets with the paper's Thompson-sampling
     /// procedure: each round picks the not-yet-well-sampled training set
     /// with the highest Beta draw, samples one frame from it, and tests only
@@ -379,7 +364,7 @@ mod tests {
             .models()
             .iter()
             .map(|m| {
-                let f1 = sampler.frame_f1(m, dataset, r).unwrap();
+                let f1 = frame_f1_of(m, dataset.frame(r), sampler.threshold).unwrap();
                 if f1 > accept {
                     f1 * f1
                 } else {
@@ -405,7 +390,7 @@ mod tests {
         let sets = sampler.collect(&dataset, &repo, Seed(55)).unwrap();
         assert_eq!(sets.memberships.len(), sets.len());
         for (&(r, id), v) in sets.samples.iter().zip(&sets.memberships) {
-            let f1 = sampler.frame_f1(repo.model(id), &dataset, r).unwrap();
+            let f1 = frame_f1_of(repo.model(id), dataset.frame(r), sampler.threshold).unwrap();
             assert!(f1 > config.sampling.accept_f1);
             assert_eq!(
                 bits(v),
@@ -450,7 +435,7 @@ mod tests {
         assert!(!sets.is_empty());
         assert_eq!(sets.memberships.len(), sets.len());
         for (&(r, id), v) in sets.samples.iter().zip(&sets.memberships) {
-            let f1 = sampler.frame_f1(repo.model(id), &dataset, r).unwrap();
+            let f1 = frame_f1_of(repo.model(id), dataset.frame(r), sampler.threshold).unwrap();
             assert!(f1 > config.sampling.accept_f1);
             assert_eq!(
                 bits(v),

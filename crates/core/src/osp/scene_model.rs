@@ -11,6 +11,13 @@ use anole_tensor::{Matrix, Seed};
 
 use crate::{AnoleError, SceneModelConfig};
 
+/// Width of `M_scene`'s first hidden layer.
+const HIDDEN: usize = 64;
+
+/// Width of `M_scene`'s embedding layer (the representation Algorithm 1
+/// clusters).
+const EMBEDDING: usize = 32;
+
 /// The scene-representation model.
 ///
 /// Wraps the classifier network together with the mapping from dense class
@@ -61,8 +68,8 @@ impl SceneModel {
         let x = dataset.features_matrix(refs);
 
         let mut net = Mlp::builder(dataset.config().world.feature_dim)
-            .hidden(config.hidden, Activation::Relu)
-            .hidden(config.embedding, Activation::Tanh)
+            .hidden(HIDDEN, Activation::Relu)
+            .hidden(EMBEDDING, Activation::Tanh)
             .output(present.len())
             .build(anole_tensor::split_seed(seed, 0));
         Trainer::new(config.train).fit_classifier(
@@ -124,6 +131,28 @@ impl SceneModel {
         Ok(self.net.embed(x)?)
     }
 
+    /// Mean embedding of each scene class over the referenced frames: row
+    /// `c` averages the embeddings of the frames whose semantic scene is
+    /// class `c` (the `H_c` of Algorithm 1) and stays zero for a class
+    /// without frames. Also returns each class's frame count.
+    ///
+    /// # Errors
+    ///
+    /// Returns a width error if the features do not match the encoder.
+    pub(crate) fn class_centroids(
+        &self,
+        dataset: &DrivingDataset,
+        refs: &[FrameRef],
+    ) -> Result<(Matrix, Vec<usize>), AnoleError> {
+        let emb = self.embed(&dataset.features_matrix(refs))?;
+        let classes: Vec<Option<usize>> = dataset
+            .scene_indices(refs)
+            .into_iter()
+            .map(|scene| self.class_of_semantic(scene))
+            .collect();
+        Ok(class_means(&emb, &classes, self.class_count()))
+    }
+
     /// Predicts dense scene classes.
     ///
     /// # Errors
@@ -168,6 +197,34 @@ impl SceneModel {
     }
 }
 
+/// Mean row per class: row `c` of the result sums, in row order, the rows
+/// of `rows` whose entry in `classes` is `Some(c)`, then scales the sum by
+/// the reciprocal of their count; a class with no rows stays zero. Also
+/// returns each class's row count.
+pub(crate) fn class_means(
+    rows: &Matrix,
+    classes: &[Option<usize>],
+    class_count: usize,
+) -> (Matrix, Vec<usize>) {
+    let mut sums = Matrix::zeros(class_count, rows.cols());
+    let mut counts = vec![0usize; class_count];
+    for (i, class) in classes.iter().enumerate() {
+        if let Some(class) = *class {
+            counts[class] += 1;
+            for (s, &v) in sums.row_mut(class).iter_mut().zip(rows.row(i)) {
+                *s += v;
+            }
+        }
+    }
+    for (class, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            let inv = 1.0 / count as f32;
+            sums.row_mut(class).iter_mut().for_each(|v| *v *= inv);
+        }
+    }
+    (sums, counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +267,7 @@ mod tests {
         let x = dataset.features_matrix(&split.val[..4.min(split.val.len())]);
         let emb = model.embed(&x).unwrap();
         assert_eq!(emb.cols(), model.embedding_dim());
-        assert_eq!(emb.cols(), SceneModelConfig::default().embedding);
+        assert_eq!(emb.cols(), EMBEDDING);
     }
 
     #[test]

@@ -161,12 +161,6 @@ impl AnoleSystem {
         self.config.cache = cache;
     }
 
-    /// Overrides the serving-SLO configuration (read by the gateway and the
-    /// lifecycle's canary promotion gate; the trained models are untouched).
-    pub fn set_slo_config(&mut self, slo: crate::SloConfig) {
-        self.config.slo = slo;
-    }
-
     /// Converts the repository and the decision model to the int8 serving
     /// format, behind per-model acceptance gates (ε =
     /// [`QuantConfig::epsilon_f1`](crate::QuantConfig::epsilon_f1)):

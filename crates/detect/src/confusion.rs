@@ -28,11 +28,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Records one observation.
     ///
     /// # Panics

@@ -36,7 +36,7 @@ mod power;
 mod spec;
 
 pub use latency::LatencyModel;
-pub use link::{LinkState, UnstableLink, UnstableLinkConfig};
+pub use link::{LinkState, UnstableLink};
 pub use memory::GpuMemoryModel;
 pub use power::{PowerModel, PowerMode, PowerReading};
 pub use spec::{DeviceKind, DeviceSpec};

@@ -1,75 +1,53 @@
 //! Unstable wireless uplink (Gilbert–Elliott), used by the cloud-offload
 //! ablation that motivates local inference (paper §I: "unstable
-//! communication … may lead to unpredictable delay").
+//! communication … may lead to unpredictable delay") and by bundle
+//! downloads. Every caller drives the same link, so its six parameters (two
+//! transition probabilities, RTT, jitter, bandwidth and timeout) are
+//! constants of this module.
 
 use anole_tensor::StdRng;
 
+/// Per-step probability of leaving the good state.
+const P_GOOD_TO_BAD: f32 = 0.02;
+/// Per-step probability of recovering from the bad state.
+const P_BAD_TO_GOOD: f32 = 0.10;
+/// Mean round-trip time in the good state, milliseconds.
+const GOOD_RTT_MS: f32 = 60.0;
+/// RTT jitter fraction in the good state.
+const RTT_JITTER: f32 = 0.3;
+/// Uplink bandwidth in bytes per millisecond in the good state.
+const BANDWIDTH_BYTES_PER_MS: f32 = 1_000.0;
+/// Timeout after which a transfer in the bad state is abandoned.
+const TIMEOUT_MS: f32 = 1_000.0;
+
 /// Channel state of the two-state Gilbert–Elliott model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkState {
     /// Connected with nominal bandwidth and RTT.
+    #[default]
     Good,
     /// Degraded or disconnected: transfers time out.
     Bad,
 }
 
-/// Parameters of the unstable uplink.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnstableLinkConfig {
-    /// Per-step probability of leaving the good state.
-    pub p_good_to_bad: f32,
-    /// Per-step probability of recovering from the bad state.
-    pub p_bad_to_good: f32,
-    /// Mean round-trip time in the good state, milliseconds.
-    pub good_rtt_ms: f32,
-    /// RTT jitter fraction in the good state.
-    pub rtt_jitter: f32,
-    /// Uplink bandwidth in bytes per millisecond in the good state.
-    pub bandwidth_bytes_per_ms: f32,
-    /// Timeout after which a transfer in the bad state is abandoned.
-    pub timeout_ms: f32,
-}
-
-impl Default for UnstableLinkConfig {
-    /// A vehicular LTE-like link: ~60 ms RTT, ~1 MB/s up, occasional
-    /// multi-second outages.
-    fn default() -> Self {
-        Self {
-            p_good_to_bad: 0.02,
-            p_bad_to_good: 0.10,
-            good_rtt_ms: 60.0,
-            rtt_jitter: 0.3,
-            bandwidth_bytes_per_ms: 1_000.0,
-            timeout_ms: 1_000.0,
-        }
-    }
-}
-
-/// The unstable uplink simulator. Each [`UnstableLink::round_trip_ms`] call
-/// advances the channel one step and prices one offloaded inference.
-#[derive(Debug, Clone, PartialEq)]
+/// The unstable uplink simulator: a vehicular LTE-like link with ~60 ms
+/// RTT, ~1 MB/s up and occasional multi-second outages. Each
+/// [`UnstableLink::round_trip_ms`] call advances the channel one step and
+/// prices one offloaded inference.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UnstableLink {
-    config: UnstableLinkConfig,
     state: LinkState,
 }
 
 impl UnstableLink {
     /// Creates a link starting in the good state.
-    pub fn new(config: UnstableLinkConfig) -> Self {
-        Self {
-            config,
-            state: LinkState::Good,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current channel state.
     pub fn state(&self) -> LinkState {
         self.state
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &UnstableLinkConfig {
-        &self.config
     }
 
     /// Attempts one offloaded round trip carrying `payload_bytes` up.
@@ -81,19 +59,19 @@ impl UnstableLink {
         self.step(rng);
         match self.state {
             LinkState::Good => {
-                let transfer = payload_bytes as f32 / self.config.bandwidth_bytes_per_ms;
-                let jitter = 1.0 + (rng.f32() - 0.5) * 2.0 * self.config.rtt_jitter;
-                Ok(self.config.good_rtt_ms * jitter.max(0.1) + transfer)
+                let transfer = payload_bytes as f32 / BANDWIDTH_BYTES_PER_MS;
+                let jitter = 1.0 + (rng.f32() - 0.5) * 2.0 * RTT_JITTER;
+                Ok(GOOD_RTT_MS * jitter.max(0.1) + transfer)
             }
-            LinkState::Bad => Err(self.config.timeout_ms),
+            LinkState::Bad => Err(TIMEOUT_MS),
         }
     }
 
     fn step(&mut self, rng: &mut StdRng) {
         let flip = rng.f32();
         self.state = match self.state {
-            LinkState::Good if flip < self.config.p_good_to_bad => LinkState::Bad,
-            LinkState::Bad if flip < self.config.p_bad_to_good => LinkState::Good,
+            LinkState::Good if flip < P_GOOD_TO_BAD => LinkState::Bad,
+            LinkState::Bad if flip < P_BAD_TO_GOOD => LinkState::Good,
             s => s,
         };
     }
@@ -104,33 +82,44 @@ mod tests {
     use super::*;
     use anole_tensor::{rng_from_seed, Seed};
 
+    /// Round trips until the channel times out, returning the timeout.
+    fn until_outage(link: &mut UnstableLink, rng: &mut StdRng) -> f32 {
+        loop {
+            if let Err(timeout) = link.round_trip_ms(1, rng) {
+                return timeout;
+            }
+        }
+    }
+
     #[test]
     fn good_state_prices_rtt_plus_transfer() {
-        let mut link = UnstableLink::new(UnstableLinkConfig {
-            p_good_to_bad: 0.0,
-            rtt_jitter: 0.0,
-            ..UnstableLinkConfig::default()
-        });
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(1));
+        // Replay the two draws the round trip makes: the state flip, then
+        // the jitter.
+        let mut draws = rng.clone();
+        assert!(
+            draws.f32() >= P_GOOD_TO_BAD,
+            "seed 1 must stay in the good state"
+        );
+        let jitter = 1.0 + (draws.f32() - 0.5) * 2.0 * RTT_JITTER;
         let ms = link.round_trip_ms(200_000, &mut rng).unwrap();
-        assert!((ms - (60.0 + 200.0)).abs() < 1e-3, "{ms}");
+        assert_eq!(link.state(), LinkState::Good);
+        assert!((ms - (60.0 * jitter + 200.0)).abs() < 1e-3, "{ms}");
+        assert_eq!(rng, draws);
     }
 
     #[test]
     fn outages_produce_timeouts() {
-        let mut link = UnstableLink::new(UnstableLinkConfig {
-            p_good_to_bad: 1.0,
-            p_bad_to_good: 0.0,
-            ..UnstableLinkConfig::default()
-        });
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(2));
-        assert_eq!(link.round_trip_ms(1000, &mut rng), Err(1000.0));
+        assert_eq!(until_outage(&mut link, &mut rng), 1000.0);
         assert_eq!(link.state(), LinkState::Bad);
     }
 
     #[test]
     fn tail_latency_is_much_worse_than_median() {
-        let mut link = UnstableLink::new(UnstableLinkConfig::default());
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(3));
         let mut latencies: Vec<f32> = (0..2000)
             .map(|_| match link.round_trip_ms(200_000, &mut rng) {
@@ -146,13 +135,9 @@ mod tests {
 
     #[test]
     fn channel_recovers_eventually() {
-        let mut link = UnstableLink::new(UnstableLinkConfig {
-            p_good_to_bad: 1.0,
-            p_bad_to_good: 0.5,
-            ..UnstableLinkConfig::default()
-        });
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(4));
-        let _ = link.round_trip_ms(1, &mut rng); // forced into Bad
+        until_outage(&mut link, &mut rng);
         let mut recovered = false;
         for _ in 0..100 {
             if link.round_trip_ms(1, &mut rng).is_ok() {
@@ -165,14 +150,13 @@ mod tests {
 
     #[test]
     fn outage_fraction_matches_stationary_distribution() {
-        let cfg = UnstableLinkConfig::default();
-        let mut link = UnstableLink::new(cfg);
+        let mut link = UnstableLink::new();
         let mut rng = rng_from_seed(Seed(5));
         let n = 20_000;
         let bad = (0..n)
             .filter(|_| link.round_trip_ms(1, &mut rng).is_err())
             .count();
-        let expected = cfg.p_good_to_bad / (cfg.p_good_to_bad + cfg.p_bad_to_good);
+        let expected = P_GOOD_TO_BAD / (P_GOOD_TO_BAD + P_BAD_TO_GOOD);
         let measured = bad as f32 / n as f32;
         assert!(
             (measured - expected).abs() < 0.03,

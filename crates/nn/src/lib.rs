@@ -4,8 +4,8 @@
 //! The paper trains three kinds of networks: a ResNet18 scene encoder
 //! (`M_scene`), a two-layer MLP decision model (`M_decision`), and a pack of
 //! YOLOv3-tiny detectors. This crate provides the common substrate: dense
-//! layers with manual backpropagation, softmax/sigmoid losses, SGD and Adam
-//! optimizers, a mini-batch trainer, and FLOP/weight accounting used both for
+//! layers with manual backpropagation, softmax/sigmoid losses, the Adam
+//! optimizer, a mini-batch trainer, and FLOP/weight accounting used both for
 //! Table II and to drive the device-latency simulator.
 //!
 //! All computation is deterministic given a [`Seed`](anole_tensor::Seed).
@@ -52,7 +52,7 @@ pub use loss::{
     softmax_into, LossValue,
 };
 pub use mlp::{Mlp, MlpBuilder};
-pub use optim::{Adam, Optimizer, OptimizerKind, Sgd};
+pub use optim::{Adam, OptimizerKind};
 pub use profile::{ModelProfile, ReferenceModel};
 pub use quant::{Precision, Predictor, QuantizedDense, QuantizedMlp};
 pub use trainer::{TrainConfig, TrainReport, Trainer};

@@ -1,26 +1,21 @@
-//! First-order optimizers: SGD with momentum and Adam.
+//! The first-order optimizer: Adam.
 //!
-//! Each optimizer has two update paths that produce bit-identical weights:
-//! the fused `step` used by the trainer — a single pass over `[parameters,
+//! Adam has two update paths that produce bit-identical weights: the fused
+//! [`Adam::step`] used by the trainer — a single pass over `[parameters,
 //! optimizer state]` slices in lockstep, allocation-free after the lazy
-//! state initialisation — and the historical `step_reference` kept as the
-//! plainly-auditable specification the property tests compare against.
+//! state initialisation — and the historical [`Adam::step_reference`] kept
+//! as the plainly-auditable specification the property tests compare
+//! against.
 
 use anole_tensor::{Matrix, ShapeError};
 
 use crate::{Mlp, NnError};
 
 /// Declarative optimizer choice carried by
-/// [`TrainConfig`](crate::TrainConfig).
+/// [`TrainConfig`](crate::TrainConfig). It stays an enum so stored
+/// configs, bundles and checkpoints keep their `{"Adam":{"lr":…}}` form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
-    /// Stochastic gradient descent with momentum.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-        /// Momentum coefficient in `[0, 1)`.
-        momentum: f32,
-    },
     /// Adam with default `(β₁, β₂) = (0.9, 0.999)`.
     Adam {
         /// Learning rate.
@@ -28,15 +23,13 @@ pub enum OptimizerKind {
     },
 }
 
-anole_json::json_enum!(OptimizerKind { Sgd { lr, momentum }, Adam { lr } });
+anole_json::json_enum!(OptimizerKind { Adam { lr } });
 
 impl OptimizerKind {
     /// Instantiates the optimizer state for a training run.
-    pub fn build(self) -> Optimizer {
-        match self {
-            OptimizerKind::Sgd { lr, momentum } => Optimizer::Sgd(Sgd::new(lr, momentum)),
-            OptimizerKind::Adam { lr } => Optimizer::Adam(Adam::new(lr)),
-        }
+    pub fn build(self) -> Adam {
+        let OptimizerKind::Adam { lr } = self;
+        Adam::new(lr)
     }
 }
 
@@ -45,75 +38,6 @@ impl Default for OptimizerKind {
     fn default() -> Self {
         OptimizerKind::Adam { lr: 1e-2 }
     }
-}
-
-/// Stateful optimizer applied by the trainer each mini-batch.
-#[derive(Debug, Clone)]
-pub enum Optimizer {
-    /// See [`Sgd`].
-    Sgd(Sgd),
-    /// See [`Adam`].
-    Adam(Adam),
-}
-
-impl Optimizer {
-    /// Applies one update step given per-layer `(d_weights, d_bias)` grads.
-    ///
-    /// Layers within the model's frozen prefix are left untouched. Uses the
-    /// fused single-pass kernels; allocation-free after the first call's
-    /// lazy state initialisation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if gradient shapes disagree with the parameters.
-    pub fn step(&mut self, model: &mut Mlp, grads: &[(Matrix, Matrix)]) -> Result<(), NnError> {
-        match self {
-            Optimizer::Sgd(s) => s.step(model, grads),
-            Optimizer::Adam(a) => a.step(model, grads),
-        }
-    }
-
-    /// The original multi-pass update, kept as the bit-identity reference
-    /// for [`Optimizer::step`]. Same state, same results, more allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if gradient shapes disagree with the parameters.
-    pub fn step_reference(
-        &mut self,
-        model: &mut Mlp,
-        grads: &[(Matrix, Matrix)],
-    ) -> Result<(), NnError> {
-        match self {
-            Optimizer::Sgd(s) => s.step_reference(model, grads),
-            Optimizer::Adam(a) => a.step_reference(model, grads),
-        }
-    }
-}
-
-/// Fused SGD-with-momentum update on one parameter matrix:
-/// `v ← μv + (−lr)·g; θ ← θ + v` in a single pass over `[θ, v]`.
-///
-/// Rounds identically to the reference scale-then-axpy sequence: both
-/// evaluate `round(round(v·μ) + round((−lr)·g))` per element, and the
-/// reference's `apply_update` adds `1.0·v` which is exact.
-fn fused_sgd(
-    param: &mut Matrix,
-    velocity: &mut Matrix,
-    grad: &Matrix,
-    lr: f32,
-    momentum: f32,
-) -> Result<(), NnError> {
-    if grad.shape() != param.shape() || velocity.shape() != param.shape() {
-        return Err(ShapeError::new("fused_sgd", param.shape(), grad.shape()).into());
-    }
-    let state = param.as_mut_slice().iter_mut().zip(velocity.as_mut_slice());
-    for ((w, v), &g) in state.zip(grad.as_slice()) {
-        let vn = *v * momentum + (-lr) * g;
-        *v = vn;
-        *w += vn;
-    }
-    Ok(())
 }
 
 /// Fused Adam update on one parameter matrix: moment updates, bias
@@ -155,84 +79,6 @@ fn fused_adam(
     Ok(())
 }
 
-/// SGD with classical momentum: `v ← μv − lr·g`, `θ ← θ + v`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<(Matrix, Matrix)>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one fused SGD step; see [`Optimizer::step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if gradient shapes disagree with the parameters.
-    pub fn step(&mut self, model: &mut Mlp, grads: &[(Matrix, Matrix)]) -> Result<(), NnError> {
-        self.ensure_velocity(grads);
-        let frozen = model.frozen_prefix();
-        for (idx, layer) in model.layers_mut().iter_mut().enumerate() {
-            if idx < frozen {
-                continue;
-            }
-            let (dw, db) = &grads[idx];
-            let (vw, vb) = &mut self.velocity[idx];
-            let (w, b) = layer.params_mut();
-            fused_sgd(w, vw, dw, self.lr, self.momentum)?;
-            fused_sgd(b, vb, db, self.lr, self.momentum)?;
-        }
-        Ok(())
-    }
-
-    /// The original scale/axpy/clone update; see [`Optimizer::step_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if gradient shapes disagree with the parameters.
-    pub fn step_reference(
-        &mut self,
-        model: &mut Mlp,
-        grads: &[(Matrix, Matrix)],
-    ) -> Result<(), NnError> {
-        self.ensure_velocity(grads);
-        let frozen = model.frozen_prefix();
-        for (idx, layer) in model.layers_mut().iter_mut().enumerate() {
-            if idx < frozen {
-                continue;
-            }
-            let (dw, db) = &grads[idx];
-            let (vw, vb) = &mut self.velocity[idx];
-            *vw = vw.scale(self.momentum);
-            vw.axpy(-self.lr, dw)?;
-            *vb = vb.scale(self.momentum);
-            vb.axpy(-self.lr, db)?;
-            layer.apply_update(&vw.clone(), &vb.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Lazily sizes the velocity state to the gradient shapes (warm-up
-    /// allocation; every later step reuses it).
-    fn ensure_velocity(&mut self, grads: &[(Matrix, Matrix)]) {
-        if self.velocity.is_empty() {
-            self.velocity = grads
-                .iter()
-                .map(|(dw, db)| (Matrix::zeros(dw.rows(), dw.cols()), Matrix::zeros(db.rows(), db.cols())))
-                .collect();
-        }
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -259,7 +105,11 @@ impl Adam {
         }
     }
 
-    /// Applies one fused Adam step; see [`Optimizer::step`].
+    /// Applies one update step given per-layer `(d_weights, d_bias)` grads.
+    ///
+    /// Layers within the model's frozen prefix are left untouched. Uses the
+    /// fused single-pass kernel; allocation-free after the first call's
+    /// lazy state initialisation.
     ///
     /// # Errors
     ///
@@ -284,8 +134,9 @@ impl Adam {
         Ok(())
     }
 
-    /// The original allocate-an-update-matrix step; see
-    /// [`Optimizer::step_reference`].
+    /// The original allocate-an-update-matrix step, kept as the
+    /// bit-identity reference for [`Adam::step`]. Same state, same results,
+    /// more allocations.
     ///
     /// # Errors
     ///
@@ -360,7 +211,7 @@ mod tests {
         softmax_cross_entropy(&model.forward(x).unwrap(), y).unwrap().loss
     }
 
-    fn run_steps(mut opt: Optimizer, steps: usize) -> f32 {
+    fn run_steps(mut opt: Adam, steps: usize) -> f32 {
         let (mut model, x, y) = tiny_problem();
         for _ in 0..steps {
             let cache = model.forward_cached(&x).unwrap();
@@ -369,16 +220,6 @@ mod tests {
             opt.step(&mut model, &grads).unwrap();
         }
         loss_of(&model, &x, &y)
-    }
-
-    #[test]
-    fn sgd_reduces_xor_loss() {
-        let initial = {
-            let (model, x, y) = tiny_problem();
-            loss_of(&model, &x, &y)
-        };
-        let final_loss = run_steps(OptimizerKind::Sgd { lr: 0.5, momentum: 0.9 }.build(), 400);
-        assert!(final_loss < initial * 0.2, "{final_loss} vs {initial}");
     }
 
     #[test]
@@ -412,26 +253,22 @@ mod tests {
 
     #[test]
     fn fused_step_matches_reference_bitwise() {
-        for kind in [
-            OptimizerKind::Sgd { lr: 0.1, momentum: 0.9 },
-            OptimizerKind::Adam { lr: 0.01 },
-        ] {
-            let (mut m_fused, x, y) = tiny_problem();
-            let mut m_ref = m_fused.clone();
-            let mut opt_fused = kind.build();
-            let mut opt_ref = kind.build();
-            for _ in 0..25 {
-                let cache = m_fused.forward_cached(&x).unwrap();
-                let lv = softmax_cross_entropy(cache.output(), &y).unwrap();
-                let grads = m_fused.backward(&cache, &lv.d_logits).unwrap();
-                opt_fused.step(&mut m_fused, &grads).unwrap();
+        let kind = OptimizerKind::Adam { lr: 0.01 };
+        let (mut m_fused, x, y) = tiny_problem();
+        let mut m_ref = m_fused.clone();
+        let mut opt_fused = kind.build();
+        let mut opt_ref = kind.build();
+        for _ in 0..25 {
+            let cache = m_fused.forward_cached(&x).unwrap();
+            let lv = softmax_cross_entropy(cache.output(), &y).unwrap();
+            let grads = m_fused.backward(&cache, &lv.d_logits).unwrap();
+            opt_fused.step(&mut m_fused, &grads).unwrap();
 
-                let cache = m_ref.forward_cached(&x).unwrap();
-                let lv = softmax_cross_entropy(cache.output(), &y).unwrap();
-                let grads = m_ref.backward(&cache, &lv.d_logits).unwrap();
-                opt_ref.step_reference(&mut m_ref, &grads).unwrap();
-            }
-            assert_eq!(m_fused, m_ref, "{kind:?} fused vs reference diverged");
+            let cache = m_ref.forward_cached(&x).unwrap();
+            let lv = softmax_cross_entropy(cache.output(), &y).unwrap();
+            let grads = m_ref.backward(&cache, &lv.d_logits).unwrap();
+            opt_ref.step_reference(&mut m_ref, &grads).unwrap();
         }
+        assert_eq!(m_fused, m_ref, "fused vs reference diverged");
     }
 }

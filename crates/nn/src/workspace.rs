@@ -12,7 +12,7 @@
 //! output, so stale contents can never leak into results. Reuse is purely an
 //! allocator-traffic optimisation: the workspace-threaded forward/backward
 //! paths produce bit-identical results to the allocating reference paths
-//! (`Mlp::forward_cached` / `Mlp::backward` / `Optimizer::step_reference`),
+//! (`Mlp::forward_cached` / `Mlp::backward` / `Adam::step_reference`),
 //! which is asserted by property tests.
 
 use anole_tensor::{Matrix, QuantRows};

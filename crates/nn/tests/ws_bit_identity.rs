@@ -3,14 +3,13 @@
 //!
 //! The reference loop below replays the historical trainer verbatim —
 //! `select_rows` gathers, `forward_cached`, the allocating loss functions,
-//! `Mlp::backward` and `Optimizer::step_reference` — using the same seed
+//! `Mlp::backward` and `Adam::step_reference` — using the same seed
 //! discipline. The real trainer must match it bit for bit (`f32::to_bits`,
-//! not `==`) across loss kinds, batch sizes, optimizers and frozen
-//! prefixes.
+//! not `==`) across loss kinds, batch sizes and frozen prefixes.
 
 use anole_nn::{
     bce_with_logits, soft_cross_entropy, softmax_cross_entropy, Activation, LossValue, Mlp,
-    OptimizerKind, TrainConfig, Trainer, Workspace,
+    TrainConfig, Trainer, Workspace,
 };
 use anole_tensor::{rng_from_seed, Matrix, Seed};
 
@@ -138,25 +137,6 @@ fn workspace_trainer_matches_reference_across_losses_batches_and_seeds() {
             }
         }
     }
-}
-
-#[test]
-fn workspace_trainer_matches_reference_with_sgd_momentum() {
-    let (x, labels, _) = dataset(200, 7, 3, Seed(91));
-    let cfg = TrainConfig {
-        epochs: 3,
-        batch_size: 160,
-        optimizer: OptimizerKind::Sgd { lr: 0.05, momentum: 0.9 },
-    };
-
-    let mut expect = build_model(7, 3, 11);
-    reference_fit(&cfg, &mut expect, &x, RefLoss::Hard(&labels), Seed(61));
-
-    let mut got = build_model(7, 3, 11);
-    Trainer::new(cfg)
-        .fit_classifier(&mut got, &x, &labels, Seed(61))
-        .unwrap();
-    assert_bitwise_eq(&got, &expect, "sgd");
 }
 
 #[test]

@@ -6,7 +6,7 @@ use anole::core::deploy::{download_resumable, load_bundle, read_manifest, save_b
 use anole::core::omi::{Telemetry, TelemetryRecord};
 use anole::core::{AnoleConfig, AnoleSystem};
 use anole::data::{DatasetConfig, DrivingDataset};
-use anole::device::{DeviceKind, UnstableLink, UnstableLinkConfig};
+use anole::device::{DeviceKind, UnstableLink};
 use anole::tensor::{rng_from_seed, Seed};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -54,7 +54,7 @@ fn dataset_and_bundle_round_trip_preserves_behaviour() {
     assert_eq!(behaviour(&original), behaviour(&reloaded));
 
     // The staged download of the bundle completes over the unstable link.
-    let mut link = UnstableLink::new(UnstableLinkConfig::default());
+    let mut link = UnstableLink::new();
     let mut rng = rng_from_seed(Seed(204));
     let report = download_resumable(&manifest, &mut link, &mut rng, None, 1).unwrap();
     assert!(report.total_ms > 0.0);

@@ -23,7 +23,7 @@ use anole::core::{
     context_key, AnoleConfig, AnoleError, AnoleSystem, CheckpointStore, OspStage, TrainRecovery,
 };
 use anole::data::{DatasetConfig, DrivingDataset};
-use anole::device::{UnstableLink, UnstableLinkConfig};
+use anole::device::UnstableLink;
 use anole::tensor::{rng_from_seed, Seed};
 
 /// CI sweeps this env var across a small seed matrix; every assertion below
@@ -287,7 +287,7 @@ fn resumable_download_survives_random_faults_with_exact_byte_accounting() {
     let plan = FaultPlan::new(Seed(chaos_seed().wrapping_add(740)))
         .with_link_death_rate(0.002)
         .with_truncated_artifact_rate(0.1);
-    let mut link = UnstableLink::new(UnstableLinkConfig::default());
+    let mut link = UnstableLink::new();
     let mut rng = rng_from_seed(Seed(9300));
     let report = download_resumable(
         &manifest,
